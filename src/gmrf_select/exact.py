@@ -10,19 +10,19 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import InstanceTooLarge, InvariantViolation
+from .errors import InfeasibleParameters, InstanceTooLarge, InvariantViolation
 from .models import GffModel, SelectionReport, err, make_report
 
 DEFAULT_MAX_N = 20
 _THREAD_CHUNK = 4096
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GMRF_SELECT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def thread_count() -> int:
+    """Worker threads from GMRF_SELECT_THREADS (unset or empty means 1)."""
+    raw = os.environ.get("GMRF_SELECT_THREADS") or "1"
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise InfeasibleParameters(f"GMRF_SELECT_THREADS={raw!r} is not an integer >= 1")
+    return int(raw)
 
 
 def _candidates(model):
@@ -46,7 +46,7 @@ def _best_of(model, base, combos):
         sel = tuple(sorted(base | set(extra)))
         return (err(model, sel), sel)
 
-    threads = _thread_count()
+    threads = thread_count()
     combos = list(combos)
     if threads > 1 and len(combos) > _THREAD_CHUNK:
         chunks = [combos[i:i + _THREAD_CHUNK]

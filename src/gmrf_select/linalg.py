@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     IndexOutOfSupport,
@@ -167,9 +166,9 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
 
 
 def trace_of_inverse(m: SupportedMatrix) -> float:
-    """Tr(M[V,V]^-1) via Cholesky column solves; 0 for empty support.
+    """Tr(M[V,V]^-1) via the Cholesky factor; 0 for empty support.
 
-    Tr(A^-1) = ||L^-1||_F^2 for A = L L^t, so no explicit inverse is formed.
+    Tr(A^-1) = ||L^-1||_F^2 for A = L L^t, so A itself is never inverted.
     """
     if not m.support:
         return 0.0
@@ -177,13 +176,12 @@ def trace_of_inverse(m: SupportedMatrix) -> float:
         chol = np.linalg.cholesky(m.block)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"support block not positive definite: {exc}") from exc
-    inv_l = scipy.linalg.solve_triangular(
-        chol, np.eye(len(m.support)), lower=True, check_finite=False)
+    inv_l = np.linalg.inv(chol)
     return float(np.sum(inv_l * inv_l))
 
 
 def diag_of_inverse(m: SupportedMatrix, subset) -> float:
-    """Sum over t in ``subset`` of (M[V,V]^-1)[t,t], via Cholesky column solves."""
+    """Sum over t in ``subset`` of (M[V,V]^-1)[t,t], via the Cholesky factor."""
     subset = tuple(v for v in subset)
     if not subset:
         return 0.0
@@ -194,7 +192,7 @@ def diag_of_inverse(m: SupportedMatrix, subset) -> float:
         raise SingularMatrix(f"support block not positive definite: {exc}") from exc
     rhs = np.zeros((len(m.support), len(subset)))
     rhs[idx, np.arange(len(subset))] = 1.0
-    half = scipy.linalg.solve_triangular(chol, rhs, lower=True, check_finite=False)
+    half = np.linalg.solve(chol, rhs)
     return float(np.sum(half * half))
 
 

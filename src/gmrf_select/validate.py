@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import models
 from .decomposition import balance_for_tree
 from .dp import dp_select
-from .exact import exact_budget, exact_cover
+from .exact import exact_budget, exact_cover, thread_count
 from .greedy import BUDGET_FACTOR, greedy_budget, greedy_cover
 from .models import err, random_gff
 
@@ -153,7 +152,7 @@ def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None
 
     counts = {"three-path": trials, "supermodularity": max(trials * 10, 1000),
               "greedy-vs-exact": trials, "dp-vs-exact": max(4, trials // 10)}
-    threads = int(os.environ.get("GMRF_SELECT_THREADS", "1") or 1)
+    threads = thread_count()
     results = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(SUITES))) as pool:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -173,6 +176,24 @@ class TestCli:
     def test_parse_error_exit_code(self, tmp_path):
         path = write(tmp_path, "bad.gff", "gff 2 1 1\n1 2 -3\n")
         assert main(["eval", "--input", path, "--set", "1"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_exit_code(self, tmp_path, capsys, monkeypatch, value):
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        monkeypatch.setenv("GMRF_SELECT_THREADS", value)
+        assert main(["select", "exact", "--input", path, "--budget", "1"]) == 2
+        assert main(["validate", "--seed", "1", "--trials", "1"]) == 2
+        err_text = capsys.readouterr().err
+        assert err_text.count("error: GMRF_SELECT_THREADS") == 2
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        probe = "import sys, gmrf_select.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
     def test_validate_cli(self, tmp_path, capsys):
         out_path = str(tmp_path / "findings.json")

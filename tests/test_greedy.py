@@ -44,6 +44,29 @@ class TestGreedyBudget:
                            seed=int(rng.integers(1 << 30)))
             b = int(rng.integers(0, 5))
             assert greedy_budget(g, b).selected == naive_greedy(g, b)
+        # GMRFs, and unit paths, whose exact ties must still go to the lowest index
+        for _ in range(60):
+            n = int(rng.integers(3, 11))
+            m = random_gmrf(n, int(rng.integers(1, 4)), seed=int(rng.integers(1 << 30)))
+            b = int(rng.integers(0, n + 1))
+            assert greedy_budget(m, b).selected == naive_greedy(m, b)
+            p = unit_path(n + 10, pin=int(rng.integers(1, n + 11)))
+            b = int(rng.integers(0, p.n))
+            assert greedy_budget(p, b).selected == naive_greedy(p, b)
+
+    def test_rebuild_every_round_same_selection(self, monkeypatch):
+        # with no drift tolerance every round rebuilds Sigma and chooses twice
+        import gmrf_select.greedy as greedy_mod
+        models = [random_gff(12, density=0.3, seed=1), random_gmrf(12, 3, seed=2),
+                  unit_path(15, pin=6)]
+        expected = [greedy_budget(g, 8).selected for g in models]
+        calls = []
+        real_choose = greedy_mod._choose
+        monkeypatch.setattr(greedy_mod, "DRIFT_TOL", 0.0)
+        monkeypatch.setattr(greedy_mod, "_choose",
+                            lambda *args: calls.append(args) or real_choose(*args))
+        assert [greedy_budget(g, 8).selected for g in models] == expected
+        assert len(calls) == 2 * 8 * len(models)
 
     def test_path5_vs_exact(self):
         from gmrf_select.exact import exact_budget
@@ -95,6 +118,19 @@ class TestGreedyCover:
             ex = exact_cover(g, alpha)
             assert gr.err_value <= alpha
             assert len(gr.selected) <= gr.guarantee.factor * len(ex.selected) + 1e-9
+
+    def test_alpha_equal_to_prefix_err_stops_there(self):
+        # alpha is err of a greedy prefix to the last bit, so the stop test
+        # must compare the freshly computed err, not an accumulated one
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(4, 12))
+            g = random_gff(n, density=float(rng.uniform(0, 0.5)),
+                           seed=int(rng.integers(1 << 30)))
+            k = int(rng.integers(1, n - 1))
+            prefix = greedy_budget(g, k)
+            rep = greedy_cover(g, prefix.err_value)
+            assert rep.selected == prefix.selected
 
     def test_cover_factor_formula(self):
         g = GffModel(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0)])
