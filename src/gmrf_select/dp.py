@@ -71,12 +71,14 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
     the elimination order, rows assigned to covering clusters, plus the
     sigma-diagonal split with per-cluster shares of at least sigma/m.
     """
+    if mode not in ("gff", "general"):
+        raise InvariantViolation(f"unknown factorization mode {mode!r}")
+    blocks = [np.zeros((len(c), len(c))) for c in td.clusters]
+    supports = [tuple(sorted(c)) for c in td.clusters]
+    pos = [{v: t for t, v in enumerate(s)} for s in supports]
     if mode == "gff":
         if not isinstance(model, GffModel):
             raise InvariantViolation("gff factorization needs a GffModel")
-        blocks = [np.zeros((len(c), len(c))) for c in td.clusters]
-        supports = [tuple(sorted(c)) for c in td.clusters]
-        pos = [{v: t for t, v in enumerate(s)} for s in supports]
         for u, v, r in model.edges:
             home = next((t for t, c in enumerate(td.clusters) if u in c and v in c), None)
             if home is None:
@@ -87,12 +89,9 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
             blocks[home][pv, pv] += c
             blocks[home][pu, pv] -= c
             blocks[home][pv, pu] -= c
-        factors = tuple(SupportedMatrix(model.n, supports[t], blocks[t])
-                        for t in range(td.m))
-        return ClusterFactors("gff", factors)
+        return ClusterFactors(mode, tuple(SupportedMatrix(model.n, s, b)
+                                          for s, b in zip(supports, blocks)))
 
-    if mode != "general":
-        raise InvariantViolation(f"unknown factorization mode {mode!r}")
     lam = model.precision()
     if len(lam.support) != model.n:
         raise InvariantViolation("general factorization needs full support")
@@ -115,9 +114,6 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
     if chol is None:
         raise NumericFailure("shifted Cholesky failed at every backoff")
 
-    blocks = [np.zeros((len(c), len(c))) for c in td.clusters]
-    supports = [tuple(sorted(c)) for c in td.clusters]
-    pos = [{v: t for t, v in enumerate(s)} for s in supports]
     for col in range(model.n):
         vec = chol[:, col]
         scale = np.abs(vec).max()
@@ -137,9 +133,8 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
         share = shift / len(bags)
         for t in bags:
             blocks[t][pos[t][v], pos[t][v]] += share
-    factors = tuple(SupportedMatrix(model.n, supports[t], blocks[t])
-                    for t in range(td.m))
-    return ClusterFactors("general", factors)
+    return ClusterFactors(mode, tuple(SupportedMatrix(model.n, s, b)
+                                      for s, b in zip(supports, blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,7 @@ class Entry:
     value: float
     p_mat: SupportedMatrix
     local: tuple[int, ...]                 # L-hat, the vertices observed in Gamma_ij
-    children: tuple | None                 # per child: (cluster, q_key, s, n, p_key, q_mat)
+    children: tuple | None                 # per child: (cluster, q_key, s, n, p_key)
     tiebreak: tuple
 
 
@@ -166,7 +161,6 @@ class MessageTable:
     eps: float
     budget: int
     tables: dict = field(default_factory=dict)   # (i, j) -> {context -> {p_key -> Entry}}
-    q_mats: dict = field(default_factory=dict)   # (i, j) -> {q_key -> SupportedMatrix}
     heights: dict = field(default_factory=dict)  # (i, j) -> message height
     rounding_audit: list = field(default_factory=list)  # (pre, post) pairs, capped
     states: int = 0
@@ -183,37 +177,31 @@ class _DpRun:
     """One bottom-up/lazy-top-down DP execution over a fixed decomposition."""
 
     def __init__(self, model, td, b, eps, rounding, state_cap):
-        self.model = model
-        self.td = td
         self.b = int(b)
-        self.eps = float(eps)
-        self.mode = rounding
         self.state_cap = state_cap
-        self.is_gff = isinstance(model, GffModel)
-        self.pin = model.pin if self.is_gff else None
+        is_gff = isinstance(model, GffModel)
+        pin = model.pin if is_gff else None
 
         factors = factorize(model, td, "gff" if rounding == "gff" else "general")
-        self.factors_full = factors
-        if self.is_gff:
+        if is_gff:
             self.sys_factors = tuple(
-                obs(f, {self.pin} & set(f.support)) for f in factors.factors)
-            self.sys_clusters = [frozenset(c) - {self.pin} for c in td.clusters]
+                obs(f, {pin} & set(f.support)) for f in factors.factors)
+            self.sys_clusters = [frozenset(c) - {pin} for c in td.clusters]
         else:
             self.sys_factors = factors.factors
             self.sys_clusters = [frozenset(c) for c in td.clusters]
 
         sys_prec = model.precision()
-        if self.is_gff:
-            sys_prec = obs(sys_prec, {self.pin})
+        if is_gff:
+            sys_prec = obs(sys_prec, {pin})
         w = np.linalg.eigvalsh(sys_prec.block)
-        self.lam_max_sys = float(w[-1])
-        self.key_quantum = max(self.lam_max_sys, 1e-12) * KEY_QUANTUM_REL
+        self.key_quantum = max(float(w[-1]), 1e-12) * KEY_QUANTUM_REL
 
         # allow for drift accumulated over the tree height in the runtime
         # range checks; the nets themselves are unchanged
         drift = (1.0 + 1e-6) * math.exp(min(2.0 * max(td.height, 1) * eps, 0.5))
         if rounding == "gff":
-            if not self.is_gff:
+            if not is_gff:
                 raise InvariantViolation("gff rounding needs a GffModel")
             self.rounder = GffRounder.for_model(model, eps, range_factor=drift)
         elif rounding == "svd":
@@ -223,29 +211,28 @@ class _DpRun:
             raise InvariantViolation(f"unknown rounding mode {rounding!r}")
 
         adj = td.neighbors()
-        self.parent = {td.root: None}
+        parent = {td.root: None}
         order = [td.root]
         stack = [td.root]
         while stack:
             u = stack.pop()
             for v in adj[u]:
-                if v not in self.parent:
-                    self.parent[v] = u
+                if v not in parent:
+                    parent[v] = u
                     order.append(v)
                     stack.append(v)
-        self.children = {u: sorted(v for v in adj[u] if self.parent[v] == u)
+        self.children = {u: sorted(v for v in adj[u] if parent[v] == u)
                          for u in range(td.m)}
 
         self.mt = MessageTable(td, rounding, eps, self.b)
         for u in reversed(order):
             if u == td.root:
                 continue
-            e = (u, self.parent[u])
+            e = (u, parent[u])
             kids = self.children[u]
             self.mt.heights[e] = 1 if not kids else 1 + max(
                 self.mt.heights[(k, u)] for k in kids)
         self._reach = {}
-        self._memo = {}
 
     # -- small helpers --
 
@@ -351,11 +338,11 @@ class _DpRun:
         """{p_key: Entry} for one (Q, S, N) context of a directed edge."""
         i, j = edge
         qk = self.key_of(q_mat)
-        ctx = (edge, qk, s_hat, n_hat)
-        if ctx in self._memo:
-            return self._memo[ctx]
+        ctx = (qk, s_hat, n_hat)
+        done = self.mt.tables.get(edge, {})
+        if ctx in done:
+            return done[ctx]
         self._bump("context")
-        self.mt.q_mats.setdefault(edge, {})[qk] = q_mat
         table = {}
         if n_hat >= len(s_hat):
             gamma = self.gamma(i, j)
@@ -414,12 +401,11 @@ class _DpRun:
                                 continue
                             value = ent_k.value + ent_l.value + tr
                             kids_ptr = (
-                                (k, self.key_of(q_ik), s_ik, n_k, pk_key, q_ik),
-                                (l, self.key_of(q_il), s_il, n_l, self.key_of(p_li), q_il),
+                                (k, self.key_of(q_ik), s_ik, n_k, pk_key),
+                                (l, self.key_of(q_il), s_il, n_l, self.key_of(p_li)),
                             )
                             self._store(table, p, value, l_hat, kids_ptr)
-        self._memo[ctx] = table
-        self.mt.tables.setdefault(edge, {})[(qk, s_hat, n_hat)] = table
+        self.mt.tables.setdefault(edge, {})[ctx] = table
         return table
 
     def _store(self, table, p_mat, value, l_hat, kids_ptr):
@@ -472,7 +458,7 @@ def extract_solution(mt: MessageTable, model, td: TreeDecomposition,
         selected.update(entry.local)
         selected.update(ctx[1])
         for child in entry.children or ():
-            c, q_key, s, n, pk, _ = child
+            c, q_key, s, n, pk = child
             walk((c, edge[0]), (q_key, s, n), pk)
 
     walk(root_edge, root_ctx, best_key)

@@ -20,7 +20,6 @@ from .errors import (
 )
 
 # Relative tolerances, against lambda_max of the block in question.
-PSD_TOL = 1e-10          # allowed eigenvalue dip below zero for "PSD"
 RANK_TOL = 1e-12         # smallest/largest eigenvalue ratio counted as full rank
 ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
 SANDWICH_TOL = 1e-10     # slack in PSD-order comparisons
@@ -32,6 +31,11 @@ class SupportedMatrix:
 
     ``support`` is a sorted tuple of 1-based indices; ``block`` is the dense
     |V| x |V| slice in support order. Entries outside V x V are implicitly 0.
+
+    The constructor trusts its caller, who built the block: the support must
+    already be sorted, distinct and within 1..n, and the block |V| x |V| in
+    support order. It only symmetrizes and freezes the block. Outside input
+    (files, dense arrays) enters through ``checked``, which validates first.
     """
 
     ambient_dim: int
@@ -39,19 +43,7 @@ class SupportedMatrix:
     block: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        support = tuple(sorted(self.support))
-        object.__setattr__(self, "support", support)
-        if any(i < 1 or i > self.ambient_dim for i in support):
-            raise IndexOutOfSupport(
-                f"support {support} not within 1..{self.ambient_dim}")
-        if len(set(support)) != len(support):
-            raise IndexOutOfSupport(f"duplicate indices in support {support}")
-        block = np.array(self.block, dtype=float)
-        k = len(support)
-        if block.shape != (k, k):
-            raise ValueError(f"block shape {block.shape} != ({k}, {k})")
-        if k and not np.allclose(block, block.T, atol=1e-12 * (1.0 + np.abs(block).max())):
-            raise ValueError("block is not symmetric")
+        block = np.asarray(self.block, dtype=float)
         block = 0.5 * (block + block.T)
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
@@ -59,9 +51,32 @@ class SupportedMatrix:
     # -- construction helpers --
 
     @classmethod
-    def zeros(cls, ambient_dim: int, support=()) -> "SupportedMatrix":
-        k = len(tuple(support))
-        return cls(ambient_dim, tuple(support), np.zeros((k, k)))
+    def checked(cls, ambient_dim: int, support, block) -> "SupportedMatrix":
+        """Validate outside input, then construct: the support must be
+        ascending, distinct and within 1..n, and the block finite, k x k and
+        symmetric."""
+        support = tuple(support)
+        if any(i < 1 or i > ambient_dim for i in support):
+            raise IndexOutOfSupport(
+                f"support {support} not within 1..{ambient_dim}")
+        if len(set(support)) != len(support):
+            raise IndexOutOfSupport(f"duplicate indices in support {support}")
+        if list(support) != sorted(support):
+            raise IndexOutOfSupport(f"support {support} not ascending")
+        block = np.asarray(block, dtype=float)
+        k = len(support)
+        if block.shape != (k, k):
+            raise ValueError(f"block shape {block.shape} != ({k}, {k})")
+        if not np.isfinite(block).all():
+            raise ValueError("block has non-finite entries")
+        if k and not np.allclose(block, block.T, atol=1e-12 * (1.0 + np.abs(block).max())):
+            raise ValueError("block is not symmetric")
+        return cls(ambient_dim, support, block)
+
+    @classmethod
+    def zeros(cls, ambient_dim: int) -> "SupportedMatrix":
+        """The zero matrix with empty support."""
+        return cls(ambient_dim, (), np.zeros((0, 0)))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, support=None) -> "SupportedMatrix":
@@ -72,7 +87,7 @@ class SupportedMatrix:
             support = tuple(range(1, n + 1))
         support = tuple(sorted(support))
         idx = np.array([i - 1 for i in support], dtype=int)
-        return cls(n, support, dense[np.ix_(idx, idx)])
+        return cls.checked(n, support, dense[np.ix_(idx, idx)])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.ambient_dim, self.ambient_dim))
@@ -99,13 +114,6 @@ class SupportedMatrix:
         if i < 1 or i > self.ambient_dim or j < 1 or j > self.ambient_dim:
             raise IndexOutOfSupport(f"({i}, {j}) outside ambient 1..{self.ambient_dim}")
         return 0.0
-
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        if not self.support:
-            return True
-        w = np.linalg.eigvalsh(self.block)
-        scale = max(abs(w[0]), abs(w[-1]), 1.0)
-        return w[0] >= -tol * scale
 
 
 def add(a: SupportedMatrix, b: SupportedMatrix) -> SupportedMatrix:
@@ -273,7 +281,7 @@ def parse_matrix_text(text: str, first_line: int = 1):
             fail(2 + r, f"non-numeric entry in {lines[2 + r]!r}")
     block = np.array(rows) if k else np.zeros((0, 0))
     try:
-        mat = SupportedMatrix(n, support, block)
+        mat = SupportedMatrix.checked(n, support, block)
     except (ValueError, IndexOutOfSupport) as exc:
         fail(0, str(exc))
     return mat, 2 + k

@@ -23,6 +23,7 @@ from .errors import (
     InvariantViolation,
     NotATree,
     NotUnitRegular,
+    SingularMatrix,
     SingularObservationBlock,
     SingularSubmatrix,
 )
@@ -50,6 +51,8 @@ class GffModel:
                 raise InvariantViolation(f"edge ({u},{v}) outside 1..{n}")
             if not (np.isfinite(r) and r > 0):
                 raise InvariantViolation(f"resistance {r} on edge ({u},{v}) not in (0, inf)")
+            if not np.isfinite(1.0 / r):
+                raise InvariantViolation(f"conductance 1/{r} on edge ({u},{v}) overflows")
             key = (min(u, v), max(u, v))
             if key in seen and abs(seen[key] - r) > 1e-12 * r:
                 raise InvariantViolation(f"conflicting resistances on edge {key}")
@@ -157,7 +160,10 @@ class GmrfModel:
     @classmethod
     def from_covariance(cls, sigma) -> "GmrfModel":
         sigma = np.asarray(sigma, dtype=float)
-        lam = np.linalg.inv(sigma)
+        try:
+            lam = np.linalg.inv(sigma)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(f"covariance is singular: {exc}") from exc
         return cls(0.5 * (lam + lam.T))
 
 
@@ -297,6 +303,29 @@ def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarra
     return order, w
 
 
+def _contracted_potentials(gff: GffModel, i: int, s: frozenset):
+    """Potentials with S contracted to ground and unit current injected at i,
+    solved from the edge list alone. Returns (phi, pos), where pos maps each
+    vertex outside S to its row of phi."""
+    rest = [v for v in gff.vertices if v not in s]
+    pos = {v: p for p, v in enumerate(rest)}
+    a = np.zeros((len(rest), len(rest)))
+    for u, v, r in gff.edges:
+        c = 1.0 / r
+        if u in pos and v in pos:
+            a[pos[u], pos[u]] += c
+            a[pos[v], pos[v]] += c
+            a[pos[u], pos[v]] -= c
+            a[pos[v], pos[u]] -= c
+        elif u in pos:
+            a[pos[u], pos[u]] += c
+        elif v in pos:
+            a[pos[v], pos[v]] += c
+    rhs = np.zeros(len(rest))
+    rhs[pos[i]] = 1.0
+    return np.linalg.solve(a, rhs), pos
+
+
 def effective_resistance(gff: GffModel, i: int, subset) -> float:
     """R_eff(i, S): contract S to one node, inject unit current at i, and read
     off the potential. Assembled from the edge list, independently of the
@@ -319,48 +348,15 @@ def effective_resistance(gff: GffModel, i: int, subset) -> float:
                 stack.append(w)
     if i not in reach:
         raise DisconnectedFromS(f"vertex {i} not connected to S={sorted(s)}")
-    rest = [v for v in gff.vertices if v not in s]
-    pos = {v: p for p, v in enumerate(rest)}
-    a = np.zeros((len(rest), len(rest)))
-    for u, v, r in gff.edges:
-        c = 1.0 / r
-        if u in pos and v in pos:
-            a[pos[u], pos[u]] += c
-            a[pos[v], pos[v]] += c
-            a[pos[u], pos[v]] -= c
-            a[pos[v], pos[u]] -= c
-        elif u in pos:
-            a[pos[u], pos[u]] += c
-        elif v in pos:
-            a[pos[v], pos[v]] += c
-    rhs = np.zeros(len(rest))
-    rhs[pos[i]] = 1.0
-    x = np.linalg.solve(a, rhs)
-    return float(x[pos[i]])
+    phi, pos = _contracted_potentials(gff, i, s)
+    return float(phi[pos[i]])
 
 
 def electrical_flow(gff: GffModel, i: int, subset):
     """The unit electrical flow from S to i: a dict (u, v) -> flow value with
     f(u,v) = (phi_u - phi_v)/r_uv, where phi solves the contracted system.
     Used by the Thomson-principle cross-checks."""
-    s = frozenset(subset)
-    rest = [v for v in gff.vertices if v not in s]
-    pos = {v: p for p, v in enumerate(rest)}
-    a = np.zeros((len(rest), len(rest)))
-    for u, v, r in gff.edges:
-        c = 1.0 / r
-        if u in pos and v in pos:
-            a[pos[u], pos[u]] += c
-            a[pos[v], pos[v]] += c
-            a[pos[u], pos[v]] -= c
-            a[pos[v], pos[u]] -= c
-        elif u in pos:
-            a[pos[u], pos[u]] += c
-        elif v in pos:
-            a[pos[v], pos[v]] += c
-    rhs = np.zeros(len(rest))
-    rhs[pos[i]] = 1.0
-    phi = np.linalg.solve(a, rhs)
+    phi, pos = _contracted_potentials(gff, i, frozenset(subset))
 
     def potential(v):
         return phi[pos[v]] if v in pos else 0.0

@@ -143,10 +143,6 @@ class GffRounder:
             out[i, i] = self.snap(row_sums[i]) + np.abs(out[i]).sum() - abs(out[i, i])
         return SupportedMatrix(p.ambient_dim, p.support, out)
 
-    def in_net(self, p: SupportedMatrix) -> bool:
-        rounded = self.round(p)
-        return np.array_equal(rounded.block, p.block)
-
 
 def canonical_ray(z: np.ndarray, pitch: float) -> np.ndarray:
     """Deterministic unit representative of the line through z: scale so the
@@ -222,19 +218,4 @@ class SvdRounder:
         cols = np.column_stack([canonical_ray(u[:, i], pitch) for i in range(k)])
         u2 = ordered_gram_schmidt(cols)
         out = (u2 * d) @ u2.T
-        return SupportedMatrix(p.ambient_dim, p.support, 0.5 * (out + out.T))
-
-
-def gff_round(p: SupportedMatrix, eps: float,
-              conductance_range: tuple[float, float]) -> SupportedMatrix:
-    """Function form of the element-wise rounding; range = (c_l, c_h)."""
-    c_l, c_h = conductance_range
-    return GffRounder(c_l=c_l, c_h=c_h, eps=eps).round(p)
-
-
-def svd_round(p: SupportedMatrix, eps: float,
-              eig_range: tuple[float, float]) -> SupportedMatrix:
-    """Function form of the eigendecomposition rounding;
-    range = (lambda_min(Lambda)/m, lambda_max(Lambda))."""
-    lo, hi = eig_range
-    return SvdRounder(lam_lo=lo, lam_hi=hi, eps=eps).round(p)
+        return SupportedMatrix(p.ambient_dim, p.support, out)

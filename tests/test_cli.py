@@ -177,6 +177,25 @@ class TestCli:
         path = write(tmp_path, "bad.gff", "gff 2 1 1\n1 2 -3\n")
         assert main(["eval", "--input", path, "--set", "1"]) == 2
 
+    def test_overflowing_conductance_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "tiny.gff", "gff 2 1 1\n1 2 1e-320\n")
+        assert main(["select", "greedy", "--input", path, "--budget", "1"]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["inf 0\n0 1", "1 inf\ninf 1", "nan 0\n0 1"],
+                             ids=["inf-diagonal", "inf-off-diagonal", "nan"])
+    def test_non_finite_gmrf_exit_code(self, tmp_path, capsys, rows):
+        path = write(tmp_path, "bad.gmrf", f"gmrf\n2 2\n1 2\n{rows}\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: block has non-finite entries\n"
+
+    def test_singular_covariance_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "rank1.gmrf", "gmrf-cov\n2 2\n1 2\n1 1\n1 1\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: covariance is singular")
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_exit_code(self, tmp_path, capsys, monkeypatch, value):
         path = write(tmp_path, "c4.gff", C4_TEXT)
@@ -194,6 +213,25 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "False"
+
+    def test_traced_launcher_matches_plain_cli(self, tmp_path):
+        # benchmark/traced.py wraps layer functions by name; a rename in src/
+        # must fail here rather than silently drop spans from a traced run
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        path = write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+        request = ["select", "dp", "--input", path, "--budget", "1"]
+        spans = str(tmp_path / "spans.json")
+        plain = subprocess.run([sys.executable, "-m", "gmrf_select.cli", *request],
+                               env=env, capture_output=True)
+        traced = subprocess.run([sys.executable, os.path.join(root, "benchmark", "traced.py"),
+                                 spans, "p4", *request], env=env, capture_output=True)
+        assert plain.returncode == 0 and traced.returncode == 0
+        assert traced.stdout == plain.stdout
+        with open(spans) as fh:
+            trace = json.load(fh)
+        init = trace["names"].index("linalg.SupportedMatrix.init")
+        assert any(span[0] == init for span in trace["spans"])
 
     def test_validate_cli(self, tmp_path, capsys):
         out_path = str(tmp_path / "findings.json")

@@ -163,9 +163,6 @@ class TestTableInvariants:
         for pre, post in mt.rounding_audit:
             rel = gff_relation_eps(pre, post, zero_tol=r.zero_tol * 4)
             assert rel <= mt.eps + 1e-9
-            for i in range(len(post.support)):
-                for j in range(len(post.support)):
-                    v = abs(post.block[i, j]) if i != j else post.block[i].sum()
             nz = [abs(post.block[i, j])
                   for i in range(len(post.support))
                   for j in range(i + 1, len(post.support))

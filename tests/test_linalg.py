@@ -33,6 +33,34 @@ def path3_laplacian():
         [0.0, -1.0, 1.0]]))
 
 
+class TestConstruction:
+    def test_constructor_symmetrizes_and_freezes(self):
+        m = SupportedMatrix(3, (1, 3), np.array([[1.0, 2.0], [4.0, 5.0]]))
+        assert np.array_equal(m.block, [[1.0, 3.0], [3.0, 5.0]])
+        assert not m.block.flags.writeable
+
+    @pytest.mark.parametrize("support, block, error, message", [
+        ((0, 2), np.eye(2), IndexOutOfSupport, "not within 1..3"),
+        ((2, 2), np.eye(2), IndexOutOfSupport, "duplicate indices"),
+        ((3, 1), np.eye(2), IndexOutOfSupport, "not ascending"),
+        ((1, 2), np.eye(3), ValueError, "block shape"),
+        ((1, 2), np.array([[1.0, np.inf], [np.inf, 1.0]]), ValueError, "non-finite"),
+        ((1, 2), np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "non-finite"),
+        ((1, 2), np.array([[1.0, 0.5], [0.0, 1.0]]), ValueError, "not symmetric"),
+    ], ids=["out-of-range", "duplicate", "unsorted", "shape", "inf", "nan", "asymmetric"])
+    def test_checked_rejects(self, support, block, error, message):
+        with pytest.raises(error, match=message):
+            SupportedMatrix.checked(3, support, block)
+
+    def test_checked_accepts_valid_input(self):
+        m = SupportedMatrix.checked(3, (1, 3), np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert m.support == (1, 3) and m.entry(3, 1) == -1.0
+
+    def test_from_dense_is_checked(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            SupportedMatrix.from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
 class TestObs:
     def test_empty_observation_is_identity(self):
         m = path3_laplacian()
