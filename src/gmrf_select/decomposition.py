@@ -2,8 +2,9 @@
 every non-leaf cluster has degree exactly 3, the last cluster is empty and is a
 leaf, m >= n, and a valid elimination order is stored as a witness.
 
-Also: the PACE-style file format, and a balanced decomposition constructor for
-trees (width <= 5, logarithmic height) built from recursive separators.
+Also: the PACE-style file format, a balanced decomposition constructor for
+trees (width <= 5, logarithmic height) built from recursive separators, and the
+package's graph helpers (``adjacency`` and ``search``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,32 @@ from .errors import (
     ParseError,
     WidthMismatch,
 )
+
+
+def adjacency(vertices, edges) -> dict:
+    """Fresh neighbour sets of an undirected graph; edges are ``(u, v, ...)``
+    tuples, so weighted edges work as well."""
+    adj = {v: set() for v in vertices}
+    for u, v, *_ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def search(adj, sources, within=None) -> dict:
+    """Every vertex reachable from ``sources`` through ``adj``, staying inside
+    ``within`` when given, mapped to the vertex it was reached from (a source
+    maps to None). The dict is in visit order, so a vertex always comes after
+    the vertex it was reached from."""
+    parent = dict.fromkeys(sources)
+    stack = list(parent)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in parent and (within is None or w in within):
+                parent[w] = u
+                stack.append(w)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -57,18 +84,10 @@ class TreeDecomposition:
     @property
     def height(self) -> int:
         """Longest cluster-to-root path, in edges."""
-        adj = self.neighbors()
-        depth = {self.root: 0}
-        stack = [self.root]
-        best = 0
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    best = max(best, depth[v])
-                    stack.append(v)
-        return best
+        depth = {}
+        for v, p in search(self.neighbors(), [self.root]).items():
+            depth[v] = 0 if p is None else depth[p] + 1
+        return max(depth.values())
 
     def separator(self, i: int, j: int) -> frozenset:
         return self.clusters[i] & self.clusters[j]
@@ -77,23 +96,14 @@ class TreeDecomposition:
 def validate_axioms(clusters, tree_edges, n, graph_edges):
     """Check the decomposition axioms against the graph; raise InvalidDecomposition."""
     m = len(clusters)
-    adj = [[] for _ in range(m)]
     for a, b in tree_edges:
         if not (0 <= a < m and 0 <= b < m) or a == b:
             raise InvalidDecomposition(f"bad tree edge ({a}, {b})")
-        adj[a].append(b)
-        adj[b].append(a)
     if len(tree_edges) != m - 1:
         raise InvalidDecomposition(
             f"{len(tree_edges)} tree edges for {m} clusters; a tree needs {m - 1}")
-    seen = {0} if m else set()
-    stack = [0] if m else []
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != m:
+    adj = adjacency(range(m), tree_edges)
+    if len(search(adj, [0])) != m:
         raise InvalidDecomposition("cluster tree is disconnected")
     covered = set().union(*clusters) if clusters else set()
     missing = set(range(1, n + 1)) - covered
@@ -107,17 +117,8 @@ def validate_axioms(clusters, tree_edges, n, graph_edges):
             raise InvalidDecomposition(f"graph edge ({u}, {v}) inside no cluster")
     # running intersection: the clusters holding v induce a connected subtree
     for v in range(1, n + 1):
-        holding = [t for t in range(m) if v in clusters[t]]
-        start = holding[0]
-        hold_set = set(holding)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in hold_set and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != hold_set:
+        holding = {t for t in range(m) if v in clusters[t]}
+        if search(adj, [min(holding)], holding).keys() != holding:
             raise InvalidDecomposition(
                 f"clusters containing vertex {v} do not form a subtree")
 
@@ -126,10 +127,7 @@ def _leaf_strip_order(clusters, tree_edges) -> tuple[int, ...]:
     """Elimination order: repeatedly strip a smallest-index leaf cluster and
     eliminate the vertices private to it."""
     m = len(clusters)
-    adj = {t: set() for t in range(m)}
-    for a, b in tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = adjacency(range(m), tree_edges)
     alive = set(range(m))
     order = []
     while len(alive) > 1:
@@ -150,10 +148,7 @@ def check_elimination_order(order, n, graph_edges, clusters):
     eliminated vertex plus its remaining (fill) neighbors fit in one cluster."""
     if sorted(order) != list(range(1, n + 1)):
         raise InvalidDecomposition("elimination order is not a permutation of 1..n")
-    adj = {v: set() for v in range(1, n + 1)}
-    for u, v in graph_edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = adjacency(range(1, n + 1), graph_edges)
     for v in order:
         closure = adj[v] | {v}
         if not any(closure <= c for c in clusters):
@@ -173,10 +168,7 @@ def normalize(clusters, tree_edges, n, graph_edges) -> TreeDecomposition:
     tree_edges = [tuple(e) for e in tree_edges]
     validate_axioms(clusters, tree_edges, n, graph_edges)
 
-    adj = {t: set() for t in range(len(clusters))}
-    for a, b in tree_edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = adjacency(range(len(clusters)), tree_edges)
 
     def new_cluster(content, attach_to):
         t = len(clusters)
@@ -358,14 +350,7 @@ def balance_for_tree(n: int, edges) -> TreeDecomposition:
             raise NotATree(f"duplicate edge ({u}, {v})")
         adj[u].add(v)
         adj[v].add(u)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+    if len(search(adj, [1])) != n:
         raise NotATree("graph is disconnected")
 
     clusters: list[frozenset] = []
@@ -375,29 +360,14 @@ def balance_for_tree(n: int, edges) -> TreeDecomposition:
         comps = []
         left = piece - {c}
         while left:
-            start = min(left)
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                for w in adj[frontier.pop()]:
-                    if w in left and w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
+            comp = set(search(adj, [min(left)], left))
             comps.append(comp)
             left -= comp
         return comps
 
     def path_between(piece: set, a: int, b: int) -> list[int]:
-        prev = {a: a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w in piece and w not in prev:
-                        prev[w] = u
-                        nxt.append(w)
-            frontier = nxt
+        # the path in a tree is unique, so any search's parent map yields it
+        prev = search(adj, [a], piece)
         path = [b]
         while path[-1] != a:
             path.append(prev[path[-1]])

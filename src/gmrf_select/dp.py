@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, search
 from .errors import (
     EliminationOrderBroken,
     EmptyTable,
@@ -211,21 +211,12 @@ class _DpRun:
             raise InvariantViolation(f"unknown rounding mode {rounding!r}")
 
         adj = td.neighbors()
-        parent = {td.root: None}
-        order = [td.root]
-        stack = [td.root]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    order.append(v)
-                    stack.append(v)
+        parent = search(adj, [td.root])
         self.children = {u: sorted(v for v in adj[u] if parent[v] == u)
                          for u in range(td.m)}
 
         self.mt = MessageTable(td, rounding, eps, self.b)
-        for u in reversed(order):
+        for u in reversed(parent):
             if u == td.root:
                 continue
             e = (u, parent[u])
@@ -370,8 +361,7 @@ class _DpRun:
                     n_l = n_hat - cost - n_k
                     if n_l < len(s_il):
                         continue
-                    for p_li, min_l in sorted(reach_l.values(),
-                                              key=lambda t: self.key_of(t[0])):
+                    for pl_key, (p_li, min_l) in sorted(reach_l.items()):
                         if min_l > n_l:
                             continue
                         q_ik = self._inside_precision(
@@ -388,7 +378,7 @@ class _DpRun:
                             if q_il is None:
                                 continue
                             table_l = self.evaluate((l, i), q_il, s_il, n_l)
-                            ent_l = table_l.get(self.key_of(p_li))
+                            ent_l = table_l.get(pl_key)
                             if ent_l is None:
                                 continue
                             inside = add(add(factor, p_ki), p_li)
@@ -402,7 +392,7 @@ class _DpRun:
                             value = ent_k.value + ent_l.value + tr
                             kids_ptr = (
                                 (k, self.key_of(q_ik), s_ik, n_k, pk_key),
-                                (l, self.key_of(q_il), s_il, n_l, self.key_of(p_li)),
+                                (l, self.key_of(q_il), s_il, n_l, pl_key),
                             )
                             self._store(table, p, value, l_hat, kids_ptr)
         self.mt.tables.setdefault(edge, {})[ctx] = table

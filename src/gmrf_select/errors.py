@@ -23,6 +23,15 @@ class SupportMismatch(GmrfSelectError):
     pass
 
 
+class InvalidMatrix(GmrfSelectError, ValueError):
+    """A misshapen, non-finite or asymmetric block. ``row`` is the 0-based
+    block row holding the offending entry, or None when no row is at fault."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
+
+
 # --- model construction and queries ---
 
 class DisconnectedGraph(GmrfSelectError):

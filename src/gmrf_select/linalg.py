@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     IndexOutOfSupport,
+    InvalidMatrix,
     SingularComplement,
     SingularMatrix,
     SupportMismatch,
@@ -54,7 +55,9 @@ class SupportedMatrix:
     def checked(cls, ambient_dim: int, support, block) -> "SupportedMatrix":
         """Validate outside input, then construct: the support must be
         ascending, distinct and within 1..n, and the block finite, k x k and
-        symmetric."""
+        symmetric. A bad block raises InvalidMatrix naming the first row with
+        a non-finite entry, or the row of the first below-diagonal entry that
+        disagrees with its mirror."""
         support = tuple(support)
         if any(i < 1 or i > ambient_dim for i in support):
             raise IndexOutOfSupport(
@@ -66,11 +69,17 @@ class SupportedMatrix:
         block = np.asarray(block, dtype=float)
         k = len(support)
         if block.shape != (k, k):
-            raise ValueError(f"block shape {block.shape} != ({k}, {k})")
-        if not np.isfinite(block).all():
-            raise ValueError("block has non-finite entries")
-        if k and not np.allclose(block, block.T, atol=1e-12 * (1.0 + np.abs(block).max())):
-            raise ValueError("block is not symmetric")
+            raise InvalidMatrix(f"block shape {block.shape} != ({k}, {k})")
+        bad = ~np.isfinite(block)
+        if bad.any():
+            raise InvalidMatrix("block has non-finite entries",
+                                row=int(bad.any(axis=1).argmax()))
+        if k:
+            bad = ~np.isclose(block, block.T, atol=1e-12 * (1.0 + np.abs(block).max()))
+            if bad.any():
+                below = np.tril(bad | bad.T, -1)
+                raise InvalidMatrix("block is not symmetric",
+                                    row=int(below.any(axis=1).argmax()))
         return cls(ambient_dim, support, block)
 
     @classmethod
@@ -282,7 +291,9 @@ def parse_matrix_text(text: str, first_line: int = 1):
     block = np.array(rows) if k else np.zeros((0, 0))
     try:
         mat = SupportedMatrix.checked(n, support, block)
-    except (ValueError, IndexOutOfSupport) as exc:
+    except InvalidMatrix as exc:
+        fail(0 if exc.row is None else 2 + exc.row, str(exc))
+    except IndexOutOfSupport as exc:
         fail(0, str(exc))
     return mat, 2 + k
 

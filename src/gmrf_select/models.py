@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .decomposition import adjacency, search
 from .errors import (
     DisconnectedFromS,
     DisconnectedGraph,
@@ -65,19 +66,9 @@ class GffModel:
         self._reduced_cov = None
 
     def _check_connected(self):
-        adj = {v: [] for v in range(1, self.n + 1)}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        seen = search(adjacency(self.vertices, self.edges), [1])
         if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
+            missing = sorted(set(self.vertices) - seen.keys())
             raise DisconnectedGraph(f"vertices {missing} unreachable from 1")
 
     def graph_edges(self) -> list[tuple[int, int]]:
@@ -335,18 +326,7 @@ def effective_resistance(gff: GffModel, i: int, subset) -> float:
         raise InvariantViolation("S must be nonempty")
     if i in s:
         raise InvariantViolation(f"vertex {i} is in S")
-    adj = {v: [] for v in gff.vertices}
-    for u, v, _ in gff.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    reach = set(s)
-    stack = list(s)
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    if i not in reach:
+    if i not in search(adjacency(gff.vertices, gff.edges), s):
         raise DisconnectedFromS(f"vertex {i} not connected to S={sorted(s)}")
     phi, pos = _contracted_potentials(gff, i, s)
     return float(phi[pos[i]])
@@ -429,23 +409,8 @@ def tree_gmrf_to_gff(model: GmrfModel):
     edges = model.graph_edges()
     if len(edges) != n - 1:
         raise NotATree(f"graph has {len(edges)} edges, a tree on {n} vertices needs {n - 1}")
-    adj = {v: [] for v in model.vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {1}
-    order = [1]
-    stack = [1]
-    parent = {1: 0}
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                order.append(v)
-                stack.append(v)
-    if len(seen) != n:
+    parent = search(adjacency(model.vertices, edges), [1])
+    if len(parent) != n:
         raise NotATree("graph is disconnected")
 
     sigma = model.covariance()
@@ -459,10 +424,8 @@ def tree_gmrf_to_gff(model: GmrfModel):
     lam = model.precision_matrix.block
     # root-to-leaf sign pass: make every scaled off-diagonal non-positive
     sign = np.zeros(n)
-    sign[0] = 1.0
-    for v in order[1:]:
-        p = parent[v]
-        sign[v - 1] = -np.sign(lam[p - 1, v - 1]) * sign[p - 1]
+    for v, p in parent.items():
+        sign[v - 1] = 1.0 if p is None else -np.sign(lam[p - 1, v - 1]) * sign[p - 1]
     b = np.outer(sign, sign) * lam
     scale = np.abs(b).max()
     row_sums = b.sum(axis=1)

@@ -189,7 +189,15 @@ class TestCli:
         assert main(["eval", "--input", path, "--set", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: line 2: block has non-finite entries\n"
+        assert captured.err == "error: line 4: block has non-finite entries\n"
+
+    def test_overflowing_precision_exit_code(self, tmp_path, capsys):
+        # the file parses, but the inverse of the covariance overflows to inf
+        path = write(tmp_path, "tiny.gmrf", "gmrf-cov\n2 2\n1 2\n1e-310 0\n0 1\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_singular_covariance_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "rank1.gmrf", "gmrf-cov\n2 2\n1 2\n1 1\n1 1\n")

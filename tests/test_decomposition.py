@@ -5,11 +5,13 @@ import pytest
 
 from gmrf_select.decomposition import (
     TreeDecomposition,
+    adjacency,
     balance_for_tree,
     check_elimination_order,
     normalize,
     parse_and_normalize,
     read_td_text,
+    search,
     validate_axioms,
     write_td_text,
 )
@@ -26,6 +28,24 @@ from conftest import unit_path
 
 def path_edges(n):
     return [(i, i + 1) for i in range(1, n)]
+
+
+def test_search_parent_map():
+    # two components, {1..5} and {6, 7}; edges may carry a weight
+    adj = adjacency(range(1, 8), [(1, 2, 0.5), (2, 3, 1.0), (2, 4, 1.0), (4, 5, 2.0),
+                                  (6, 7, 1.0)])
+    parent = search(adj, [1])
+    assert set(parent) == {1, 2, 3, 4, 5}
+    assert parent == {1: None, 2: 1, 3: 2, 4: 2, 5: 4}
+    keys = list(parent)
+    for v, p in parent.items():
+        assert p is None or keys.index(p) < keys.index(v)
+    both = search(adj, [6, 3])
+    assert set(both) == set(range(1, 8))
+    assert both[6] is None and both[3] is None
+    inside = search(adj, [1], within={1, 2, 4, 5})
+    assert inside == {1: None, 2: 1, 4: 2, 5: 4}
+    assert search(adj, [3], within=set()) == {3: None}
 
 
 def assert_normalized(td: TreeDecomposition, graph_edges):
@@ -59,6 +79,11 @@ class TestNormalize:
     def test_missing_vertex_rejected(self):
         with pytest.raises(InvalidDecomposition):
             normalize([{1, 2}], [], 3, [(1, 2)])
+
+    def test_disconnected_cluster_tree_rejected(self):
+        # m - 1 = 2 tree edges, but one is repeated, so cluster 2 is cut off
+        with pytest.raises(InvalidDecomposition, match="cluster tree is disconnected"):
+            normalize([{1, 2}, {2, 3}, {3}], [(0, 1), (0, 1)], 3, path_edges(3))
 
     def test_broken_running_intersection(self):
         # vertex 2 appears in two clusters that are not adjacent
@@ -136,6 +161,8 @@ class TestBalanceForTree:
             balance_for_tree(3, [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(NotATree):
             balance_for_tree(4, [(1, 2), (3, 4), (1, 2)])
+        with pytest.raises(NotATree, match="graph is disconnected"):
+            balance_for_tree(4, [(1, 2), (2, 3), (1, 3)])
 
 
 class TestPaceFormat:

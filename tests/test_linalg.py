@@ -268,6 +268,12 @@ class TestMatrixText:
             parse_matrix_text("3 2\n1 x\n1 0\n0 1")
         with pytest.raises(ParseError, match="line 3"):
             parse_matrix_text("3 2\n1 2\n1 oops\n0 1")
+        # block errors name the row holding the bad entry; first_line=2 is
+        # where the matrix starts in a model file, after its "gmrf" line
+        with pytest.raises(ParseError, match="line 5: block has non-finite entries"):
+            parse_matrix_text("2 2\n1 2\n1 0\n0 inf", first_line=2)
+        with pytest.raises(ParseError, match="line 5: block is not symmetric"):
+            parse_matrix_text("3 3\n1 2 3\n1 0 0\n0 1 0.5\n0 0.7 1")
 
 
 def test_add_unions_support():

@@ -351,6 +351,15 @@ class TestTreeGmrfToGff:
         with pytest.raises(NotATree):
             tree_gmrf_to_gff(GmrfModel.from_covariance(COUNTEREXAMPLE_SIGMA))
 
+    def test_cycle_with_tree_edge_count_rejected(self):
+        # n - 1 = 3 edges, but they close the triangle 1-2-3 and leave 4 alone
+        lam = np.array([[3.0, -1.0, -1.0, 0.0],
+                        [-1.0, 3.0, -1.0, 0.0],
+                        [-1.0, -1.0, 3.0, 0.0],
+                        [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(NotATree, match="graph is disconnected"):
+            tree_gmrf_to_gff(GmrfModel(lam))
+
     def test_independent_pair_rejected(self):
         sigma = np.diag([1.0, 2.0])
         with pytest.raises((IndependentPairPresent, NotATree)):
