@@ -325,11 +325,11 @@ class _DpRun:
 
     # -- lazy top-down evaluation --
 
-    def evaluate(self, edge, q_mat: SupportedMatrix, s_hat, n_hat) -> dict:
-        """{p_key: Entry} for one (Q, S, N) context of a directed edge."""
+    def evaluate(self, edge, q_mat: SupportedMatrix, q_key, s_hat, n_hat) -> dict:
+        """{p_key: Entry} for one (Q, S, N) context of a directed edge;
+        ``q_key`` is ``key_of(q_mat)``."""
         i, j = edge
-        qk = self.key_of(q_mat)
-        ctx = (qk, s_hat, n_hat)
+        ctx = (q_key, s_hat, n_hat)
         done = self.mt.tables.get(edge, {})
         if ctx in done:
             return done[ctx]
@@ -369,7 +369,8 @@ class _DpRun:
                             self.sep(k, i) - set(s_ik))
                         if q_ik is None:
                             continue
-                        table_k = self.evaluate((k, i), q_ik, s_ik, n_k)
+                        key_ik = self.key_of(q_ik)
+                        table_k = self.evaluate((k, i), q_ik, key_ik, s_ik, n_k)
                         for pk_key, ent_k in table_k.items():
                             p_ki = ent_k.p_mat
                             q_il = self._inside_precision(
@@ -377,7 +378,8 @@ class _DpRun:
                                 self.sep(l, i) - set(s_il))
                             if q_il is None:
                                 continue
-                            table_l = self.evaluate((l, i), q_il, s_il, n_l)
+                            key_il = self.key_of(q_il)
+                            table_l = self.evaluate((l, i), q_il, key_il, s_il, n_l)
                             ent_l = table_l.get(pl_key)
                             if ent_l is None:
                                 continue
@@ -391,8 +393,8 @@ class _DpRun:
                                 continue
                             value = ent_k.value + ent_l.value + tr
                             kids_ptr = (
-                                (k, self.key_of(q_ik), s_ik, n_k, pk_key),
-                                (l, self.key_of(q_il), s_il, n_l, pl_key),
+                                (k, key_ik, s_ik, n_k, pk_key),
+                                (l, key_il, s_il, n_l, pl_key),
                             )
                             self._store(table, p, value, l_hat, kids_ptr)
         self.mt.tables.setdefault(edge, {})[ctx] = table
@@ -419,12 +421,13 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float, rounding: str,
     run = _DpRun(model, td, b, eps, rounding, state_cap)
     root_neighbor = next(t for t, nb in enumerate(td.neighbors()) if td.root in nb)
     zero_q = SupportedMatrix.zeros(model.n)
-    table = run.evaluate((root_neighbor, td.root), zero_q, (), b)
+    zero_key = run.key_of(zero_q)
+    table = run.evaluate((root_neighbor, td.root), zero_q, zero_key, (), b)
     if not table:
         raise NumericFailure(
             "no finite root message; every configuration hit a singular block")
     run.mt.root_edge = (root_neighbor, td.root)
-    run.mt.root_context = (run.key_of(zero_q), (), b)
+    run.mt.root_context = (zero_key, (), b)
     return run.mt
 
 

@@ -1,6 +1,9 @@
 """Exhaustive-search oracle for the budget and cover problems on small
 instances. This is the ground truth every approximation claim is tested
-against, so it stays deliberately simple: plain subset enumeration, no pruning.
+against, so it stays deliberately simple: plain subset enumeration, no pruning,
+nothing shared with greedy. Subsets of one size are scored in stacked chunks
+(one Cholesky and one inverse per chunk); those whose score could decide the
+answer are scored again with ``models.err``, which alone ranks them.
 """
 
 from __future__ import annotations
@@ -8,17 +11,22 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .errors import InfeasibleParameters, InstanceTooLarge, InvariantViolation
 from .models import GffModel, SelectionReport, err, make_report
 
 DEFAULT_MAX_N = 20
+# Subsets per stacked scoring call. The name dates from the thread pool it
+# once sized; tests patch it under this name to put chunk edges inside ties.
 _THREAD_CHUNK = 4096
+_TIE_TOL = 1e-9  # stacked scores this close (relative) are re-scored with err
 
 
 def thread_count() -> int:
-    """Worker threads from GMRF_SELECT_THREADS (unset or empty means 1)."""
+    """GMRF_SELECT_THREADS (unset or empty means 1). The search is serial
+    whatever the value; a value that is not an integer >= 1 is still refused."""
     raw = os.environ.get("GMRF_SELECT_THREADS") or "1"
     if not raw.strip().isdigit() or int(raw) < 1:
         raise InfeasibleParameters(f"GMRF_SELECT_THREADS={raw!r} is not an integer >= 1")
@@ -38,29 +46,31 @@ def _check_size(model, max_n):
             f"raise max_n explicitly to override")
 
 
-def _best_of(model, base, combos):
-    """Deterministic argmin over subsets by (err, sorted-selection) key."""
-    best = None
-
-    def key_of(extra):
-        sel = tuple(sorted(base | set(extra)))
-        return (err(model, sel), sel)
-
-    threads = thread_count()
-    combos = list(combos)
-    if threads > 1 and len(combos) > _THREAD_CHUNK:
-        chunks = [combos[i:i + _THREAD_CHUNK]
-                  for i in range(0, len(combos), _THREAD_CHUNK)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda ch: min(map(key_of, ch)), chunks):
-                if best is None or part < best:
-                    best = part
-    else:
-        for extra in combos:
-            k = key_of(extra)
-            if best is None or k < best:
-                best = k
-    return best
+def _shortlist(model, base, combos, alpha=None):
+    """Yield, in enumeration order, the sorted selections whose stacked score
+    is within _TIE_TOL of ``alpha`` (of the chunk's best when None). A chunk
+    with a block that is not positive definite is yielded whole, so that err
+    raises at the same subset as a per-subset loop."""
+    lam = model.precision().block  # full support: vertex v is row v - 1
+    fixed = [v - 1 for v in base]
+    combos = iter(combos)
+    while chunk := list(itertools.islice(combos, _THREAD_CHUNK)):
+        rows = np.arange(len(chunk))[:, None]
+        free = np.ones((len(chunk), model.n), dtype=bool)
+        free[:, fixed] = False
+        free[rows, np.array(chunk, dtype=int).reshape(len(chunk), -1) - 1] = False
+        idx = free.nonzero()[1].reshape(len(chunk), -1)
+        try:
+            chol = np.linalg.cholesky(lam[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError:
+            keep = itertools.repeat(True)
+        else:
+            inv_l = np.linalg.inv(chol)
+            scores = np.sum(inv_l * inv_l, axis=(1, 2)) / model.n
+            keep = scores <= (scores.min() if alpha is None else alpha) * (1 + _TIE_TOL)
+        for extra, kept in zip(chunk, keep):
+            if kept:
+                yield tuple(sorted(base | set(extra)))
 
 
 def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
@@ -70,13 +80,11 @@ def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
     if b < 0:
         raise InvariantViolation(f"budget must be >= 0, got {b}")
     _check_size(model, max_n)
+    thread_count()
     started = time.perf_counter()
     candidates, base = _candidates(model)
-    best = None
-    for k in range(0, min(b, len(candidates)) + 1):
-        part = _best_of(model, base, itertools.combinations(candidates, k))
-        if best is None or part < best:
-            best = part
+    best = min((err(model, sel), sel) for k in range(0, min(b, len(candidates)) + 1)
+               for sel in _shortlist(model, base, itertools.combinations(candidates, k)))
     return make_report(model, best[1], "exact", b, started=started)
 
 
@@ -89,8 +97,7 @@ def exact_cover(model, alpha: float, max_n: int = DEFAULT_MAX_N) -> SelectionRep
     started = time.perf_counter()
     candidates, base = _candidates(model)
     for k in range(0, len(candidates) + 1):
-        for extra in itertools.combinations(candidates, k):
-            sel = tuple(sorted(base | set(extra)))
+        for sel in _shortlist(model, base, itertools.combinations(candidates, k), alpha):
             if err(model, sel) <= alpha:
                 return make_report(model, sel, "exact", alpha, started=started)
     raise InvariantViolation("err of the full vertex set is 0; unreachable")

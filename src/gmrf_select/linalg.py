@@ -294,7 +294,7 @@ def parse_matrix_text(text: str, first_line: int = 1):
     except InvalidMatrix as exc:
         fail(0 if exc.row is None else 2 + exc.row, str(exc))
     except IndexOutOfSupport as exc:
-        fail(0, str(exc))
+        fail(1, str(exc))
     return mat, 2 + k
 
 

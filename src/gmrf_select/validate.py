@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -152,18 +151,8 @@ def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None
 
     counts = {"three-path": trials, "supermodularity": max(trials * 10, 1000),
               "greedy-vs-exact": trials, "dp-vs-exact": max(4, trials // 10)}
-    threads = thread_count()
-    results = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(SUITES))) as pool:
-            futures = {name: pool.submit(fn, seed, counts[name])
-                       for name, fn in SUITES}
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for name, fn in SUITES:
-            results[name] = fn(seed, counts[name])
-    findings = [f for name, _ in SUITES for f in results[name]]
+    thread_count()
+    findings = [f for name, fn in SUITES for f in fn(seed, counts[name])]
     violations = [f for f in findings if f["severity"] == "violation"]
     payload = {"seed": seed, "trials": trials,
                "counts": counts, "findings": findings}

@@ -191,6 +191,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: line 4: block has non-finite entries\n"
 
+    def test_support_out_of_range_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.gmrf", "gmrf\n3 2\n1 5\n1 0\n0 1\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: support (1, 5) not within 1..3\n"
+
     def test_overflowing_precision_exit_code(self, tmp_path, capsys):
         # the file parses, but the inverse of the covariance overflows to inf
         path = write(tmp_path, "tiny.gmrf", "gmrf-cov\n2 2\n1 2\n1e-310 0\n0 1\n")

@@ -3,14 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from gmrf_select.errors import InstanceTooLarge, InvariantViolation
+import gmrf_select.exact as exact_mod
+from gmrf_select.cli import main
+from gmrf_select.errors import InstanceTooLarge, InvariantViolation, SingularSubmatrix
 from gmrf_select.exact import exact_budget, exact_cover
-from gmrf_select.models import GffModel, err, random_gff, random_gmrf
+from gmrf_select.io import parse_model
+from gmrf_select.models import GffModel, GmrfModel, err, random_gff, random_gmrf
 
-from conftest import unit_cycle
+from conftest import unit_cycle, unit_path
 
 
-def brute_budget(model, b):
+def brute_budget(model, b, score=err):
     """Independent enumeration oracle (no shared code with exact_budget)."""
     if isinstance(model, GffModel):
         base, pool = {model.pin}, [v for v in model.vertices if v != model.pin]
@@ -20,10 +23,41 @@ def brute_budget(model, b):
     for k in range(min(b, len(pool)) + 1):
         for extra in itertools.combinations(pool, k):
             sel = tuple(sorted(base | set(extra)))
-            key = (err(model, sel), sel)
+            key = (score(model, sel), sel)
             if best is None or key < best:
                 best = key
     return best
+
+
+def first_achiever(model, alpha, score=err):
+    """Independent cover oracle: the first subset, by size and then in
+    combination order, whose err is at most alpha."""
+    if isinstance(model, GffModel):
+        base, pool = {model.pin}, [v for v in model.vertices if v != model.pin]
+    else:
+        base, pool = set(), list(model.vertices)
+    for k in range(len(pool) + 1):
+        for extra in itertools.combinations(pool, k):
+            sel = tuple(sorted(base | set(extra)))
+            if score(model, sel) <= alpha:
+                return sel, score(model, sel)
+
+
+# Rank 3 plus 1e-16 I: GmrfModel's eigenvalue check passes, but Cholesky of the
+# full block (the empty selection, scored first) fails.
+_V = np.random.default_rng(3).standard_normal((4, 3))
+RANK3_PRECISION = _V @ _V.T + 1e-16 * np.eye(4)
+
+# Cholesky succeeds on the full block and on the complement of {1}, but fails
+# on the complement of {2}, the second subset of size 1.
+MID_CHUNK_SINGULAR = """gmrf
+4 4
+1 2 3 4
+0.18844324327700238 0.053152210158694695 -0.18166673609121053 0.4008802079757669
+0.053152210158694695 1.166239556300817 0.6024003577415543 -1.0994529070105972
+-0.18166673609121053 0.6024003577415543 0.5462503050810618 -1.0748969548715264
+0.4008802079757669 -1.0994529070105972 -1.0748969548715264 2.1298670048329194
+"""
 
 
 class TestExactBudget:
@@ -152,3 +186,73 @@ def test_threaded_enumeration_matches_serial(monkeypatch):
     threaded = exact_budget(g, 4)
     assert serial.selected == threaded.selected
     assert serial.err_value == threaded.err_value
+
+
+def _tie_and_random_instances():
+    rng = np.random.default_rng(53)
+    models = [unit_cycle(n) for n in (4, 5, 6, 8)] + [unit_path(n) for n in (4, 6, 7)]
+    for _ in range(12):
+        n = int(rng.integers(4, 10))
+        models.append(random_gff(n, density=float(rng.uniform(0.0, 0.5)),
+                                 seed=int(rng.integers(1 << 30))))
+        models.append(random_gmrf(n, 2, seed=int(rng.integers(1 << 30))))
+    return models
+
+
+def test_stacked_chunks_match_per_subset_loop(monkeypatch):
+    # chunks of 5 put chunk edges inside the tie classes of cycles and paths
+    monkeypatch.setattr(exact_mod, "_THREAD_CHUNK", 5)
+    for model in _tie_and_random_instances():
+        pool = model.n - 1 if isinstance(model, GffModel) else model.n
+        for b in (1, 2, 3, pool, pool + 2):
+            rep = exact_budget(model, b)
+            assert (rep.err_value, rep.selected) == brute_budget(model, b)
+        base = err(model, {model.pin}) if isinstance(model, GffModel) else err(model, ())
+        # the optimum at budget 2 is an exact-tie target for the cover
+        for alpha in (0.0, 0.3 * base, 0.8 * base, exact_budget(model, 2).err_value):
+            rep = exact_cover(model, alpha)
+            assert (rep.selected, rep.err_value) == first_achiever(model, alpha)
+
+
+def test_near_ties_are_ranked_by_err(monkeypatch):
+    # err is nudged by 1e-12 (relative), far inside the re-score window: the
+    # answer must follow err, not the stacked scores, which do not see it
+    def nudged(model, sel):
+        return err(model, sel) * (1 - 1e-12 * (sum(sel) % 5))
+
+    monkeypatch.setattr(exact_mod, "err", nudged)
+    monkeypatch.setattr(exact_mod, "make_report", lambda m, sel, *a, **k: sel)
+    for model in (unit_cycle(6), unit_cycle(8), unit_path(5)):
+        for b in (1, 2, 3):
+            assert exact_budget(model, b) == brute_budget(model, b, nudged)[1]
+            alpha = brute_budget(model, b)[0] * (1 - 0.5e-12)
+            assert exact_cover(model, alpha) == first_achiever(model, alpha, nudged)[0]
+
+
+class TestSingularBlocks:
+    def test_full_block_singular(self, tmp_path, capsys):
+        model = GmrfModel(RANK3_PRECISION)
+        message = r"unobserved block on \(1, 2, 3, 4\) is singular"
+        with pytest.raises(SingularSubmatrix, match=message):
+            exact_budget(model, 2)
+        with pytest.raises(SingularSubmatrix, match=message):
+            exact_cover(model, 1e300)
+        rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in RANK3_PRECISION)
+        path = tmp_path / "rank3.gmrf"
+        path.write_text(f"gmrf\n4 4\n1 2 3 4\n{rows}\n")
+        assert main(["select", "exact", "--input", str(path), "--budget", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: unobserved block on (1, 2, 3, 4)")
+
+    def test_singular_block_inside_a_chunk(self, tmp_path, capsys):
+        path = tmp_path / "mid.gmrf"
+        path.write_text(MID_CHUNK_SINGULAR)
+        model = parse_model(str(path))
+        message = r"unobserved block on \(1, 3, 4\) is singular"
+        with pytest.raises(SingularSubmatrix, match=message):
+            exact_budget(model, 1)
+        # {1} reaches alpha before enumeration gets to the singular {2}
+        alpha = 0.5 * (err(model, ()) + err(model, (1,)))
+        assert exact_cover(model, alpha).selected == (1,)
+        assert main(["select", "exact", "--input", str(path), "--budget", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: unobserved block on (1, 3, 4)")
+        assert main(["select", "exact", "--input", str(path), "--alpha", repr(alpha)]) == 0

@@ -274,6 +274,9 @@ class TestMatrixText:
             parse_matrix_text("2 2\n1 2\n1 0\n0 inf", first_line=2)
         with pytest.raises(ParseError, match="line 5: block is not symmetric"):
             parse_matrix_text("3 3\n1 2 3\n1 0 0\n0 1 0.5\n0 0.7 1")
+        # a support index outside 1..n is reported at the support line
+        with pytest.raises(ParseError, match=r"line 3: support \(1, 5\) not within 1..3"):
+            parse_matrix_text("3 2\n1 5\n1 0\n0 1", first_line=2)
 
 
 def test_add_unions_support():
