@@ -63,8 +63,8 @@ def cmd_eval(args):
     model = _load_model(args)
     started = time.perf_counter()
     selected = _parse_set(args.set)
-    report = make_report(model, set(selected) | ({model.pin} if isinstance(model, GffModel) else set()),
-                         "eval", None, started=started)
+    report = make_report(model, set(selected) | model.pinned, "eval", None,
+                         started=started)
     _print_report(report, args)
     return 0
 

@@ -10,8 +10,8 @@ bottom-up (they do not depend on Q); outside priors are evaluated lazily
 top-down and memoized, starting from the all-zeros prior at the root. The
 state cap is enforced on actually materialized states.
 
-For a GFF the pinned vertex is pre-observed (its row and column are removed
-from every factor) and never counts against the budget.
+The model's pinned vertices (a GFF's pin) are pre-observed: their rows and
+columns are removed from every factor, and they never count against the budget.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -53,7 +53,6 @@ AUDIT_CAP = 500
 class ClusterFactors:
     """Per-cluster precision terms summing to the model precision entrywise."""
 
-    mode: str                              # "gff" | "general"
     factors: tuple[SupportedMatrix, ...]   # one per cluster, on the cluster's support
 
     def total(self, n: int) -> np.ndarray:
@@ -89,8 +88,8 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
             blocks[home][pv, pv] += c
             blocks[home][pu, pv] -= c
             blocks[home][pv, pu] -= c
-        return ClusterFactors(mode, tuple(SupportedMatrix(model.n, s, b)
-                                          for s, b in zip(supports, blocks)))
+        return ClusterFactors(tuple(SupportedMatrix(model.n, s, b)
+                                    for s, b in zip(supports, blocks)))
 
     lam = model.precision()
     if len(lam.support) != model.n:
@@ -133,8 +132,8 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
         share = shift / len(bags)
         for t in bags:
             blocks[t][pos[t][v], pos[t][v]] += share
-    return ClusterFactors(mode, tuple(SupportedMatrix(model.n, s, b)
-                                      for s, b in zip(supports, blocks)))
+    return ClusterFactors(tuple(SupportedMatrix(model.n, s, b)
+                                for s, b in zip(supports, blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +178,18 @@ class _DpRun:
     def __init__(self, model, td, b, eps, rounding, state_cap):
         self.b = int(b)
         self.state_cap = state_cap
-        is_gff = isinstance(model, GffModel)
-        pin = model.pin if is_gff else None
-
         factors = factorize(model, td, "gff" if rounding == "gff" else "general")
-        if is_gff:
-            self.sys_factors = tuple(
-                obs(f, {pin} & set(f.support)) for f in factors.factors)
-            self.sys_clusters = [frozenset(c) - {pin} for c in td.clusters]
-        else:
-            self.sys_factors = factors.factors
-            self.sys_clusters = [frozenset(c) for c in td.clusters]
+        self.sys_factors = tuple(
+            obs(f, model.pinned & set(f.support)) for f in factors.factors)
+        self.sys_clusters = [frozenset(c) - model.pinned for c in td.clusters]
 
-        sys_prec = model.precision()
-        if is_gff:
-            sys_prec = obs(sys_prec, {pin})
-        w = np.linalg.eigvalsh(sys_prec.block)
+        w = np.linalg.eigvalsh(obs(model.precision(), model.pinned).block)
         self.key_quantum = max(float(w[-1]), 1e-12) * KEY_QUANTUM_REL
 
         # allow for drift accumulated over the tree height in the runtime
         # range checks; the nets themselves are unchanged
         drift = (1.0 + 1e-6) * math.exp(min(2.0 * max(td.height, 1) * eps, 0.5))
         if rounding == "gff":
-            if not is_gff:
-                raise InvariantViolation("gff rounding needs a GffModel")
             self.rounder = GffRounder.for_model(model, eps, range_factor=drift)
         elif rounding == "svd":
             self.rounder = SvdRounder.for_system(float(w[0]), float(w[-1]), td.m, eps,
@@ -458,9 +445,7 @@ def extract_solution(mt: MessageTable, model, td: TreeDecomposition,
     if len(selected) > b:
         raise InvariantViolation(
             f"extracted {len(selected)} observations with budget {b}")
-    if isinstance(model, GffModel):
-        selected.add(model.pin)
-    report = make_report(model, selected, "dp", b, started=started,
+    report = make_report(model, selected | model.pinned, "dp", b, started=started,
                          details={"table_value": table[best_key].value,
                                   "sizing": mt.sizing_report()})
     table_err = table[best_key].value / model.n
@@ -515,13 +500,6 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
     details["eps_used"] = eps
     mt = run_dp(model, td, b, eps, rounding, state_cap=state_cap)
     report = extract_solution(mt, model, td, b)
-    return SelectionReport(
-        selected=report.selected,
-        err_value=report.err_value,
-        solver="dp",
-        n=report.n,
-        budget_or_alpha=b,
-        guarantee=Guarantee(1.0 + eps_prime, "tree DP, target factor"),
-        wall_time=report.wall_time,
-        details={**report.details, **details},
-    )
+    return replace(report,
+                   guarantee=Guarantee(1.0 + eps_prime, "tree DP, target factor"),
+                   details={**report.details, **details})

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .errors import InfeasibleParameters, InstanceTooLarge, InvariantViolation
-from .models import GffModel, SelectionReport, err, make_report
+from .models import SelectionReport, err, make_report
 
 DEFAULT_MAX_N = 20
 # Subsets per stacked scoring call. The name dates from the thread pool it
@@ -33,12 +33,6 @@ def thread_count() -> int:
     return int(raw)
 
 
-def _candidates(model):
-    if isinstance(model, GffModel):
-        return [v for v in model.vertices if v != model.pin], {model.pin}
-    return list(model.vertices), set()
-
-
 def _check_size(model, max_n):
     if model.n > max_n:
         raise InstanceTooLarge(
@@ -46,13 +40,14 @@ def _check_size(model, max_n):
             f"raise max_n explicitly to override")
 
 
-def _shortlist(model, base, combos, alpha=None):
+def _shortlist(model, combos, alpha=None):
     """Yield, in enumeration order, the sorted selections whose stacked score
     is within _TIE_TOL of ``alpha`` (of the chunk's best when None). A chunk
     with a block that is not positive definite is yielded whole, so that err
     raises at the same subset as a per-subset loop."""
     lam = model.precision().block  # full support: vertex v is row v - 1
-    fixed = [v - 1 for v in base]
+    pinned = model.pinned
+    fixed = [v - 1 for v in pinned]
     combos = iter(combos)
     while chunk := list(itertools.islice(combos, _THREAD_CHUNK)):
         rows = np.arange(len(chunk))[:, None]
@@ -70,21 +65,21 @@ def _shortlist(model, base, combos, alpha=None):
             keep = scores <= (scores.min() if alpha is None else alpha) * (1 + _TIE_TOL)
         for extra, kept in zip(chunk, keep):
             if kept:
-                yield tuple(sorted(base | set(extra)))
+                yield tuple(sorted(pinned | set(extra)))
 
 
 def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
-    """argmin over |S| <= b of err(S); for GFFs the pin is forced in and does
-    not count against the budget. Ties go to the lexicographically smallest
-    sorted selection."""
+    """argmin over |S| <= b of err(S); the model's pinned vertices are forced
+    in and do not count against the budget. Ties go to the lexicographically
+    smallest sorted selection."""
     if b < 0:
         raise InvariantViolation(f"budget must be >= 0, got {b}")
     _check_size(model, max_n)
     thread_count()
     started = time.perf_counter()
-    candidates, base = _candidates(model)
+    candidates = [v for v in model.vertices if v not in model.pinned]
     best = min((err(model, sel), sel) for k in range(0, min(b, len(candidates)) + 1)
-               for sel in _shortlist(model, base, itertools.combinations(candidates, k)))
+               for sel in _shortlist(model, itertools.combinations(candidates, k)))
     return make_report(model, best[1], "exact", b, started=started)
 
 
@@ -94,10 +89,11 @@ def exact_cover(model, alpha: float, max_n: int = DEFAULT_MAX_N) -> SelectionRep
     if alpha < 0:
         raise InvariantViolation(f"alpha must be >= 0, got {alpha}")
     _check_size(model, max_n)
+    thread_count()
     started = time.perf_counter()
-    candidates, base = _candidates(model)
+    candidates = [v for v in model.vertices if v not in model.pinned]
     for k in range(0, len(candidates) + 1):
-        for sel in _shortlist(model, base, itertools.combinations(candidates, k), alpha):
+        for sel in _shortlist(model, itertools.combinations(candidates, k), alpha):
             if err(model, sel) <= alpha:
                 return make_report(model, sel, "exact", alpha, started=started)
     raise InvariantViolation("err of the full vertex set is 0; unreachable")

@@ -32,10 +32,6 @@ def cover_factor(gff: GffModel) -> float:
     return 1.0 + math.log((gff.n - 1) ** 2 * big / small)
 
 
-def _start_set(model):
-    return {model.pin} if isinstance(model, GffModel) else set()
-
-
 def _choose(model, selected, rows, sigma):
     """The round's winner: (fresh err of S + {x}, x, row of x, engine gain)."""
     gains = np.einsum("ij,ij->j", sigma, sigma) / np.diag(sigma) / model.n
@@ -47,11 +43,11 @@ def _choose(model, selected, rows, sigma):
 
 def _greedy_rounds(model, stop):
     """Add argmin-err vertices until ``stop(selected, err)``; returns the set."""
-    selected = _start_set(model)
+    selected = set(model.pinned)
     current = err(model, selected)
     rows = [v for v in model.vertices if v not in selected]
-    sigma = (model.reduced_covariance() if isinstance(model, GffModel)
-             else model.covariance())
+    idx = [v - 1 for v in rows]
+    sigma = model.covariance()[np.ix_(idx, idx)]
 
     while rows and not stop(selected, current):
         fresh, chosen, k, engine = _choose(model, selected, rows, sigma)
@@ -76,9 +72,8 @@ def greedy_budget(model, b: int) -> SelectionReport:
     if b < 0:
         raise InvariantViolation(f"budget must be >= 0, got {b}")
     started = time.perf_counter()
-    base = len(_start_set(model))
 
-    selected = _greedy_rounds(model, lambda s, e: len(s) - base >= b)
+    selected = _greedy_rounds(model, lambda s, e: len(s - model.pinned) >= b)
     guarantee = None
     if isinstance(model, GffModel):
         guarantee = Guarantee(BUDGET_FACTOR, "supermodular greedy, budget")

@@ -4,7 +4,8 @@ GFF reduction.
 
 Vertices are labeled 1..n throughout, matching the file formats. Models are
 immutable after construction; every query is a pure function, so concurrent
-reads are safe. The covariance of a GMRF is materialized once, lazily.
+reads are safe. The covariance is materialized once, lazily. A model's
+``pinned`` set (a GFF's pin, nothing for a GMRF) is observed in every query.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ INDEPENDENCE_TOL = 1e-12  # |Sigma_ij| below this (relative) counts as independe
 
 class GffModel:
     """Gaussian free field: a connected weighted graph with edge resistances
-    and one vertex pinned to zero (the pin is always treated as observed and
-    never consumes selection budget).
+    and one vertex pinned to zero. ``pinned`` is {pin}: every solver treats it
+    as observed and never charges it against the selection budget.
     """
 
     def __init__(self, n: int, edges, pin: int = 1):
@@ -63,7 +64,11 @@ class GffModel:
         self.edges = tuple((u, v, seen[(u, v)]) for (u, v) in sorted(seen))
         self._check_connected()
         self._laplacian = None
-        self._reduced_cov = None
+        self._covariance = None
+
+    @property
+    def pinned(self) -> frozenset:
+        return frozenset({self.pin})
 
     def _check_connected(self):
         seen = search(adjacency(self.vertices, self.edges), [1])
@@ -86,27 +91,26 @@ class GffModel:
 
     def reduced_covariance(self) -> np.ndarray:
         """Covariance of the non-pin variables, indexed by sorted(V \\ {pin})."""
-        if self._reduced_cov is None:
-            rest = [v for v in self.vertices if v != self.pin]
-            lap = self.precision()
-            idx = lap.positions(rest)
-            cov = np.linalg.inv(lap.block[np.ix_(idx, idx)])
-            cov.setflags(write=False)
-            self._reduced_cov = cov
-        return self._reduced_cov
+        rest = [v - 1 for v in self.vertices if v != self.pin]
+        return self.covariance()[np.ix_(rest, rest)]
 
     def covariance(self) -> np.ndarray:
-        """Full n x n covariance; the pin's row and column are zero."""
-        rest = [v for v in self.vertices if v != self.pin]
-        out = np.zeros((self.n, self.n))
-        idx = np.array([v - 1 for v in rest])
-        out[np.ix_(idx, idx)] = self.reduced_covariance()
-        return out
+        """Full n x n covariance; the pin's row and column are zero; cached."""
+        if self._covariance is None:
+            rest = [v - 1 for v in self.vertices if v != self.pin]
+            cov = np.zeros((self.n, self.n))
+            block = self.precision().block[np.ix_(rest, rest)]
+            cov[np.ix_(rest, rest)] = np.linalg.inv(block)
+            cov.setflags(write=False)
+            self._covariance = cov
+        return self._covariance
 
 
 class GmrfModel:
     """Gaussian MRF given by a full-rank precision matrix; the graph is exactly
-    the nonzero pattern of the off-diagonal entries."""
+    the nonzero pattern of the off-diagonal entries. Nothing is pinned."""
+
+    pinned = frozenset()
 
     def __init__(self, precision):
         if isinstance(precision, SupportedMatrix):
@@ -212,9 +216,7 @@ def laplacian(gff: GffModel) -> SupportedMatrix:
 
 
 def _effective_observed(model, subset) -> frozenset:
-    s = frozenset(subset)
-    if isinstance(model, GffModel):
-        s = s | {model.pin}
+    s = frozenset(subset) | model.pinned
     if not s <= set(model.vertices):
         raise InvariantViolation(f"selection {sorted(s)} outside 1..{model.n}")
     return s
@@ -222,8 +224,8 @@ def _effective_observed(model, subset) -> frozenset:
 
 def err(model, subset) -> float:
     """Average expected squared prediction error of the unobserved variables:
-    (1/n) Tr(Lambda[Sbar, Sbar]^-1). For a GFF the pin is auto-inserted into the
-    observed set and Lambda is the full Laplacian."""
+    (1/n) Tr(Lambda[Sbar, Sbar]^-1). The model's pinned vertices are always in
+    the observed set; for a GFF Lambda is the full Laplacian."""
     s = _effective_observed(model, subset)
     sbar = tuple(v for v in model.vertices if v not in s)
     if not sbar:
@@ -241,25 +243,17 @@ def conditional_variance(model, i: int, subset) -> float:
     s = _effective_observed(model, subset)
     if i in s:
         return 0.0
-    if isinstance(model, GffModel):
-        rest = [v for v in model.vertices if v != model.pin]
-        pos = {v: p for p, v in enumerate(rest)}
-        sigma = model.reduced_covariance()
-        s_idx = [pos[v] for v in sorted(s - {model.pin})]
-        i_idx = pos[i]
-    else:
-        sigma = model.covariance()
-        s_idx = [v - 1 for v in sorted(s)]
-        i_idx = i - 1
+    sigma = model.covariance()
+    s_idx = [v - 1 for v in sorted(s - model.pinned)]
     if not s_idx:
-        return float(sigma[i_idx, i_idx])
+        return float(sigma[i - 1, i - 1])
     ss = sigma[np.ix_(s_idx, s_idx)]
-    si = sigma[s_idx, i_idx]
+    si = sigma[s_idx, i - 1]
     try:
         sol = np.linalg.solve(ss, si)
     except np.linalg.LinAlgError as exc:
         raise SingularObservationBlock(f"Sigma[S,S] singular for S={sorted(s)}") from exc
-    return float(sigma[i_idx, i_idx] - si @ sol)
+    return float(sigma[i - 1, i - 1] - si @ sol)
 
 
 def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarray]:

@@ -10,7 +10,7 @@ import pytest
 from gmrf_select import io
 from gmrf_select.cli import main
 from gmrf_select.errors import ParseError
-from gmrf_select.models import GffModel, GmrfModel, err
+from gmrf_select.models import GffModel, GmrfModel, err, laplacian, random_gff
 from gmrf_select.validate import validate_suite
 
 from conftest import COUNTEREXAMPLE_SIGMA, unit_cycle
@@ -219,6 +219,44 @@ class TestCli:
         assert main(["validate", "--seed", "1", "--trials", "1"]) == 2
         err_text = capsys.readouterr().err
         assert err_text.count("error: GMRF_SELECT_THREADS") == 2
+
+    def test_bad_thread_count_cover_exit_code(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        monkeypatch.setenv("GMRF_SELECT_THREADS", "abc")
+        assert main(["select", "exact", "--input", path, "--alpha", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: GMRF_SELECT_THREADS")
+
+    def test_dp_gff_rounding_on_gmrf_exit_code(self, tmp_path, capsys):
+        from conftest import random_tree_gmrf
+        model = random_tree_gmrf(5, np.random.default_rng(4))
+        path = write(tmp_path, "t5.gmrf", io.format_model(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["select", "dp", "--input", path, "--budget", "1",
+                         "--rounding", "gff"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gff factorization needs a GffModel\n"
+
+    @pytest.mark.parametrize("mode", ["greedy", "exact", "dp"])
+    def test_budget_with_pin_override(self, tmp_path, capsys, mode):
+        # a tree, so dp needs no decomposition file; the pin is free
+        g = random_gff(9, density=0.0, seed=5)
+        path = write(tmp_path, "t9.gff", io.format_model(g))
+        lap = laplacian(g).to_dense()
+        for pin in (4, 9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main(["select", mode, "--input", path, "--budget", "2",
+                             "--pin", str(pin)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            selected = payload["selected"]
+            assert pin in selected and len(selected) == 3
+            rest = [v - 1 for v in g.vertices if v not in selected]
+            want = np.trace(np.linalg.inv(lap[np.ix_(rest, rest)])) / g.n
+            assert abs(payload["err"] - want) <= 1e-9 * want
 
     def test_import_leaves_scipy_out(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -130,6 +130,19 @@ class TestExactCover:
                     assert err(g, {g.pin, *extra}) > alpha
 
 
+    def test_pin_other_than_one(self):
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            n = int(rng.integers(3, 9))
+            g = random_gff(n, density=0.4, seed=int(rng.integers(1 << 30)))
+            g = GffModel(n, g.edges, pin=int(rng.integers(2, n + 1)))
+            alpha = err(g, {g.pin}) * float(rng.uniform(0.05, 0.95))
+            rep = exact_cover(g, alpha)
+            assert g.pin in rep.selected
+            assert rep.err_value <= alpha
+            assert rep.selected == first_achiever(g, alpha)[0]
+
+
 class TestInvariants:
     def test_budget_monotone(self):
         g = random_gff(7, density=0.4, seed=5)

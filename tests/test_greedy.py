@@ -132,6 +132,20 @@ class TestGreedyCover:
             rep = greedy_cover(g, prefix.err_value)
             assert rep.selected == prefix.selected
 
+    def test_pin_other_than_one(self):
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            n = int(rng.integers(3, 12))
+            g = random_gff(n, density=float(rng.uniform(0, 0.5)),
+                           seed=int(rng.integers(1 << 30)))
+            g = GffModel(n, g.edges, pin=int(rng.integers(2, n + 1)))
+            alpha = err(g, {g.pin}) * float(rng.uniform(0.05, 0.9))
+            rep = greedy_cover(g, alpha)
+            assert g.pin in rep.selected
+            assert rep.err_value <= alpha
+            b = int(rng.integers(0, n))
+            assert greedy_budget(g, b).selected == naive_greedy(g, b)
+
     def test_cover_factor_formula(self):
         g = GffModel(4, [(1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0)])
         expected = 1.0 + math.log(3 ** 2 * 2.0 / 0.5)

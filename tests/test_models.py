@@ -289,6 +289,23 @@ class TestThreePathAgreement:
             assert abs(e1 - e2) <= 1e-9 * scale
             assert abs(e1 - e3) <= 1e-9 * scale
 
+    def test_paths_agree_with_any_pin(self):
+        # the covariance route indexes the full covariance by vertex; a pin
+        # other than 1 shifts every reduced index, so draw the pin too
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n = int(rng.integers(3, 13))
+            g = random_gff(n, density=0.4, seed=int(rng.integers(1 << 30)))
+            g = GffModel(n, g.edges, pin=int(rng.integers(1, n + 1)))
+            s = {v for v in g.vertices if rng.random() < 0.4}
+            rest = [v for v in g.vertices if v not in s | {g.pin}]
+            e1 = err(g, s)
+            e2 = sum(conditional_variance(g, i, s) for i in rest) / n
+            e3 = sum(effective_resistance(g, i, s | {g.pin}) for i in rest) / n
+            scale = max(e1, 1e-300)
+            assert abs(e1 - e2) <= 1e-9 * scale
+            assert abs(e1 - e3) <= 1e-9 * scale
+
 
 class TestTreeGmrfToGff:
     def test_dd_m_matrix_keeps_unit_weights(self):
