@@ -151,9 +151,9 @@ class Entry:
 
 @dataclass
 class MessageTable:
-    """Lazily materialized messages: per directed edge, a map from evaluated
-    contexts (Q-key, S-hat, N-hat) to reachable P-hats with values and
-    backpointers."""
+    """Lazily materialized messages: per directed edge, a map from evaluated contexts
+    (Q-key, S-hat, N-hat) to reachable P-hats with values and backpointers.
+    ``rounding_audit`` keeps the first roundings computed; memoized repeats add none."""
 
     td: TreeDecomposition
     mode: str
@@ -211,6 +211,7 @@ class _DpRun:
             self.mt.heights[e] = 1 if not kids else 1 + max(
                 self.mt.heights[(k, u)] for k in kids)
         self._reach = {}
+        self._kernels = {}   # (kernel, cluster, operand bits, observed, keep) -> result
 
     # -- small helpers --
 
@@ -244,23 +245,33 @@ class _DpRun:
         for size in range(min(len(items), max_size) + 1):
             yield from combinations(items, size)
 
-    def _inside_precision(self, base: SupportedMatrix, observed, target):
-        """Round(Marginal(Obs(base, observed), target)); None if singular."""
-        try:
-            p = marginal(obs(base, observed), target)
-            return self._round(p)
-        except (SingularComplement, SingularMatrix, np.linalg.LinAlgError):
-            return None
+    def _inside_precision(self, i, operands, observed, target):
+        """Round(Marginal(Obs(factor_i + operands, observed), target)); None if singular."""
+        return self._kernel("p", i, operands, observed, target)
 
-    def _trace_term(self, base: SupportedMatrix, observed, gamma_keep):
-        """Sum over the kept Gamma-side variables of their conditional variance:
-        the Gamma-diagonal of the inverse of the whole unobserved block (the
-        separator variables stay unobserved). None if singular."""
-        try:
-            block = obs(base, observed)
-            return linalg.diag_of_inverse(block, sorted(gamma_keep & set(block.support)))
-        except (SingularComplement, SingularMatrix, np.linalg.LinAlgError):
-            return None
+    def _trace_term(self, i, operands, observed, gamma_keep):
+        """Sum over the kept Gamma-side variables of their conditional variance: the
+        Gamma-diagonal of the inverse of the whole unobserved block of factor_i +
+        operands (the separator variables stay unobserved). None if singular."""
+        return self._kernel("t", i, operands, observed, gamma_keep)
+
+    def _kernel(self, kind, i, operands, observed, keep):
+        """A kernel on sys_factors[i] + operands (added in order), memoized for the
+        run on the exact operand bits, so a repeat gets what recomputing gives."""
+        key = (kind, i, tuple((m.support, m.block.tobytes()) for m in operands),
+               frozenset(observed), keep)
+        if key not in self._kernels:
+            base = self.sys_factors[i]
+            for m in operands:
+                base = add(base, m)
+            try:
+                block = obs(base, observed)
+                self._kernels[key] = (
+                    self._round(marginal(block, keep)) if kind == "p" else
+                    linalg.diag_of_inverse(block, sorted(keep & set(block.support))))
+            except (SingularComplement, SingularMatrix, np.linalg.LinAlgError):
+                self._kernels[key] = None
+        return self._kernels[key]
 
     # -- bottom-up: reachable rounded inside-precisions (independent of Q) --
 
@@ -274,13 +285,12 @@ class _DpRun:
         gamma = self.gamma(i, j)
         delta = self.sep(i, j)
         target = delta - set(s_hat)
-        factor = self.sys_factors[i]
         kids = self.children[i]
         for l_hat in self._subsets(gamma, self.b - len(s_hat)):
             observed = set(s_hat) | set(l_hat)
             cost_local = len(observed)
             if not kids:
-                p = self._inside_precision(factor, observed, target)
+                p = self._inside_precision(i, (), observed, target)
                 if p is None:
                     continue
                 pk = self.key_of(p)
@@ -298,8 +308,7 @@ class _DpRun:
                     n_total = cost_local + n_k + n_l - len(s_ik) - len(s_il)
                     if n_total > self.b:
                         continue
-                    base = add(add(factor, p_ki), p_li)
-                    p = self._inside_precision(base, observed, target)
+                    p = self._inside_precision(i, (p_ki, p_li), observed, target)
                     if p is None:
                         continue
                     pk = self.key_of(p)
@@ -326,15 +335,14 @@ class _DpRun:
             gamma = self.gamma(i, j)
             delta = self.sep(i, j)
             target = delta - set(s_hat)
-            factor = self.sys_factors[i]
             kids = self.children[i]
             for l_hat in self._subsets(gamma, n_hat - len(s_hat)):
                 observed = set(s_hat) | set(l_hat)
                 if not kids:
-                    p = self._inside_precision(factor, observed, target)
+                    p = self._inside_precision(i, (), observed, target)
                     if p is None:
                         continue
-                    tr = self._trace_term(add(factor, q_mat), observed, gamma - set(l_hat))
+                    tr = self._trace_term(i, (q_mat,), observed, gamma - set(l_hat))
                     if tr is None:
                         continue
                     self._store(table, p, tr, l_hat, None)
@@ -351,18 +359,16 @@ class _DpRun:
                     for pl_key, (p_li, min_l) in sorted(reach_l.items()):
                         if min_l > n_l:
                             continue
-                        q_ik = self._inside_precision(
-                            add(add(factor, p_li), q_mat), observed,
-                            self.sep(k, i) - set(s_ik))
+                        q_ik = self._inside_precision(i, (p_li, q_mat), observed,
+                                                      self.sep(k, i) - set(s_ik))
                         if q_ik is None:
                             continue
                         key_ik = self.key_of(q_ik)
                         table_k = self.evaluate((k, i), q_ik, key_ik, s_ik, n_k)
                         for pk_key, ent_k in table_k.items():
                             p_ki = ent_k.p_mat
-                            q_il = self._inside_precision(
-                                add(add(factor, p_ki), q_mat), observed,
-                                self.sep(l, i) - set(s_il))
+                            q_il = self._inside_precision(i, (p_ki, q_mat), observed,
+                                                          self.sep(l, i) - set(s_il))
                             if q_il is None:
                                 continue
                             key_il = self.key_of(q_il)
@@ -370,11 +376,10 @@ class _DpRun:
                             ent_l = table_l.get(pl_key)
                             if ent_l is None:
                                 continue
-                            inside = add(add(factor, p_ki), p_li)
-                            p = self._inside_precision(inside, observed, target)
+                            p = self._inside_precision(i, (p_ki, p_li), observed, target)
                             if p is None:
                                 continue
-                            tr = self._trace_term(add(inside, q_mat), observed,
+                            tr = self._trace_term(i, (p_ki, p_li, q_mat), observed,
                                                   gamma - set(l_hat))
                             if tr is None:
                                 continue
@@ -405,6 +410,8 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float, rounding: str,
     (all-zeros outside prior, empty separator, full budget)."""
     if b < 0:
         raise InvariantViolation(f"budget must be >= 0, got {b}")
+    if state_cap < 0:
+        raise InvariantViolation(f"state cap must be >= 0, got {state_cap}")
     run = _DpRun(model, td, b, eps, rounding, state_cap)
     root_neighbor = next(t for t, nb in enumerate(td.neighbors()) if td.root in nb)
     zero_q = SupportedMatrix.zeros(model.n)
@@ -481,6 +488,8 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
         raise InvariantViolation(f"eps_prime must lie in (0, 1), got {eps_prime}")
     if rounding is None:
         rounding = "gff" if isinstance(model, GffModel) else "svd"
+    if rounding == "gff" and not isinstance(model, GffModel):
+        raise InvariantViolation("gff factorization needs a GffModel")
     h = max(td.height, 1)
     details = {"eps_prime": eps_prime, "rounding": rounding}
     if rounding == "gff":

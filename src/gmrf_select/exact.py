@@ -9,6 +9,7 @@ answer are scored again with ``models.err``, which alone ranks them.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 
@@ -86,8 +87,8 @@ def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
 def exact_cover(model, alpha: float, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
     """Smallest S with err(S) <= alpha, by increasing-size enumeration; among
     the minimal size, the lexicographically first achiever wins."""
-    if alpha < 0:
-        raise InvariantViolation(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise InvariantViolation(f"alpha must be finite and >= 0, got {alpha}")
     _check_size(model, max_n)
     thread_count()
     started = time.perf_counter()

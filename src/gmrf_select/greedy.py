@@ -83,8 +83,8 @@ def greedy_budget(model, b: int) -> SelectionReport:
 
 def greedy_cover(model, alpha: float) -> SelectionReport:
     """Add vertices greedily until err(S) <= alpha."""
-    if alpha < 0:
-        raise InvariantViolation(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise InvariantViolation(f"alpha must be finite and >= 0, got {alpha}")
     started = time.perf_counter()
 
     selected = _greedy_rounds(model, lambda s, e: e <= alpha)

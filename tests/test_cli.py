@@ -233,12 +233,31 @@ class TestCli:
         model = random_tree_gmrf(5, np.random.default_rng(4))
         path = write(tmp_path, "t5.gmrf", io.format_model(model))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)  # no clamp notice either
             assert main(["select", "dp", "--input", path, "--budget", "1",
                          "--rounding", "gff"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gff factorization needs a GffModel\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("mode", ["greedy", "exact"])
+    def test_non_finite_alpha_exit_code(self, tmp_path, capsys, mode, value):
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        assert main(["select", mode, "--input", path, "--alpha", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alpha must be finite and >= 0, got {value}\n"
+
+    def test_dp_negative_state_cap_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+        argv = ["select", "dp", "--input", path, "--budget", "1", "--state-cap"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([*argv, "-5"]) == 2
+            assert capsys.readouterr().err == "error: state cap must be >= 0, got -5\n"
+            assert main([*argv, "0"]) == 3   # a legal cap that nothing fits under
+        assert capsys.readouterr().err.startswith("infeasible:")
 
     @pytest.mark.parametrize("mode", ["greedy", "exact", "dp"])
     def test_budget_with_pin_override(self, tmp_path, capsys, mode):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gmrf_select.dp as dp_mod
 from gmrf_select.decomposition import balance_for_tree, normalize
 from gmrf_select.dp import (
     dp_select,
@@ -21,7 +22,7 @@ from gmrf_select.linalg import eig_extremes, psd_sandwich_check
 from gmrf_select.models import GffModel, err, random_gff
 from gmrf_select.rounding import gff_relation_eps, is_gff_class
 
-from conftest import triangle_chain_gmrf, unit_path
+from conftest import random_tree_gmrf, triangle_chain_gmrf, unit_path
 
 
 def quiet_dp_select(*args, **kwargs):
@@ -288,3 +289,47 @@ class TestDpSelect:
             assert g.pin in sel.selected
             assert len([v for v in sel.selected if v != g.pin]) <= b
             assert sel.err_value <= 1.1 * ex.err_value + 1e-9
+
+
+# (model, budget, eps_prime, details["sizing"], table_value.hex()); memoizing
+# the DP's kernels must reproduce these figures bit for bit
+MEMO_CASES = {
+    "gff": (lambda: random_gff(12, density=0.0, seed=2), 3, 0.1,
+            "mode=gff eps=1.000e-12 budget=3 edges=11 contexts=98 states=158",
+            "0x1.bf3485182c7b0p+2"),
+    "svd": (lambda: random_tree_gmrf(10, np.random.default_rng(2)), 2, 0.5,
+            "mode=svd eps=1.389e-02 budget=2 edges=9 contexts=209 states=366",
+            "0x1.4adc33eae8e04p+2"),
+}
+
+
+def counted_dp_select(monkeypatch, rounding):
+    """dp_select on a MEMO_CASES model; also every (support, block bytes,
+    target) passed to the DP's marginal."""
+    make, b, eps_prime, _, _ = MEMO_CASES[rounding]
+    model = make()
+    seen = []
+    true_marginal = dp_mod.marginal
+
+    def counting(m, delta):
+        seen.append((m.support, m.block.tobytes(), frozenset(delta)))
+        return true_marginal(m, delta)
+
+    monkeypatch.setattr(dp_mod, "marginal", counting)
+    td = balance_for_tree(model.n, model.graph_edges())
+    return quiet_dp_select(model, td, b, eps_prime, rounding=rounding), seen
+
+
+@pytest.mark.parametrize("rounding", sorted(MEMO_CASES))
+class TestKernelMemo:
+    def test_marginal_inputs_computed_about_once(self, monkeypatch, rounding):
+        # without the memo, each distinct input recurs 3-9 times on average
+        _, seen = counted_dp_select(monkeypatch, rounding)
+        assert seen
+        assert len(seen) <= 2 * len(set(seen))
+
+    def test_sizing_and_table_value_unchanged(self, monkeypatch, rounding):
+        report, _ = counted_dp_select(monkeypatch, rounding)
+        _, _, _, sizing, value = MEMO_CASES[rounding]
+        assert report.details["sizing"] == sizing
+        assert report.details["table_value"].hex() == value
