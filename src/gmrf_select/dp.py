@@ -10,6 +10,10 @@ bottom-up (they do not depend on Q); outside priors are evaluated lazily
 top-down and memoized, starting from the all-zeros prior at the root. The
 state cap is enforced on actually materialized states.
 
+Both recursions take one step per cluster: each local choice (L-hat and the
+separator observations it implies per child) is combined with every admissible
+combination of child messages; a leaf is the case with no children.
+
 The model's pinned vertices (a GFF's pin) are pre-observed: their rows and
 columns are removed from every factor, and they never count against the budget.
 """
@@ -20,7 +24,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -204,12 +208,9 @@ class _DpRun:
 
         self.mt = MessageTable(td, rounding, eps, self.b)
         for u in reversed(parent):
-            if u == td.root:
-                continue
-            e = (u, parent[u])
-            kids = self.children[u]
-            self.mt.heights[e] = 1 if not kids else 1 + max(
-                self.mt.heights[(k, u)] for k in kids)
+            if u != td.root:
+                self.mt.heights[(u, parent[u])] = 1 + max(
+                    (self.mt.heights[(k, u)] for k in self.children[u]), default=0)
         self._reach = {}
         self._kernels = {}   # (kernel, cluster, operand bits, observed, keep) -> result
 
@@ -239,25 +240,13 @@ class _DpRun:
     def gamma(self, i, j) -> frozenset:
         return self.sys_clusters[i] - self.sys_clusters[j]
 
-    @staticmethod
-    def _subsets(items, max_size):
-        items = sorted(items)
-        for size in range(min(len(items), max_size) + 1):
-            yield from combinations(items, size)
-
-    def _inside_precision(self, i, operands, observed, target):
-        """Round(Marginal(Obs(factor_i + operands, observed), target)); None if singular."""
-        return self._kernel("p", i, operands, observed, target)
-
-    def _trace_term(self, i, operands, observed, gamma_keep):
-        """Sum over the kept Gamma-side variables of their conditional variance: the
-        Gamma-diagonal of the inverse of the whole unobserved block of factor_i +
-        operands (the separator variables stay unobserved). None if singular."""
-        return self._kernel("t", i, operands, observed, gamma_keep)
-
     def _kernel(self, kind, i, operands, observed, keep):
-        """A kernel on sys_factors[i] + operands (added in order), memoized for the
-        run on the exact operand bits, so a repeat gets what recomputing gives."""
+        """A kernel on base = sys_factors[i] + operands (added in order) with the
+        ``observed`` variables conditioned out; None if a block is singular.
+        Kind "p" is the inside precision Round(Marginal(., keep)); kind "t" is the
+        trace term, the summed conditional variances of the kept Gamma-side
+        variables (the separator variables stay unobserved). Memoized for the run
+        on the exact operand bits, so a repeat gets what recomputing gives."""
         key = (kind, i, tuple((m.support, m.block.tobytes()) for m in operands),
                frozenset(observed), keep)
         if key not in self._kernels:
@@ -273,6 +262,16 @@ class _DpRun:
                 self._kernels[key] = None
         return self._kernels[key]
 
+    def _local_choices(self, i, j, s_hat, budget):
+        """(L-hat, observed set, per-child separator observations) for every local
+        choice of edge i->j observing at most ``budget`` vertices, smallest first."""
+        gamma = sorted(self.gamma(i, j))
+        for size in range(min(len(gamma), budget - len(s_hat)) + 1):
+            for l_hat in combinations(gamma, size):
+                observed = set(s_hat) | set(l_hat)
+                yield l_hat, observed, tuple(tuple(sorted(observed & self.sep(c, i)))
+                                             for c in self.children[i])
+
     # -- bottom-up: reachable rounded inside-precisions (independent of Q) --
 
     def reachable(self, edge, s_hat) -> dict:
@@ -282,40 +281,22 @@ class _DpRun:
             return self._reach[key]
         i, j = edge
         out = {}
-        gamma = self.gamma(i, j)
-        delta = self.sep(i, j)
-        target = delta - set(s_hat)
-        kids = self.children[i]
-        for l_hat in self._subsets(gamma, self.b - len(s_hat)):
-            observed = set(s_hat) | set(l_hat)
-            cost_local = len(observed)
-            if not kids:
-                p = self._inside_precision(i, (), observed, target)
+        target = self.sep(i, j) - set(s_hat)
+        for _, observed, s_kids in self._local_choices(i, j, s_hat, self.b):
+            reach = [self.reachable((c, i), s).values()
+                     for c, s in zip(self.children[i], s_kids)]
+            for combo in product(*reach):   # one empty combination at a leaf
+                n_total = len(observed) + sum(n - len(s) for (_, n), s in zip(combo, s_kids))
+                if n_total > self.b:
+                    continue
+                p = self._kernel("p", i, tuple(p for p, _ in combo), observed, target)
                 if p is None:
                     continue
                 pk = self.key_of(p)
-                if pk not in out or cost_local < out[pk][1]:
-                    out[pk] = (p, cost_local)
+                if pk not in out:
                     self._bump("state")
-                continue
-            k, l = kids
-            s_ik = tuple(sorted(observed & self.sep(k, i)))
-            s_il = tuple(sorted(observed & self.sep(l, i)))
-            reach_k = self.reachable((k, i), s_ik)
-            reach_l = self.reachable((l, i), s_il)
-            for p_ki, n_k in reach_k.values():
-                for p_li, n_l in reach_l.values():
-                    n_total = cost_local + n_k + n_l - len(s_ik) - len(s_il)
-                    if n_total > self.b:
-                        continue
-                    p = self._inside_precision(i, (p_ki, p_li), observed, target)
-                    if p is None:
-                        continue
-                    pk = self.key_of(p)
-                    if pk not in out or n_total < out[pk][1]:
-                        if pk not in out:
-                            self._bump("state")
-                        out[pk] = (p, n_total)
+                if pk not in out or n_total < out[pk][1]:
+                    out[pk] = (p, n_total)
         self._reach[key] = out
         return out
 
@@ -331,66 +312,52 @@ class _DpRun:
             return done[ctx]
         self._bump("context")
         table = {}
-        if n_hat >= len(s_hat):
-            gamma = self.gamma(i, j)
-            delta = self.sep(i, j)
-            target = delta - set(s_hat)
-            kids = self.children[i]
-            for l_hat in self._subsets(gamma, n_hat - len(s_hat)):
-                observed = set(s_hat) | set(l_hat)
-                if not kids:
-                    p = self._inside_precision(i, (), observed, target)
-                    if p is None:
-                        continue
-                    tr = self._trace_term(i, (q_mat,), observed, gamma - set(l_hat))
-                    if tr is None:
-                        continue
-                    self._store(table, p, tr, l_hat, None)
+        gamma = self.gamma(i, j)
+        target = self.sep(i, j) - set(s_hat)
+        for l_hat, observed, s_kids in self._local_choices(i, j, s_hat, n_hat):
+            n_kids = n_hat - len(observed) + sum(map(len, s_kids))
+            for value, p_kids, kids_ptr in self._child_entries(i, observed, s_kids,
+                                                               n_kids, q_mat):
+                p = self._kernel("p", i, p_kids, observed, target)
+                if p is None:
                     continue
-                k, l = kids
-                s_ik = tuple(sorted(observed & self.sep(k, i)))
-                s_il = tuple(sorted(observed & self.sep(l, i)))
-                cost = len(observed) - len(s_ik) - len(s_il)
-                reach_l = self.reachable((l, i), s_il)
-                for n_k in range(len(s_ik), n_hat - cost - len(s_il) + 1):
-                    n_l = n_hat - cost - n_k
-                    if n_l < len(s_il):
-                        continue
-                    for pl_key, (p_li, min_l) in sorted(reach_l.items()):
-                        if min_l > n_l:
-                            continue
-                        q_ik = self._inside_precision(i, (p_li, q_mat), observed,
-                                                      self.sep(k, i) - set(s_ik))
-                        if q_ik is None:
-                            continue
-                        key_ik = self.key_of(q_ik)
-                        table_k = self.evaluate((k, i), q_ik, key_ik, s_ik, n_k)
-                        for pk_key, ent_k in table_k.items():
-                            p_ki = ent_k.p_mat
-                            q_il = self._inside_precision(i, (p_ki, q_mat), observed,
-                                                          self.sep(l, i) - set(s_il))
-                            if q_il is None:
-                                continue
-                            key_il = self.key_of(q_il)
-                            table_l = self.evaluate((l, i), q_il, key_il, s_il, n_l)
-                            ent_l = table_l.get(pl_key)
-                            if ent_l is None:
-                                continue
-                            p = self._inside_precision(i, (p_ki, p_li), observed, target)
-                            if p is None:
-                                continue
-                            tr = self._trace_term(i, (p_ki, p_li, q_mat), observed,
-                                                  gamma - set(l_hat))
-                            if tr is None:
-                                continue
-                            value = ent_k.value + ent_l.value + tr
-                            kids_ptr = (
-                                (k, key_ik, s_ik, n_k, pk_key),
-                                (l, key_il, s_il, n_l, pl_key),
-                            )
-                            self._store(table, p, value, l_hat, kids_ptr)
+                tr = self._kernel("t", i, (*p_kids, q_mat), observed, gamma - set(l_hat))
+                if tr is None:
+                    continue
+                self._store(table, p, value + tr, l_hat, kids_ptr)
         self.mt.tables.setdefault(edge, {})[ctx] = table
         return table
+
+    def _child_entries(self, i, observed, s_kids, n_kids, q_mat):
+        """(summed child value, child P's, backpointers) for every pair of child
+        entries that together observe ``n_kids`` vertices (separators included);
+        one (0.0, (), None) at a leaf. Each child's outside prior folds in the
+        sibling's P and the parent's Q."""
+        if not s_kids:
+            yield 0.0, (), None
+            return
+        (k, l), (s_ik, s_il) = self.children[i], s_kids
+        reach_l = self.reachable((l, i), s_il)
+        for n_k in range(len(s_ik), n_kids - len(s_il) + 1):
+            n_l = n_kids - n_k
+            for pl_key, (p_li, min_l) in sorted(reach_l.items()):
+                if min_l > n_l:
+                    continue
+                q_ik = self._kernel("p", i, (p_li, q_mat), observed,
+                                    self.sep(k, i) - set(s_ik))
+                if q_ik is None:
+                    continue
+                key_ik = self.key_of(q_ik)
+                for pk_key, ent_k in self.evaluate((k, i), q_ik, key_ik, s_ik, n_k).items():
+                    q_il = self._kernel("p", i, (ent_k.p_mat, q_mat), observed,
+                                        self.sep(l, i) - set(s_il))
+                    if q_il is None:
+                        continue
+                    key_il = self.key_of(q_il)
+                    ent_l = self.evaluate((l, i), q_il, key_il, s_il, n_l).get(pl_key)
+                    if ent_l is not None:
+                        yield (ent_k.value + ent_l.value, (ent_k.p_mat, p_li),
+                               ((k, key_ik, s_ik, n_k, pk_key), (l, key_il, s_il, n_l, pl_key)))
 
     def _store(self, table, p_mat, value, l_hat, kids_ptr):
         pk = self.key_of(p_mat)
@@ -413,7 +380,7 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float, rounding: str,
     if state_cap < 0:
         raise InvariantViolation(f"state cap must be >= 0, got {state_cap}")
     run = _DpRun(model, td, b, eps, rounding, state_cap)
-    root_neighbor = next(t for t, nb in enumerate(td.neighbors()) if td.root in nb)
+    (root_neighbor,) = run.children[td.root]
     zero_q = SupportedMatrix.zeros(model.n)
     zero_key = run.key_of(zero_q)
     table = run.evaluate((root_neighbor, td.root), zero_q, zero_key, (), b)

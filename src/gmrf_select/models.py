@@ -467,6 +467,8 @@ def random_gff(n: int, density: float = 0.3,
     lo, hi = resistance_range
     if not (0 < lo <= hi and np.isfinite(hi)):
         raise InfeasibleParameters(f"bad resistance range {resistance_range}")
+    if not 0.0 <= density <= 1.0:
+        raise InfeasibleParameters(f"density must lie in [0, 1], got {density}")
     rng = np.random.default_rng(seed)
 
     def draw_r():
@@ -491,9 +493,11 @@ def random_gmrf(n: int, tree_width_hint: int = 2,
     with the condition number capped by a uniform diagonal shift."""
     if n < 2:
         raise InfeasibleParameters(f"n must be >= 2, got {n}")
-    if condition_cap <= 1:
+    if not condition_cap > 1:
         raise InfeasibleParameters(f"condition cap must exceed 1, got {condition_cap}")
-    w = max(1, min(tree_width_hint, n - 1))
+    if tree_width_hint < 1:
+        raise InfeasibleParameters(f"tree width hint must be >= 1, got {tree_width_hint}")
+    w = min(tree_width_hint, n - 1)
     rng = np.random.default_rng(seed)
     cliques = [tuple(range(1, w + 2))] if n > w else [tuple(range(1, n + 1))]
     edge_set = set()

@@ -20,6 +20,7 @@ import numpy as np
 from . import models
 from .decomposition import balance_for_tree
 from .dp import dp_select
+from .errors import InfeasibleParameters
 from .exact import exact_budget, exact_cover, thread_count
 from .greedy import BUDGET_FACTOR, greedy_budget, greedy_cover
 from .models import err, random_gff
@@ -138,7 +139,9 @@ SUITES = (
 def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None):
     """Run all suites; returns (exit_code, findings). Exit 0 when every
     enforced contract holds (discrepancy findings do not fail the run), 4 on
-    violations. trials = 0 is a vacuous pass with a warning."""
+    violations. trials = 0 is a vacuous pass with a warning; trials < 0 is refused."""
+    if trials < 0:
+        raise InfeasibleParameters(f"trials must be >= 0, got {trials}")
     if trials == 0:
         warnings.warn("validate: trials = 0, nothing checked", RuntimeWarning,
                       stacklevel=2)

@@ -310,8 +310,31 @@ class TestCli:
         code = main(["validate", "--seed", "1", "--trials", "5",
                      "--out", out_path])
         assert code == 0
-        findings = json.loads(open(out_path).read())
+        with open(out_path) as fh:
+            findings = json.load(fh)
         assert findings["trials"] == 5
+
+    def test_validate_negative_trials_exit_code(self, tmp_path, capsys):
+        out_path = tmp_path / "findings.json"
+        assert main(["validate", "--trials", "-3", "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 0, got -3\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gff", "--density", "nan"],
+        ["gff", "--density", "1.5"],
+        ["gmrf", "--cond-cap", "nan"],
+        ["gmrf", "--width", "0"],
+    ], ids=["density-nan", "density-1.5", "cond-cap-nan", "width-0"])
+    def test_gen_bad_parameter_exit_code(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "model.txt"
+        assert main(["gen", *argv, "--n", "6", "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out_path.exists()
 
 
 class TestValidateSuite:

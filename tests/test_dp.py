@@ -291,23 +291,43 @@ class TestDpSelect:
             assert sel.err_value <= 1.1 * ex.err_value + 1e-9
 
 
-# (model, budget, eps_prime, details["sizing"], table_value.hex()); memoizing
-# the DP's kernels must reproduce these figures bit for bit
+def on_tree(model):
+    return model, balance_for_tree(model.n, model.graph_edges())
+
+
+def triangle_chain(n, seed):
+    model, edges, bags, links = triangle_chain_gmrf(n, np.random.default_rng(seed))
+    return model, normalize(bags, links, n, edges)
+
+
+def pinned_tree(n, seed, pin):
+    g = random_gff(n, density=0.0, seed=seed)
+    return on_tree(GffModel(n, g.edges, pin=pin))
+
+
+# (model and decomposition, rounding, budget, eps_prime, details["sizing"],
+# table_value.hex()); the DP must reproduce these figures bit for bit
 MEMO_CASES = {
-    "gff": (lambda: random_gff(12, density=0.0, seed=2), 3, 0.1,
+    "gff": (lambda: on_tree(random_gff(12, density=0.0, seed=2)), "gff", 3, 0.1,
             "mode=gff eps=1.000e-12 budget=3 edges=11 contexts=98 states=158",
             "0x1.bf3485182c7b0p+2"),
-    "svd": (lambda: random_tree_gmrf(10, np.random.default_rng(2)), 2, 0.5,
+    "svd": (lambda: on_tree(random_tree_gmrf(10, np.random.default_rng(2))), "svd", 2, 0.5,
             "mode=svd eps=1.389e-02 budget=2 edges=9 contexts=209 states=366",
             "0x1.4adc33eae8e04p+2"),
+    "gff-pin7": (lambda: pinned_tree(12, 3, 7), "gff", 3, 0.1,
+                 "mode=gff eps=1.000e-12 budget=3 edges=13 contexts=781 states=1328",
+                 "0x1.03805d8013d41p+3"),
+    "svd-chain": (lambda: triangle_chain(9, 3), "svd", 2, 0.3,
+                  "mode=svd eps=5.769e-03 budget=2 edges=11 contexts=408 states=657",
+                  "0x1.865d9f9a21008p+1"),
 }
 
 
-def counted_dp_select(monkeypatch, rounding):
+def counted_dp_select(monkeypatch, case):
     """dp_select on a MEMO_CASES model; also every (support, block bytes,
     target) passed to the DP's marginal."""
-    make, b, eps_prime, _, _ = MEMO_CASES[rounding]
-    model = make()
+    make, rounding, b, eps_prime, _, _ = MEMO_CASES[case]
+    model, td = make()
     seen = []
     true_marginal = dp_mod.marginal
 
@@ -316,20 +336,19 @@ def counted_dp_select(monkeypatch, rounding):
         return true_marginal(m, delta)
 
     monkeypatch.setattr(dp_mod, "marginal", counting)
-    td = balance_for_tree(model.n, model.graph_edges())
     return quiet_dp_select(model, td, b, eps_prime, rounding=rounding), seen
 
 
-@pytest.mark.parametrize("rounding", sorted(MEMO_CASES))
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
 class TestKernelMemo:
-    def test_marginal_inputs_computed_about_once(self, monkeypatch, rounding):
+    def test_marginal_inputs_computed_about_once(self, monkeypatch, case):
         # without the memo, each distinct input recurs 3-9 times on average
-        _, seen = counted_dp_select(monkeypatch, rounding)
+        _, seen = counted_dp_select(monkeypatch, case)
         assert seen
         assert len(seen) <= 2 * len(set(seen))
 
-    def test_sizing_and_table_value_unchanged(self, monkeypatch, rounding):
-        report, _ = counted_dp_select(monkeypatch, rounding)
-        _, _, _, sizing, value = MEMO_CASES[rounding]
+    def test_sizing_and_table_value_unchanged(self, monkeypatch, case):
+        report, _ = counted_dp_select(monkeypatch, case)
+        _, _, _, _, sizing, value = MEMO_CASES[case]
         assert report.details["sizing"] == sizing
         assert report.details["table_value"].hex() == value

@@ -413,6 +413,14 @@ class TestGenerators:
             random_gff(4, resistance_range=(2.0, 1.0), seed=0)
         with pytest.raises(InfeasibleParameters):
             random_gmrf(5, 2, condition_cap=0.5, seed=0)
+        for density in (float("nan"), -0.1, 1.5):
+            with pytest.raises(InfeasibleParameters, match="density"):
+                random_gff(6, density=density, seed=0)
+        with pytest.raises(InfeasibleParameters, match="condition cap"):
+            random_gmrf(6, 2, condition_cap=float("nan"), seed=0)   # nan <= 1 is false
+        for width in (0, -2):
+            with pytest.raises(InfeasibleParameters, match="width"):
+                random_gmrf(6, width, seed=0)
 
 
 def test_gmrf_graph_matches_pattern():
