@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: eval, select {exact,greedy,dp}, gen {gff,gmrf},
-convert tree-gmrf-to-gff, validate. Exit codes: 0 ok, 2 parse or invariant
-error, 3 infeasible (instance or state-space cap), 4 suite violations.
+convert tree-gmrf-to-gff, validate. Exit codes: 0 ok, 2 parse, invariant or
+file error, 3 infeasible (instance or state-space cap), 4 suite violations.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ def cmd_select(args):
         if args.budget is None:
             raise InvariantViolation("select dp needs --budget")
         if args.td is not None:
-            td = parse_and_normalize(args.td, model)
+            with open(args.td) as fh:
+                td = parse_and_normalize(fh.read(), model)
         else:
             try:
                 td = balance_for_tree(model.n, model.graph_edges())
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     except (StateSpaceExceeded, InstanceTooLarge) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 3
-    except GmrfSelectError as exc:
+    except (GmrfSelectError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

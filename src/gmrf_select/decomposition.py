@@ -315,14 +315,9 @@ def write_td_text(td: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_and_normalize(source, model) -> TreeDecomposition:
-    """Read a PACE-style decomposition (path or literal text) and normalize it
-    for the model's graph."""
-    try:
-        with open(source) as fh:
-            text = fh.read()
-    except (OSError, TypeError):
-        text = source
+def parse_and_normalize(text: str, model) -> TreeDecomposition:
+    """Parse a PACE-style decomposition's text and normalize it for the model's
+    graph."""
     clusters, edges, n = read_td_text(text)
     if n != model.n:
         raise InvalidDecomposition(f"decomposition is for n = {n}, model has n = {model.n}")

@@ -3,7 +3,7 @@
 Messages flow bottom-up toward the empty root cluster. A message for directed
 edge i->j maps (rounded inside-precision P, rounded outside-prior Q, separator
 observations S, budget N) to the optimal total error of the variables strictly
-inside the subtree at i, with a backpointer for solution extraction.
+inside the subtree at i, with the set of vertices that optimum observes.
 
 State handling: the reachable rounded inside-precisions are enumerated
 bottom-up (they do not depend on Q); outside priors are evaluated lazily
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -148,40 +148,28 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
 class Entry:
     value: float
     p_mat: SupportedMatrix
-    local: tuple[int, ...]                 # L-hat, the vertices observed in Gamma_ij
-    children: tuple | None                 # per child: (cluster, q_key, s, n, p_key)
+    chosen: frozenset                      # every vertex observed inside the subtree
     tiebreak: tuple
 
 
-@dataclass
 class MessageTable:
-    """Lazily materialized messages: per directed edge, a map from evaluated contexts
-    (Q-key, S-hat, N-hat) to reachable P-hats with values and backpointers.
+    """One bottom-up/lazy-top-down DP execution over a fixed decomposition.
+
+    Messages are materialized lazily: per directed edge, a map from evaluated
+    contexts (Q-key, S-hat, N-hat) to reachable P-hats with their entries.
     ``rounding_audit`` keeps the first roundings computed; memoized repeats add none."""
 
-    td: TreeDecomposition
-    mode: str
-    eps: float
-    budget: int
-    tables: dict = field(default_factory=dict)   # (i, j) -> {context -> {p_key -> Entry}}
-    heights: dict = field(default_factory=dict)  # (i, j) -> message height
-    rounding_audit: list = field(default_factory=list)  # (pre, post) pairs, capped
-    states: int = 0
-    contexts: int = 0
-    root_edge: tuple | None = None
-    root_context: tuple | None = None
-
-    def sizing_report(self) -> str:
-        return (f"mode={self.mode} eps={self.eps:.3e} budget={self.budget} "
-                f"edges={len(self.tables)} contexts={self.contexts} states={self.states}")
-
-
-class _DpRun:
-    """One bottom-up/lazy-top-down DP execution over a fixed decomposition."""
-
     def __init__(self, model, td, b, eps, rounding, state_cap):
-        self.b = int(b)
+        self.model = model
+        self.td = td
+        self.mode = rounding
+        self.eps = eps
+        self.budget = int(b)
         self.state_cap = state_cap
+        self.tables = {}            # (i, j) -> {context -> {p_key -> Entry}}
+        self.rounding_audit = []    # (pre, post) pairs, capped
+        self.states = self.contexts = 0
+        self.root_table = None
         factors = factorize(model, td, "gff" if rounding == "gff" else "general")
         self.sys_factors = tuple(
             obs(f, model.pinned & set(f.support)) for f in factors.factors)
@@ -205,24 +193,22 @@ class _DpRun:
         parent = search(adj, [td.root])
         self.children = {u: sorted(v for v in adj[u] if parent[v] == u)
                          for u in range(td.m)}
-
-        self.mt = MessageTable(td, rounding, eps, self.b)
-        for u in reversed(parent):
-            if u != td.root:
-                self.mt.heights[(u, parent[u])] = 1 + max(
-                    (self.mt.heights[(k, u)] for k in self.children[u]), default=0)
         self._reach = {}
         self._kernels = {}   # (kernel, cluster, operand bits, observed, keep) -> result
 
+    def sizing_report(self) -> str:
+        return (f"mode={self.mode} eps={self.eps:.3e} budget={self.budget} "
+                f"edges={len(self.tables)} contexts={self.contexts} states={self.states}")
+
     # -- small helpers --
 
-    def _bump(self, kind, amount=1):
+    def _bump(self, kind):
         if kind == "context":
-            self.mt.contexts += amount
+            self.contexts += 1
         else:
-            self.mt.states += amount
-        if self.mt.contexts + self.mt.states > self.state_cap:
-            raise StateSpaceExceeded(self.mt.sizing_report())
+            self.states += 1
+        if self.contexts + self.states > self.state_cap:
+            raise StateSpaceExceeded(self.sizing_report())
 
     def key_of(self, m: SupportedMatrix) -> tuple:
         ints = np.rint(m.block / self.key_quantum).astype(np.int64)
@@ -230,8 +216,8 @@ class _DpRun:
 
     def _round(self, m: SupportedMatrix) -> SupportedMatrix:
         out = self.rounder.round(m)
-        if len(self.mt.rounding_audit) < AUDIT_CAP:
-            self.mt.rounding_audit.append((m, out))
+        if len(self.rounding_audit) < AUDIT_CAP:
+            self.rounding_audit.append((m, out))
         return out
 
     def sep(self, i, j) -> frozenset:
@@ -282,12 +268,12 @@ class _DpRun:
         i, j = edge
         out = {}
         target = self.sep(i, j) - set(s_hat)
-        for _, observed, s_kids in self._local_choices(i, j, s_hat, self.b):
+        for _, observed, s_kids in self._local_choices(i, j, s_hat, self.budget):
             reach = [self.reachable((c, i), s).values()
                      for c, s in zip(self.children[i], s_kids)]
             for combo in product(*reach):   # one empty combination at a leaf
                 n_total = len(observed) + sum(n - len(s) for (_, n), s in zip(combo, s_kids))
-                if n_total > self.b:
+                if n_total > self.budget:
                     continue
                 p = self._kernel("p", i, tuple(p for p, _ in combo), observed, target)
                 if p is None:
@@ -307,7 +293,7 @@ class _DpRun:
         ``q_key`` is ``key_of(q_mat)``."""
         i, j = edge
         ctx = (q_key, s_hat, n_hat)
-        done = self.mt.tables.get(edge, {})
+        done = self.tables.get(edge, {})
         if ctx in done:
             return done[ctx]
         self._bump("context")
@@ -316,25 +302,25 @@ class _DpRun:
         target = self.sep(i, j) - set(s_hat)
         for l_hat, observed, s_kids in self._local_choices(i, j, s_hat, n_hat):
             n_kids = n_hat - len(observed) + sum(map(len, s_kids))
-            for value, p_kids, kids_ptr in self._child_entries(i, observed, s_kids,
-                                                               n_kids, q_mat):
+            for value, p_kids, kids_chosen, kids_tie in self._child_entries(
+                    i, observed, s_kids, n_kids, q_mat):
                 p = self._kernel("p", i, p_kids, observed, target)
                 if p is None:
                     continue
                 tr = self._kernel("t", i, (*p_kids, q_mat), observed, gamma - set(l_hat))
                 if tr is None:
                     continue
-                self._store(table, p, value + tr, l_hat, kids_ptr)
-        self.mt.tables.setdefault(edge, {})[ctx] = table
+                self._store(table, p, value + tr, l_hat, kids_chosen, kids_tie)
+        self.tables.setdefault(edge, {})[ctx] = table
         return table
 
     def _child_entries(self, i, observed, s_kids, n_kids, q_mat):
-        """(summed child value, child P's, backpointers) for every pair of child
-        entries that together observe ``n_kids`` vertices (separators included);
-        one (0.0, (), None) at a leaf. Each child's outside prior folds in the
-        sibling's P and the parent's Q."""
+        """(summed child value, child P's, union of the children's chosen sets,
+        tiebreak part) for every pair of child entries that together observe
+        ``n_kids`` vertices (separators included); one empty pair at a leaf.
+        Each child's outside prior folds in the sibling's P and the parent's Q."""
         if not s_kids:
-            yield 0.0, (), None
+            yield 0.0, (), frozenset(), ()
             return
         (k, l), (s_ik, s_il) = self.children[i], s_kids
         reach_l = self.reachable((l, i), s_il)
@@ -353,76 +339,55 @@ class _DpRun:
                                         self.sep(l, i) - set(s_il))
                     if q_il is None:
                         continue
-                    key_il = self.key_of(q_il)
-                    ent_l = self.evaluate((l, i), q_il, key_il, s_il, n_l).get(pl_key)
+                    ent_l = self.evaluate((l, i), q_il, self.key_of(q_il), s_il,
+                                          n_l).get(pl_key)
                     if ent_l is not None:
                         yield (ent_k.value + ent_l.value, (ent_k.p_mat, p_li),
-                               ((k, key_ik, s_ik, n_k, pk_key), (l, key_il, s_il, n_l, pl_key)))
+                               ent_k.chosen | ent_l.chosen,
+                               ((k, s_ik, n_k, pk_key), (l, s_il, n_l, pl_key)))
 
-    def _store(self, table, p_mat, value, l_hat, kids_ptr):
+    def _store(self, table, p_mat, value, l_hat, kids_chosen, kids_tie):
         pk = self.key_of(p_mat)
-        tiebreak = (tuple(l_hat),
-                    tuple((c[0], c[2], c[3], c[4]) for c in (kids_ptr or ())))
+        tiebreak = (tuple(l_hat), kids_tie)
         old = table.get(pk)
         if old is None:
             self._bump("state")
         if old is None or (value, tiebreak) < (old.value, old.tiebreak):
-            table[pk] = Entry(value=value, p_mat=p_mat, local=tuple(l_hat),
-                              children=kids_ptr, tiebreak=tiebreak)
+            table[pk] = Entry(value, p_mat, frozenset(l_hat) | kids_chosen, tiebreak)
 
 
 def run_dp(model, td: TreeDecomposition, b: int, eps: float, rounding: str,
            state_cap: int = DEFAULT_STATE_CAP) -> MessageTable:
-    """Run the full DP; the returned table contains the evaluated root context
+    """Run the full DP; ``root_table`` holds the evaluated root context
     (all-zeros outside prior, empty separator, full budget)."""
     if b < 0:
         raise InvariantViolation(f"budget must be >= 0, got {b}")
     if state_cap < 0:
         raise InvariantViolation(f"state cap must be >= 0, got {state_cap}")
-    run = _DpRun(model, td, b, eps, rounding, state_cap)
-    (root_neighbor,) = run.children[td.root]
+    mt = MessageTable(model, td, b, eps, rounding, state_cap)
+    (root_neighbor,) = mt.children[td.root]
     zero_q = SupportedMatrix.zeros(model.n)
-    zero_key = run.key_of(zero_q)
-    table = run.evaluate((root_neighbor, td.root), zero_q, zero_key, (), b)
-    if not table:
+    mt.root_table = mt.evaluate((root_neighbor, td.root), zero_q, mt.key_of(zero_q), (), b)
+    if not mt.root_table:
         raise NumericFailure(
             "no finite root message; every configuration hit a singular block")
-    run.mt.root_edge = (root_neighbor, td.root)
-    run.mt.root_context = (zero_key, (), b)
-    return run.mt
+    return mt
 
 
-def extract_solution(mt: MessageTable, model, td: TreeDecomposition,
-                     b: int) -> SelectionReport:
-    """Walk backpointers from the minimizing root entry; recompute err fresh."""
+def extract_solution(mt: MessageTable) -> SelectionReport:
+    """Report the minimizing root entry's chosen set; recompute err fresh."""
     started = time.perf_counter()
-    if mt.root_edge is None:
-        raise EmptyTable("run_dp has not populated this table")
-    root_edge = mt.root_edge
-    root_ctx = mt.root_context
-    table = mt.tables[root_edge][root_ctx]
+    table, model, b = mt.root_table, mt.model, mt.budget
     if not table:
-        raise EmptyTable("root message has no finite entries")
-    best_key = min(table, key=lambda k: (table[k].value, table[k].tiebreak, k))
-
-    selected = set()
-
-    def walk(edge, ctx, p_key):
-        entry = mt.tables[edge][ctx][p_key]
-        selected.update(entry.local)
-        selected.update(ctx[1])
-        for child in entry.children or ():
-            c, q_key, s, n, pk = child
-            walk((c, edge[0]), (q_key, s, n), pk)
-
-    walk(root_edge, root_ctx, best_key)
-    if len(selected) > b:
+        raise EmptyTable("run_dp has not populated a finite root message")
+    best = table[min(table, key=lambda k: (table[k].value, table[k].tiebreak, k))]
+    if len(best.chosen) > b:
         raise InvariantViolation(
-            f"extracted {len(selected)} observations with budget {b}")
-    report = make_report(model, selected | model.pinned, "dp", b, started=started,
-                         details={"table_value": table[best_key].value,
+            f"extracted {len(best.chosen)} observations with budget {b}")
+    report = make_report(model, best.chosen | model.pinned, "dp", b, started=started,
+                         details={"table_value": best.value,
                                   "sizing": mt.sizing_report()})
-    table_err = table[best_key].value / model.n
+    table_err = best.value / model.n
     bound = _accumulated_factor(mt)
     if math.isfinite(bound):
         if report.err_value > bound * table_err * (1 + 1e-9) + 1e-12:
@@ -433,7 +398,7 @@ def extract_solution(mt: MessageTable, model, td: TreeDecomposition,
 
 
 def _accumulated_factor(mt: MessageTable) -> float:
-    h = max(mt.heights.values(), default=1)
+    h = mt.td.height
     if mt.mode == "svd":
         return math.exp(min(2.0 * h * mt.eps, 700.0))
     kappa = mt.td.width
@@ -457,6 +422,8 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
         rounding = "gff" if isinstance(model, GffModel) else "svd"
     if rounding == "gff" and not isinstance(model, GffModel):
         raise InvariantViolation("gff factorization needs a GffModel")
+    if rounding == "svd" and isinstance(model, GffModel):
+        raise InvariantViolation("svd rounding needs a GMRF; a GFF Laplacian is singular")
     h = max(td.height, 1)
     details = {"eps_prime": eps_prime, "rounding": rounding}
     if rounding == "gff":
@@ -475,7 +442,7 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
         details["eps_theoretical"] = eps
     details["eps_used"] = eps
     mt = run_dp(model, td, b, eps, rounding, state_cap=state_cap)
-    report = extract_solution(mt, model, td, b)
+    report = extract_solution(mt)
     return replace(report,
                    guarantee=Guarantee(1.0 + eps_prime, "tree DP, target factor"),
                    details={**report.details, **details})

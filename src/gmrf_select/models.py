@@ -469,6 +469,8 @@ def random_gff(n: int, density: float = 0.3,
         raise InfeasibleParameters(f"bad resistance range {resistance_range}")
     if not 0.0 <= density <= 1.0:
         raise InfeasibleParameters(f"density must lie in [0, 1], got {density}")
+    if seed < 0:
+        raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def draw_r():
@@ -497,6 +499,8 @@ def random_gmrf(n: int, tree_width_hint: int = 2,
         raise InfeasibleParameters(f"condition cap must exceed 1, got {condition_cap}")
     if tree_width_hint < 1:
         raise InfeasibleParameters(f"tree width hint must be >= 1, got {tree_width_hint}")
+    if seed < 0:
+        raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
     w = min(tree_width_hint, n - 1)
     rng = np.random.default_rng(seed)
     cliques = [tuple(range(1, w + 2))] if n > w else [tuple(range(1, n + 1))]

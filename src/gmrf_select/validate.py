@@ -139,9 +139,12 @@ SUITES = (
 def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None):
     """Run all suites; returns (exit_code, findings). Exit 0 when every
     enforced contract holds (discrepancy findings do not fail the run), 4 on
-    violations. trials = 0 is a vacuous pass with a warning; trials < 0 is refused."""
+    violations. trials = 0 is a vacuous pass with a warning; trials < 0 and
+    seed < 0 are refused."""
     if trials < 0:
         raise InfeasibleParameters(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
     if trials == 0:
         warnings.warn("validate: trials = 0, nothing checked", RuntimeWarning,
                       stacklevel=2)

@@ -240,6 +240,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: gff factorization needs a GffModel\n"
 
+    def test_dp_svd_rounding_on_gff_exit_code(self, tmp_path, capsys):
+        # a GFF Laplacian is singular, so general factorization cannot start
+        path = write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+        assert main(["select", "dp", "--input", path, "--budget", "1",
+                     "--rounding", "svd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: svd rounding needs a GMRF; "
+                                "a GFF Laplacian is singular\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("mode", ["greedy", "exact"])
     def test_non_finite_alpha_exit_code(self, tmp_path, capsys, mode, value):
@@ -287,23 +297,31 @@ class TestCli:
         assert out.strip() == "False"
 
     def test_traced_launcher_matches_plain_cli(self, tmp_path):
-        # benchmark/traced.py wraps layer functions by name; a rename in src/
-        # must fail here rather than silently drop spans from a traced run
+        # benchmark/traced.py rebinds each layer function by name; a rename in
+        # src/ must fail here rather than silently drop spans from a traced run
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-        path = write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
-        request = ["select", "dp", "--input", path, "--budget", "1"]
-        spans = str(tmp_path / "spans.json")
-        plain = subprocess.run([sys.executable, "-m", "gmrf_select.cli", *request],
-                               env=env, capture_output=True)
-        traced = subprocess.run([sys.executable, os.path.join(root, "benchmark", "traced.py"),
-                                 spans, "p4", *request], env=env, capture_output=True)
-        assert plain.returncode == 0 and traced.returncode == 0
-        assert traced.stdout == plain.stdout
-        with open(spans) as fh:
-            trace = json.load(fh)
-        init = trace["names"].index("linalg.SupportedMatrix.init")
-        assert any(span[0] == init for span in trace["spans"])
+        path = write(tmp_path, "tree.gff", io.format_model(random_gff(9, density=0.0, seed=5)))
+        layers = {
+            "dp": {"dp.factorize", "dp.run_dp", "dp.extract_solution", "linalg.add",
+                   "linalg.obs", "linalg.marginal", "linalg.SupportedMatrix.init",
+                   "rounding.round"},
+            "greedy": {"greedy.greedy_budget", "models.make_report", "models.err"},
+        }
+        for mode, expected in layers.items():
+            request = ["select", mode, "--input", path, "--budget", "2"]
+            spans = str(tmp_path / "t.json")
+            plain = subprocess.run([sys.executable, "-m", "gmrf_select.cli", *request],
+                                   env=env, capture_output=True)
+            traced = subprocess.run([sys.executable,
+                                     os.path.join(root, "benchmark", "traced.py"),
+                                     spans, "r1", *request], env=env, capture_output=True)
+            assert plain.returncode == 0 and traced.returncode == 0
+            assert traced.stdout == plain.stdout
+            with open(spans) as fh:
+                trace = json.load(fh)
+            assert expected <= {trace["names"][span[0]] for span in trace["spans"]}
+            assert (trace["counters"].get("dp.contexts", 0) > 0) == (mode == "dp")
 
     def test_validate_cli(self, tmp_path, capsys):
         out_path = str(tmp_path / "findings.json")
@@ -322,12 +340,45 @@ class TestCli:
         assert captured.err == "error: trials must be >= 0, got -3\n"
         assert not out_path.exists()
 
+    def test_validate_negative_seed_exit_code(self, tmp_path, capsys):
+        out_path = tmp_path / "findings.json"
+        assert main(["validate", "--seed", "-1", "--trials", "1",
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        (["eval", "--set", "1", "--input", "{tmp}/missing.gff"], "missing.gff"),
+        (["eval", "--set", "1", "--input", "{tmp}/binary.gff"], "can't decode"),
+        (["select", "dp", "--budget", "1", "--input", "{tmp}/p4.gff",
+          "--td", "{tmp}/missing.td"], "missing.td"),
+        (["gen", "gff", "--n", "5", "--out", "{tmp}/no/dir/model.gff"], "model.gff"),
+        (["convert", "tree-gmrf-to-gff", "--input", "{tmp}/t3.gmrf",
+          "--out", "{tmp}/no/dir/model.gff"], "model.gff"),
+        (["validate", "--trials", "1", "--out", "{tmp}/no/dir/findings.json"],
+         "findings.json"),
+    ], ids=["missing-input", "undecodable-input", "missing-td", "gen-out", "convert-out",
+            "validate-out"])
+    def test_unreadable_or_unwritable_file_exit_code(self, tmp_path, capsys, argv, names):
+        write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
+        write(tmp_path, "t3.gmrf", "gmrf\n3 3\n1 2 3\n2 -1 0\n-1 2 -1\n0 -1 2\n")
+        (tmp_path / "binary.gff").write_bytes(b"\xff\xfe")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and names in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["gff", "--density", "nan"],
         ["gff", "--density", "1.5"],
         ["gmrf", "--cond-cap", "nan"],
         ["gmrf", "--width", "0"],
-    ], ids=["density-nan", "density-1.5", "cond-cap-nan", "width-0"])
+        ["gff", "--seed", "-1"],
+        ["gmrf", "--seed", "-1"],
+    ], ids=["density-nan", "density-1.5", "cond-cap-nan", "width-0", "gff-seed-neg",
+            "gmrf-seed-neg"])
     def test_gen_bad_parameter_exit_code(self, tmp_path, capsys, argv):
         out_path = tmp_path / "model.txt"
         assert main(["gen", *argv, "--n", "6", "--out", str(out_path)]) == 2

@@ -98,7 +98,7 @@ class TestRunDp:
         g = unit_path(4)
         td = balance_for_tree(4, g.graph_edges())
         mt = run_dp(g, td, 0, 0.02, "gff")
-        rep = extract_solution(mt, g, td, 0)
+        rep = extract_solution(mt)
         assert rep.selected == (1,)
         assert abs(rep.err_value - err(g, {1})) < 1e-12
 
@@ -106,15 +106,15 @@ class TestRunDp:
         g = unit_path(4)
         td = balance_for_tree(4, g.graph_edges())
         mt = run_dp(g, td, 1, 0.02, "gff")
-        rep = extract_solution(mt, g, td, 1)
+        rep = extract_solution(mt)
         ex = exact_budget(g, 1)
         assert rep.err_value <= 1.1 * ex.err_value + 1e-9
 
     def test_determinism(self):
         g = random_gff(7, density=0.0, seed=12)
         td = balance_for_tree(7, g.graph_edges())
-        a = extract_solution(run_dp(g, td, 2, 0.05, "gff"), g, td, 2)
-        b = extract_solution(run_dp(g, td, 2, 0.05, "gff"), g, td, 2)
+        a = extract_solution(run_dp(g, td, 2, 0.05, "gff"))
+        b = extract_solution(run_dp(g, td, 2, 0.05, "gff"))
         assert a.selected == b.selected
         assert a.err_value == b.err_value
 
@@ -133,7 +133,7 @@ class TestRunDp:
             b = int(rng.integers(0, 4))
             td = balance_for_tree(n, g.graph_edges())
             mt = run_dp(g, td, b, 0.05, "gff")
-            rep = extract_solution(mt, g, td, b)
+            rep = extract_solution(mt)
             assert len([v for v in rep.selected if v != g.pin]) <= b
 
     def test_value_accounting_matches_exact_at_tiny_eps(self):
@@ -147,8 +147,7 @@ class TestRunDp:
             b = int(rng.integers(0, 4))
             td = balance_for_tree(n, g.graph_edges())
             mt = run_dp(g, td, b, 1e-12, "gff")
-            table = mt.tables[mt.root_edge][mt.root_context]
-            best = min(e.value for e in table.values())
+            best = min(e.value for e in mt.root_table.values())
             ex = exact_budget(g, b)
             assert abs(best / n - ex.err_value) <= 1e-9 * max(ex.err_value, 1e-12)
 
@@ -186,12 +185,6 @@ class TestTableInvariants:
             lo, hi = eig_extremes(post)
             assert lo >= w[0] / td.m * math.exp(-0.5) - 1e-9
             assert hi <= w[-1] * math.exp(0.5) + 1e-9
-
-    def test_heights_match_decomposition(self):
-        g = unit_path(6)
-        td = balance_for_tree(6, g.graph_edges())
-        mt = run_dp(g, td, 0, 0.05, "gff")
-        assert max(mt.heights.values()) == td.height
 
 
 class TestDpSelect:
@@ -306,27 +299,27 @@ def pinned_tree(n, seed, pin):
 
 
 # (model and decomposition, rounding, budget, eps_prime, details["sizing"],
-# table_value.hex()); the DP must reproduce these figures bit for bit
+# table_value.hex(), selected); the DP must reproduce these figures bit for bit
 MEMO_CASES = {
     "gff": (lambda: on_tree(random_gff(12, density=0.0, seed=2)), "gff", 3, 0.1,
             "mode=gff eps=1.000e-12 budget=3 edges=11 contexts=98 states=158",
-            "0x1.bf3485182c7b0p+2"),
+            "0x1.bf3485182c7b0p+2", (1, 7, 9, 12)),
     "svd": (lambda: on_tree(random_tree_gmrf(10, np.random.default_rng(2))), "svd", 2, 0.5,
             "mode=svd eps=1.389e-02 budget=2 edges=9 contexts=209 states=366",
-            "0x1.4adc33eae8e04p+2"),
+            "0x1.4adc33eae8e04p+2", (2, 7)),
     "gff-pin7": (lambda: pinned_tree(12, 3, 7), "gff", 3, 0.1,
                  "mode=gff eps=1.000e-12 budget=3 edges=13 contexts=781 states=1328",
-                 "0x1.03805d8013d41p+3"),
+                 "0x1.03805d8013d41p+3", (1, 4, 7, 12)),
     "svd-chain": (lambda: triangle_chain(9, 3), "svd", 2, 0.3,
                   "mode=svd eps=5.769e-03 budget=2 edges=11 contexts=408 states=657",
-                  "0x1.865d9f9a21008p+1"),
+                  "0x1.865d9f9a21008p+1", (1, 9)),
 }
 
 
 def counted_dp_select(monkeypatch, case):
     """dp_select on a MEMO_CASES model; also every (support, block bytes,
     target) passed to the DP's marginal."""
-    make, rounding, b, eps_prime, _, _ = MEMO_CASES[case]
+    make, rounding, b, eps_prime, *_ = MEMO_CASES[case]
     model, td = make()
     seen = []
     true_marginal = dp_mod.marginal
@@ -349,6 +342,7 @@ class TestKernelMemo:
 
     def test_sizing_and_table_value_unchanged(self, monkeypatch, case):
         report, _ = counted_dp_select(monkeypatch, case)
-        _, _, _, _, sizing, value = MEMO_CASES[case]
+        *_, sizing, value, selected = MEMO_CASES[case]
         assert report.details["sizing"] == sizing
         assert report.details["table_value"].hex() == value
+        assert report.selected == selected
