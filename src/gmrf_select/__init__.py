@@ -7,18 +7,10 @@ epsilon-net-rounded message-passing dynamic program on tree decompositions.
 """
 
 from .decomposition import TreeDecomposition, balance_for_tree, parse_and_normalize
-from .dp import ClusterFactors, MessageTable, dp_select, extract_solution, factorize, run_dp
+from .dp import MessageTable, dp_select, extract_solution, factorize, run_dp
 from .exact import exact_budget, exact_cover
 from .greedy import greedy_budget, greedy_cover
-from .linalg import (
-    SupportedMatrix,
-    diag_of_inverse,
-    eig_extremes,
-    marginal,
-    obs,
-    psd_sandwich_check,
-    trace_of_inverse,
-)
+from .linalg import SupportedMatrix, diag_of_inverse, marginal, obs, trace_of_inverse
 from .models import (
     GffModel,
     GmrfModel,
@@ -31,14 +23,12 @@ from .models import (
     predictor_weights,
     random_gff,
     random_gmrf,
-    regular_tightness,
     tree_gmrf_to_gff,
 )
 from .rounding import GffRounder, SvdRounder
 from .validate import validate_suite
 
 __all__ = [
-    "ClusterFactors",
     "GffModel",
     "GffRounder",
     "GmrfModel",
@@ -53,7 +43,6 @@ __all__ = [
     "diag_of_inverse",
     "dp_select",
     "effective_resistance",
-    "eig_extremes",
     "err",
     "exact_budget",
     "exact_cover",
@@ -66,10 +55,8 @@ __all__ = [
     "obs",
     "parse_and_normalize",
     "predictor_weights",
-    "psd_sandwich_check",
     "random_gff",
     "random_gmrf",
-    "regular_tightness",
     "run_dp",
     "trace_of_inverse",
     "tree_gmrf_to_gff",

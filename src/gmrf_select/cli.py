@@ -54,6 +54,15 @@ def _parse_set(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad vertex set {text!r}")
 
 
+def _write_output(text: str, path: str | None):
+    """Write to the file at ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _print_report(report, args):
     sys.stdout.write(io.emit_report(report, fmt=args.format,
                                     timing=getattr(args, "timing", False)))
@@ -85,8 +94,7 @@ def cmd_select(args):
         if args.budget is None:
             raise InvariantViolation("select dp needs --budget")
         if args.td is not None:
-            with open(args.td) as fh:
-                td = parse_and_normalize(fh.read(), model)
+            td = parse_and_normalize(io.read_text(args.td), model)
         else:
             try:
                 td = balance_for_tree(model.n, model.graph_edges())
@@ -94,8 +102,13 @@ def cmd_select(args):
                 raise InvariantViolation(
                     "the model's graph is not a tree; supply a decomposition "
                     "file with --td")
+        # the model picks the rounding; --rounding may only confirm it
+        if args.rounding == "gff" and not isinstance(model, GffModel):
+            raise InvariantViolation("gff factorization needs a GffModel")
+        if args.rounding == "svd" and isinstance(model, GffModel):
+            raise InvariantViolation("svd rounding needs a GMRF; a GFF Laplacian is singular")
         report = dp_select(model, td, args.budget, args.eps_prime,
-                           rounding=args.rounding, state_cap=args.state_cap)
+                           state_cap=args.state_cap)
     _print_report(report, args)
     return 0
 
@@ -108,12 +121,7 @@ def cmd_gen(args):
     else:
         model = random_gmrf(args.n, tree_width_hint=args.width,
                             condition_cap=args.cond_cap, seed=args.seed)
-    text = io.format_model(model)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(io.format_model(model), args.out)
     return 0
 
 
@@ -125,11 +133,7 @@ def cmd_convert(args):
     text = io.format_model(gff)
     header = ("# scaling w: " + " ".join(f"{x:.12g}" for x in w) + "\n"
               + "# observed tail: " + " ".join(str(v) for v in tail) + "\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(header + text)
-    else:
-        sys.stdout.write(header + text)
+    _write_output(header + text, args.out)
     return 0
 
 
@@ -176,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--eps-prime", type=float, default=0.1,
                        help="target approximation slack for dp")
     p_sel.add_argument("--td", default=None, help="tree-decomposition file (dp)")
-    p_sel.add_argument("--rounding", choices=("gff", "svd"), default=None)
+    p_sel.add_argument("--rounding", choices=("gff", "svd"), default=None,
+                       help="dp rounding (optional; must match the model)")
     p_sel.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p_sel.set_defaults(fn=cmd_select)
 
@@ -213,7 +218,7 @@ def main(argv=None) -> int:
     except (StateSpaceExceeded, InstanceTooLarge) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 3
-    except (GmrfSelectError, OSError, UnicodeDecodeError) as exc:
+    except (GmrfSelectError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -53,35 +53,19 @@ AUDIT_CAP = 500
 # factorization of the precision into per-cluster terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusterFactors:
-    """Per-cluster precision terms summing to the model precision entrywise."""
+def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
+    """Split the precision matrix across clusters: one factor per cluster, on
+    the cluster's support, the factors summing to the precision entrywise.
 
-    factors: tuple[SupportedMatrix, ...]   # one per cluster, on the cluster's support
-
-    def total(self, n: int) -> np.ndarray:
-        out = np.zeros((n, n))
-        for f in self.factors:
-            out += f.to_dense()
-        return out
-
-
-def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
-    """Split the precision matrix across clusters.
-
-    gff mode: each edge's Laplacian term goes to the lowest-index cluster
-    containing both endpoints. general mode: Cholesky of Lambda - sigma*I in
-    the elimination order, rows assigned to covering clusters, plus the
+    A GFF: each edge's Laplacian term goes to the lowest-index cluster
+    containing both endpoints. A GMRF: Cholesky of Lambda - sigma*I in the
+    elimination order, rows assigned to covering clusters, plus the
     sigma-diagonal split with per-cluster shares of at least sigma/m.
     """
-    if mode not in ("gff", "general"):
-        raise InvariantViolation(f"unknown factorization mode {mode!r}")
     blocks = [np.zeros((len(c), len(c))) for c in td.clusters]
     supports = [tuple(sorted(c)) for c in td.clusters]
     pos = [{v: t for t, v in enumerate(s)} for s in supports]
-    if mode == "gff":
-        if not isinstance(model, GffModel):
-            raise InvariantViolation("gff factorization needs a GffModel")
+    if isinstance(model, GffModel):
         for u, v, r in model.edges:
             home = next((t for t, c in enumerate(td.clusters) if u in c and v in c), None)
             if home is None:
@@ -92,8 +76,7 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
             blocks[home][pv, pv] += c
             blocks[home][pu, pv] -= c
             blocks[home][pv, pu] -= c
-        return ClusterFactors(tuple(SupportedMatrix(model.n, s, b)
-                                    for s, b in zip(supports, blocks)))
+        return tuple(SupportedMatrix(model.n, s, b) for s, b in zip(supports, blocks))
 
     lam = model.precision()
     if len(lam.support) != model.n:
@@ -136,8 +119,7 @@ def factorize(model, td: TreeDecomposition, mode: str) -> ClusterFactors:
         share = shift / len(bags)
         for t in bags:
             blocks[t][pos[t][v], pos[t][v]] += share
-    return ClusterFactors(tuple(SupportedMatrix(model.n, s, b)
-                                for s, b in zip(supports, blocks)))
+    return tuple(SupportedMatrix(model.n, s, b) for s, b in zip(supports, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +139,13 @@ class MessageTable:
 
     Messages are materialized lazily: per directed edge, a map from evaluated
     contexts (Q-key, S-hat, N-hat) to reachable P-hats with their entries.
+    ``mode`` is "gff" (element-wise rounding) for a GffModel, else "svd".
     ``rounding_audit`` keeps the first roundings computed; memoized repeats add none."""
 
-    def __init__(self, model, td, b, eps, rounding, state_cap):
+    def __init__(self, model, td, b, eps, state_cap):
         self.model = model
         self.td = td
-        self.mode = rounding
+        self.mode = "gff" if isinstance(model, GffModel) else "svd"
         self.eps = eps
         self.budget = int(b)
         self.state_cap = state_cap
@@ -170,9 +153,8 @@ class MessageTable:
         self.rounding_audit = []    # (pre, post) pairs, capped
         self.states = self.contexts = 0
         self.root_table = None
-        factors = factorize(model, td, "gff" if rounding == "gff" else "general")
         self.sys_factors = tuple(
-            obs(f, model.pinned & set(f.support)) for f in factors.factors)
+            obs(f, model.pinned & set(f.support)) for f in factorize(model, td))
         self.sys_clusters = [frozenset(c) - model.pinned for c in td.clusters]
 
         w = np.linalg.eigvalsh(obs(model.precision(), model.pinned).block)
@@ -181,13 +163,11 @@ class MessageTable:
         # allow for drift accumulated over the tree height in the runtime
         # range checks; the nets themselves are unchanged
         drift = (1.0 + 1e-6) * math.exp(min(2.0 * max(td.height, 1) * eps, 0.5))
-        if rounding == "gff":
+        if self.mode == "gff":
             self.rounder = GffRounder.for_model(model, eps, range_factor=drift)
-        elif rounding == "svd":
+        else:
             self.rounder = SvdRounder.for_system(float(w[0]), float(w[-1]), td.m, eps,
                                                  range_factor=drift)
-        else:
-            raise InvariantViolation(f"unknown rounding mode {rounding!r}")
 
         adj = td.neighbors()
         parent = search(adj, [td.root])
@@ -356,7 +336,7 @@ class MessageTable:
             table[pk] = Entry(value, p_mat, frozenset(l_hat) | kids_chosen, tiebreak)
 
 
-def run_dp(model, td: TreeDecomposition, b: int, eps: float, rounding: str,
+def run_dp(model, td: TreeDecomposition, b: int, eps: float,
            state_cap: int = DEFAULT_STATE_CAP) -> MessageTable:
     """Run the full DP; ``root_table`` holds the evaluated root context
     (all-zeros outside prior, empty separator, full budget)."""
@@ -364,7 +344,7 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float, rounding: str,
         raise InvariantViolation(f"budget must be >= 0, got {b}")
     if state_cap < 0:
         raise InvariantViolation(f"state cap must be >= 0, got {state_cap}")
-    mt = MessageTable(model, td, b, eps, rounding, state_cap)
+    mt = MessageTable(model, td, b, eps, state_cap)
     (root_neighbor,) = mt.children[td.root]
     zero_q = SupportedMatrix.zeros(model.n)
     mt.root_table = mt.evaluate((root_neighbor, td.root), zero_q, mt.key_of(zero_q), (), b)
@@ -407,23 +387,17 @@ def _accumulated_factor(mt: MessageTable) -> float:
 
 
 def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
-              rounding: str | None = None,
               state_cap: int = DEFAULT_STATE_CAP) -> SelectionReport:
     """Choose the internal rounding resolution from the target factor
     (1 + eps_prime) and the decomposition height, then run the DP and extract.
 
-    gff mode shrinks eps exponentially in the width and height (clamped at
-    machine precision, with a warning); svd mode shrinks it linearly in the
-    height.
+    The model picks the rounding: a GFF gets gff mode, which shrinks eps
+    exponentially in the width and height (clamped at machine precision, with
+    a warning); a GMRF gets svd mode, which shrinks it linearly in the height.
     """
     if not 0.0 < eps_prime < 1.0:
         raise InvariantViolation(f"eps_prime must lie in (0, 1), got {eps_prime}")
-    if rounding is None:
-        rounding = "gff" if isinstance(model, GffModel) else "svd"
-    if rounding == "gff" and not isinstance(model, GffModel):
-        raise InvariantViolation("gff factorization needs a GffModel")
-    if rounding == "svd" and isinstance(model, GffModel):
-        raise InvariantViolation("svd rounding needs a GMRF; a GFF Laplacian is singular")
+    rounding = "gff" if isinstance(model, GffModel) else "svd"
     h = max(td.height, 1)
     details = {"eps_prime": eps_prime, "rounding": rounding}
     if rounding == "gff":
@@ -441,7 +415,7 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
         eps = eps_prime / (4.0 * (2.0 * h + 1.0))
         details["eps_theoretical"] = eps
     details["eps_used"] = eps
-    mt = run_dp(model, td, b, eps, rounding, state_cap=state_cap)
+    mt = run_dp(model, td, b, eps, state_cap=state_cap)
     report = extract_solution(mt)
     return replace(report,
                    guarantee=Guarantee(1.0 + eps_prime, "tree DP, target factor"),

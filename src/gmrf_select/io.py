@@ -15,7 +15,7 @@ import json
 
 from .errors import ParseError
 from .linalg import format_matrix_text, parse_matrix_text
-from .models import GffModel, GmrfModel, Guarantee, SelectionReport
+from .models import GffModel, GmrfModel, SelectionReport
 
 
 def parse_model_text(text: str):
@@ -66,9 +66,17 @@ def parse_model_text(text: str):
     raise ParseError(f"line {first + 1}: unknown model kind {kind!r}")
 
 
+def read_text(path: str) -> str:
+    """The text of a file; an undecodable file raises ParseError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def parse_model(path: str):
-    with open(path) as fh:
-        return parse_model_text(fh.read())
+    return parse_model_text(read_text(path))
 
 
 def format_model(model) -> str:
@@ -112,23 +120,3 @@ def emit_report(report: SelectionReport, fmt: str = "json",
                 f" n={report.n}{extra}\n")
     raise ParseError(f"unknown report format {fmt!r}")
 
-
-def parse_report(text: str) -> SelectionReport:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad report JSON: {exc}") from exc
-    guarantee = None
-    if payload.get("guarantee") is not None:
-        guarantee = Guarantee(payload["guarantee"]["factor"],
-                              payload["guarantee"]["source"])
-    wall = payload.get("wall_ms")
-    return SelectionReport(
-        selected=tuple(payload["selected"]),
-        err_value=float(payload["err"]),
-        solver=payload["solver"],
-        n=int(payload["n"]),
-        budget_or_alpha=payload.get("budget_or_alpha"),
-        guarantee=guarantee,
-        wall_time=None if wall is None else wall / 1000.0,
-    )

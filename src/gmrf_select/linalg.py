@@ -20,10 +20,7 @@ from .errors import (
     SupportMismatch,
 )
 
-# Relative tolerances, against lambda_max of the block in question.
-RANK_TOL = 1e-12         # smallest/largest eigenvalue ratio counted as full rank
-ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
-SANDWICH_TOL = 1e-10     # slack in PSD-order comparisons
+RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
 
 
 @dataclass(frozen=True)
@@ -88,15 +85,11 @@ class SupportedMatrix:
         return cls(ambient_dim, (), np.zeros((0, 0)))
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, support=None) -> "SupportedMatrix":
-        """Wrap a full n x n array, restricting to ``support`` (default: all indices)."""
+    def from_dense(cls, dense: np.ndarray) -> "SupportedMatrix":
+        """Wrap a full n x n array, supported on every index."""
         dense = np.asarray(dense, dtype=float)
         n = dense.shape[0]
-        if support is None:
-            support = tuple(range(1, n + 1))
-        support = tuple(sorted(support))
-        idx = np.array([i - 1 for i in support], dtype=int)
-        return cls.checked(n, support, dense[np.ix_(idx, idx)])
+        return cls.checked(n, tuple(range(1, n + 1)), dense)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.ambient_dim, self.ambient_dim))
@@ -211,37 +204,6 @@ def diag_of_inverse(m: SupportedMatrix, subset) -> float:
     rhs[idx, np.arange(len(subset))] = 1.0
     half = np.linalg.solve(chol, rhs)
     return float(np.sum(half * half))
-
-
-def eig_extremes(m: SupportedMatrix) -> tuple[float, float]:
-    """(smallest nonzero eigenvalue, largest eigenvalue) of the support block.
-
-    Eigenvalues below lambda_max * 1e-12 count as zero. Empty support, or a
-    block with no nonzero eigenvalues, yields (0.0, 0.0) by convention.
-    """
-    if not m.support:
-        return (0.0, 0.0)
-    w = np.linalg.eigvalsh(m.block)
-    lam_max = float(w[-1])
-    cutoff = abs(lam_max) * ZERO_EIG_CUTOFF
-    nonzero = w[np.abs(w) > cutoff]
-    if len(nonzero) == 0:
-        return (0.0, 0.0)
-    return (float(nonzero[0]), lam_max)
-
-
-def psd_sandwich_check(a: SupportedMatrix, b: SupportedMatrix, eps: float) -> bool:
-    """True iff e^-eps B <= A <= e^eps B in the PSD order, within tolerance."""
-    if a.ambient_dim != b.ambient_dim or a.support != b.support:
-        raise SupportMismatch(
-            f"supports differ: {a.support} vs {b.support}")
-    if not a.support:
-        return True
-    tol = SANDWICH_TOL * max(float(np.linalg.eigvalsh(b.block)[-1]), 0.0)
-    upper = np.exp(eps) * b.block - a.block
-    lower = a.block - np.exp(-eps) * b.block
-    return (float(np.linalg.eigvalsh(upper)[0]) >= -tol
-            and float(np.linalg.eigvalsh(lower)[0]) >= -tol)
 
 
 def parse_matrix_text(text: str, first_line: int = 1):

@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleParameters,
     InvariantViolation,
     NotATree,
-    NotUnitRegular,
     SingularMatrix,
     SingularObservationBlock,
     SingularSubmatrix,
@@ -88,11 +87,6 @@ class GffModel:
         if self._laplacian is None:
             self._laplacian = laplacian(self)
         return self._laplacian
-
-    def reduced_covariance(self) -> np.ndarray:
-        """Covariance of the non-pin variables, indexed by sorted(V \\ {pin})."""
-        rest = [v - 1 for v in self.vertices if v != self.pin]
-        return self.covariance()[np.ix_(rest, rest)]
 
     def covariance(self) -> np.ndarray:
         """Full n x n covariance; the pin's row and column are zero; cached."""
@@ -324,67 +318,6 @@ def effective_resistance(gff: GffModel, i: int, subset) -> float:
         raise DisconnectedFromS(f"vertex {i} not connected to S={sorted(s)}")
     phi, pos = _contracted_potentials(gff, i, s)
     return float(phi[pos[i]])
-
-
-def electrical_flow(gff: GffModel, i: int, subset):
-    """The unit electrical flow from S to i: a dict (u, v) -> flow value with
-    f(u,v) = (phi_u - phi_v)/r_uv, where phi solves the contracted system.
-    Used by the Thomson-principle cross-checks."""
-    phi, pos = _contracted_potentials(gff, i, frozenset(subset))
-
-    def potential(v):
-        return phi[pos[v]] if v in pos else 0.0
-
-    flow = {}
-    for u, v, r in gff.edges:
-        # injecting at i makes current run i -> S; negate so the flow runs S -> i
-        f = (potential(v) - potential(u)) / r
-        flow[(u, v)] = f
-        flow[(v, u)] = -f
-    return flow
-
-
-def flow_energy(gff: GffModel, flow) -> float:
-    """(1/2) sum over ordered pairs of f(u,v)^2 r_uv."""
-    total = 0.0
-    for u, v, r in gff.edges:
-        total += flow[(u, v)] ** 2 * r
-    return total
-
-
-def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
-    """Lower bound (1 - |S|/n)/d for d-regular unit-resistance graphs, and
-    whether it is attained (iff the complement is an independent set).
-
-    The given S is used as-is (no pin insertion); S must be nonempty unless it
-    is the full vertex set.
-    """
-    degree = {v: 0 for v in gff.vertices}
-    for u, v, r in gff.edges:
-        if abs(r - 1.0) > 1e-12:
-            raise NotUnitRegular(f"edge ({u},{v}) has resistance {r} != 1")
-        degree[u] += 1
-        degree[v] += 1
-    degs = set(degree.values())
-    if len(degs) != 1:
-        raise NotUnitRegular(f"graph is not regular (degrees {sorted(degs)})")
-    d = degs.pop()
-    s = frozenset(subset)
-    sbar = [v for v in gff.vertices if v not in s]
-    bound = (1.0 - len(s) / gff.n) / d
-    if not sbar:
-        return (0.0, True)
-    if not s:
-        raise SingularSubmatrix("S empty: err is undefined on the full Laplacian")
-    err_s = linalg.trace_of_inverse(linalg.obs(gff.precision(), s)) / gff.n
-    sbar_set = set(sbar)
-    independent = not any(u in sbar_set and v in sbar_set for u, v, _ in gff.edges)
-    attained = abs(err_s - bound) <= 1e-9
-    if independent != attained:
-        raise InvariantViolation(
-            f"tightness mismatch: independent={independent} but err={err_s!r}, "
-            f"bound={bound!r}")
-    return (bound, independent)
 
 
 # ---------------------------------------------------------------------------

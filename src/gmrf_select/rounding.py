@@ -35,44 +35,15 @@ def log_grid_snap(value: float, base: float, step: float, top_index: int) -> flo
     return base * math.exp(k * step)
 
 
-def is_gff_class(block: np.ndarray, tol: float = GFF_CLASS_TOL,
-                 abs_tol: float = 0.0) -> bool:
+def is_gff_class(block: np.ndarray, abs_tol: float = 0.0) -> bool:
     """Diagonally dominant with non-positive off-diagonal entries (within
-    relative tolerance, or the absolute floor for numerically-zero matrices)."""
+    GFF_CLASS_TOL relative tolerance, or the absolute floor for
+    numerically-zero matrices)."""
     if block.size == 0:
         return True
-    cut = max(tol * np.abs(block).max(), abs_tol, 1e-300)
+    cut = max(GFF_CLASS_TOL * np.abs(block).max(), abs_tol, 1e-300)
     off = block - np.diag(np.diag(block))
     return off.max(initial=0.0) <= cut and block.sum(axis=1).min() >= -cut
-
-
-def gff_relation_eps(q: SupportedMatrix, q2: SupportedMatrix,
-                     zero_tol: float = 0.0) -> float:
-    """Smallest eps for which the element-wise relation holds between two
-    matrices of the dd/M-matrix class: every off-diagonal magnitude and every
-    row sum within a factor e^(+-eps). Returns inf if a zero pairs with a
-    nonzero (beyond zero_tol)."""
-    if q.support != q2.support:
-        return math.inf
-    k = len(q.support)
-    worst = 0.0
-    pairs = []
-    a, b = q.block, q2.block
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairs.append((abs(a[i, j]), abs(b[i, j])))
-    rs_a, rs_b = a.sum(axis=1), b.sum(axis=1)
-    for i in range(k):
-        pairs.append((rs_a[i], rs_b[i]))
-    for x, y in pairs:
-        x = 0.0 if abs(x) <= zero_tol else x
-        y = 0.0 if abs(y) <= zero_tol else y
-        if x == 0.0 and y == 0.0:
-            continue
-        if x <= 0.0 or y <= 0.0:
-            return math.inf
-        worst = max(worst, abs(math.log(y / x)))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -140,29 +141,27 @@ def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None
     """Run all suites; returns (exit_code, findings). Exit 0 when every
     enforced contract holds (discrepancy findings do not fail the run), 4 on
     violations. trials = 0 is a vacuous pass with a warning; trials < 0 and
-    seed < 0 are refused."""
+    seed < 0 are refused. ``out_path`` is opened before any suite runs, so an
+    unwritable path fails at once."""
     if trials < 0:
         raise InfeasibleParameters(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
-    if trials == 0:
-        warnings.warn("validate: trials = 0, nothing checked", RuntimeWarning,
-                      stacklevel=2)
-        payload = {"seed": seed, "trials": 0, "findings": [],
-                   "note": "vacuous pass: zero trials"}
-        if out_path:
-            with open(out_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        return 0, payload
-
-    counts = {"three-path": trials, "supermodularity": max(trials * 10, 1000),
-              "greedy-vs-exact": trials, "dp-vs-exact": max(4, trials // 10)}
-    thread_count()
-    findings = [f for name, fn in SUITES for f in fn(seed, counts[name])]
-    violations = [f for f in findings if f["severity"] == "violation"]
-    payload = {"seed": seed, "trials": trials,
-               "counts": counts, "findings": findings}
-    if out_path:
-        with open(out_path, "w") as fh:
+    if trials:
+        thread_count()   # a bad GMRF_SELECT_THREADS is refused before out_path is opened
+    with open(out_path, "w") if out_path else nullcontext() as fh:
+        if trials == 0:
+            warnings.warn("validate: trials = 0, nothing checked", RuntimeWarning,
+                          stacklevel=2)
+            code, payload = 0, {"seed": seed, "trials": 0, "findings": [],
+                                "note": "vacuous pass: zero trials"}
+        else:
+            counts = {"three-path": trials, "supermodularity": max(trials * 10, 1000),
+                      "greedy-vs-exact": trials, "dp-vs-exact": max(4, trials // 10)}
+            findings = [f for name, fn in SUITES for f in fn(seed, counts[name])]
+            code = 4 if any(f["severity"] == "violation" for f in findings) else 0
+            payload = {"seed": seed, "trials": trials,
+                       "counts": counts, "findings": findings}
+        if fh is not None:
             json.dump(payload, fh, indent=2)
-    return (4 if violations else 0), payload
+    return code, payload

@@ -1,0 +1,200 @@
+"""Reference computations that only the tests use.
+
+The package ships what its solvers and CLI run; these cross-checks of its
+results (electrical flows, the regular-graph bound, eigenvalue extremes, the
+PSD sandwich, the element-wise rounding relation, report parsing, factor
+totals) live here.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+
+from gmrf_select import linalg
+from gmrf_select.errors import (
+    InvariantViolation,
+    NotUnitRegular,
+    ParseError,
+    SingularSubmatrix,
+    SupportMismatch,
+)
+from gmrf_select.linalg import SupportedMatrix
+from gmrf_select.models import GffModel, Guarantee, SelectionReport, _contracted_potentials
+
+ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
+SANDWICH_TOL = 1e-10     # slack in PSD-order comparisons
+
+
+# ---------------------------------------------------------------------------
+# models
+# ---------------------------------------------------------------------------
+
+def reduced_covariance(gff: GffModel) -> np.ndarray:
+    """Covariance of the non-pin variables, indexed by sorted(V \\ {pin})."""
+    rest = [v - 1 for v in gff.vertices if v != gff.pin]
+    return gff.covariance()[np.ix_(rest, rest)]
+
+
+def electrical_flow(gff: GffModel, i: int, subset):
+    """The unit electrical flow from S to i: a dict (u, v) -> flow value with
+    f(u,v) = (phi_u - phi_v)/r_uv, where phi solves the contracted system.
+    Used by the Thomson-principle cross-checks."""
+    phi, pos = _contracted_potentials(gff, i, frozenset(subset))
+
+    def potential(v):
+        return phi[pos[v]] if v in pos else 0.0
+
+    flow = {}
+    for u, v, r in gff.edges:
+        # injecting at i makes current run i -> S; negate so the flow runs S -> i
+        f = (potential(v) - potential(u)) / r
+        flow[(u, v)] = f
+        flow[(v, u)] = -f
+    return flow
+
+
+def flow_energy(gff: GffModel, flow) -> float:
+    """(1/2) sum over ordered pairs of f(u,v)^2 r_uv."""
+    total = 0.0
+    for u, v, r in gff.edges:
+        total += flow[(u, v)] ** 2 * r
+    return total
+
+
+def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
+    """Lower bound (1 - |S|/n)/d for d-regular unit-resistance graphs, and
+    whether it is attained (iff the complement is an independent set).
+
+    The given S is used as-is (no pin insertion); S must be nonempty unless it
+    is the full vertex set.
+    """
+    degree = {v: 0 for v in gff.vertices}
+    for u, v, r in gff.edges:
+        if abs(r - 1.0) > 1e-12:
+            raise NotUnitRegular(f"edge ({u},{v}) has resistance {r} != 1")
+        degree[u] += 1
+        degree[v] += 1
+    degs = set(degree.values())
+    if len(degs) != 1:
+        raise NotUnitRegular(f"graph is not regular (degrees {sorted(degs)})")
+    d = degs.pop()
+    s = frozenset(subset)
+    sbar = [v for v in gff.vertices if v not in s]
+    bound = (1.0 - len(s) / gff.n) / d
+    if not sbar:
+        return (0.0, True)
+    if not s:
+        raise SingularSubmatrix("S empty: err is undefined on the full Laplacian")
+    err_s = linalg.trace_of_inverse(linalg.obs(gff.precision(), s)) / gff.n
+    sbar_set = set(sbar)
+    independent = not any(u in sbar_set and v in sbar_set for u, v, _ in gff.edges)
+    attained = abs(err_s - bound) <= 1e-9
+    if independent != attained:
+        raise InvariantViolation(
+            f"tightness mismatch: independent={independent} but err={err_s!r}, "
+            f"bound={bound!r}")
+    return (bound, independent)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
+# ---------------------------------------------------------------------------
+
+def eig_extremes(m: SupportedMatrix) -> tuple[float, float]:
+    """(smallest nonzero eigenvalue, largest eigenvalue) of the support block.
+
+    Eigenvalues below lambda_max * 1e-12 count as zero. Empty support, or a
+    block with no nonzero eigenvalues, yields (0.0, 0.0) by convention.
+    """
+    if not m.support:
+        return (0.0, 0.0)
+    w = np.linalg.eigvalsh(m.block)
+    lam_max = float(w[-1])
+    cutoff = abs(lam_max) * ZERO_EIG_CUTOFF
+    nonzero = w[np.abs(w) > cutoff]
+    if len(nonzero) == 0:
+        return (0.0, 0.0)
+    return (float(nonzero[0]), lam_max)
+
+
+def psd_sandwich_check(a: SupportedMatrix, b: SupportedMatrix, eps: float) -> bool:
+    """True iff e^-eps B <= A <= e^eps B in the PSD order, within tolerance."""
+    if a.ambient_dim != b.ambient_dim or a.support != b.support:
+        raise SupportMismatch(
+            f"supports differ: {a.support} vs {b.support}")
+    if not a.support:
+        return True
+    tol = SANDWICH_TOL * max(float(np.linalg.eigvalsh(b.block)[-1]), 0.0)
+    upper = np.exp(eps) * b.block - a.block
+    lower = a.block - np.exp(-eps) * b.block
+    return (float(np.linalg.eigvalsh(upper)[0]) >= -tol
+            and float(np.linalg.eigvalsh(lower)[0]) >= -tol)
+
+
+def factor_total(factors, n: int) -> np.ndarray:
+    """The dense n x n sum of per-cluster factors, as ``dp.factorize`` returns them."""
+    out = np.zeros((n, n))
+    for f in factors:
+        out += f.to_dense()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# rounding
+# ---------------------------------------------------------------------------
+
+def gff_relation_eps(q: SupportedMatrix, q2: SupportedMatrix,
+                     zero_tol: float = 0.0) -> float:
+    """Smallest eps for which the element-wise relation holds between two
+    matrices of the dd/M-matrix class: every off-diagonal magnitude and every
+    row sum within a factor e^(+-eps). Returns inf if a zero pairs with a
+    nonzero (beyond zero_tol)."""
+    if q.support != q2.support:
+        return math.inf
+    k = len(q.support)
+    worst = 0.0
+    pairs = []
+    a, b = q.block, q2.block
+    for i in range(k):
+        for j in range(i + 1, k):
+            pairs.append((abs(a[i, j]), abs(b[i, j])))
+    rs_a, rs_b = a.sum(axis=1), b.sum(axis=1)
+    for i in range(k):
+        pairs.append((rs_a[i], rs_b[i]))
+    for x, y in pairs:
+        x = 0.0 if abs(x) <= zero_tol else x
+        y = 0.0 if abs(y) <= zero_tol else y
+        if x == 0.0 and y == 0.0:
+            continue
+        if x <= 0.0 or y <= 0.0:
+            return math.inf
+        worst = max(worst, abs(math.log(y / x)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# reports
+# ---------------------------------------------------------------------------
+
+def parse_report(text: str) -> SelectionReport:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad report JSON: {exc}") from exc
+    guarantee = None
+    if payload.get("guarantee") is not None:
+        guarantee = Guarantee(payload["guarantee"]["factor"],
+                              payload["guarantee"]["source"])
+    wall = payload.get("wall_ms")
+    return SelectionReport(
+        selected=tuple(payload["selected"]),
+        err_value=float(payload["err"]),
+        solver=payload["solver"],
+        n=int(payload["n"]),
+        budget_or_alpha=payload.get("budget_or_alpha"),
+        guarantee=guarantee,
+        wall_time=None if wall is None else wall / 1000.0,
+    )

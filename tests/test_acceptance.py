@@ -19,14 +19,7 @@ from gmrf_select.decomposition import balance_for_tree, normalize, parse_and_nor
 from gmrf_select.dp import dp_select, factorize
 from gmrf_select.exact import exact_budget, exact_cover
 from gmrf_select.greedy import BUDGET_FACTOR, greedy_budget, greedy_cover
-from gmrf_select.linalg import (
-    SupportedMatrix,
-    eig_extremes,
-    marginal,
-    obs,
-    psd_sandwich_check,
-    trace_of_inverse,
-)
+from gmrf_select.linalg import SupportedMatrix, marginal, obs, trace_of_inverse
 from gmrf_select.models import (
     GmrfModel,
     conditional_variance,
@@ -36,7 +29,7 @@ from gmrf_select.models import (
     random_gff,
     tree_gmrf_to_gff,
 )
-from gmrf_select.rounding import GffRounder, SvdRounder, gff_relation_eps
+from gmrf_select.rounding import GffRounder, SvdRounder
 
 from conftest import (
     COUNTEREXAMPLE_SIGMA,
@@ -45,6 +38,13 @@ from conftest import (
     random_tree_gmrf,
     triangle_chain_gmrf,
     unit_cycle,
+)
+from oracles import (
+    eig_extremes,
+    factor_total,
+    gff_relation_eps,
+    psd_sandwich_check,
+    reduced_covariance,
 )
 
 
@@ -78,7 +78,7 @@ def test_criterion_02_k5_reproduction():
     g = k5_gff()
     variances = [conditional_variance(g, i, {1}) for i in range(2, 6)]
     var_ok = all(abs(v - 1.0) <= 1e-9 for v in variances)
-    cov = g.reduced_covariance()          # over {2,3,4,5}
+    cov = reduced_covariance(g)           # over {2,3,4,5}
     sub = cov[np.ix_([0, 1, 2], [0, 1, 2])]
     lam_min = float(np.linalg.eigvalsh(sub)[0])
     eig_ok = abs(lam_min - 0.5) <= 1e-9
@@ -273,21 +273,21 @@ def test_criterion_09_factorization():
         n = int(rng.integers(3, 11))
         g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
         td = balance_for_tree(n, g.graph_edges())
-        cf = factorize(g, td, "gff")
+        cf = factorize(g, td)
         lap = g.precision().block
-        assert np.allclose(cf.total(n), lap, atol=1e-10 * max(np.abs(lap).max(), 1)), \
+        assert np.allclose(factor_total(cf, n), lap, atol=1e-10 * max(np.abs(lap).max(), 1)), \
             "gff factor sum mismatch"
         pairs += 1
     for _ in range(25):
         n = int(rng.integers(3, 9))
         model, edges, bags, links = triangle_chain_gmrf(n, rng)
         td = normalize(bags, links, n, edges)
-        cf = factorize(model, td, "general")
+        cf = factorize(model, td)
         lam = model.precision_matrix.block
-        assert np.allclose(cf.total(n), lam, atol=1e-10 * np.abs(lam).max()), \
+        assert np.allclose(factor_total(cf, n), lam, atol=1e-10 * np.abs(lam).max()), \
             "general factor sum mismatch"
         w = np.linalg.eigvalsh(lam)
-        for f in cf.factors:
+        for f in cf:
             if not f.support:
                 continue
             fw = np.linalg.eigvalsh(f.block)

@@ -1,0 +1,43 @@
+import gmrf_select
+
+PUBLIC = [
+    "GffModel",
+    "GffRounder",
+    "GmrfModel",
+    "Guarantee",
+    "MessageTable",
+    "SelectionReport",
+    "SupportedMatrix",
+    "SvdRounder",
+    "TreeDecomposition",
+    "balance_for_tree",
+    "conditional_variance",
+    "diag_of_inverse",
+    "dp_select",
+    "effective_resistance",
+    "err",
+    "exact_budget",
+    "exact_cover",
+    "extract_solution",
+    "factorize",
+    "greedy_budget",
+    "greedy_cover",
+    "laplacian",
+    "marginal",
+    "obs",
+    "parse_and_normalize",
+    "predictor_weights",
+    "random_gff",
+    "random_gmrf",
+    "run_dp",
+    "trace_of_inverse",
+    "tree_gmrf_to_gff",
+    "validate_suite",
+]
+
+
+def test_public_surface_is_pinned():
+    # test-only oracles (tests/oracles.py) are not part of the package
+    assert sorted(gmrf_select.__all__) == PUBLIC
+    for name in gmrf_select.__all__:
+        assert getattr(gmrf_select, name) is not None

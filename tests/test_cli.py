@@ -14,6 +14,7 @@ from gmrf_select.models import GffModel, GmrfModel, err, laplacian, random_gff
 from gmrf_select.validate import validate_suite
 
 from conftest import COUNTEREXAMPLE_SIGMA, unit_cycle
+from oracles import parse_report
 
 
 C4_TEXT = "gff 4 4 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 1 1.0\n"
@@ -74,7 +75,7 @@ class TestReports:
     def test_round_trip(self):
         from gmrf_select.greedy import greedy_budget
         rep = greedy_budget(unit_cycle(5), 2)
-        back = io.parse_report(io.emit_report(rep))
+        back = parse_report(io.emit_report(rep))
         assert back.selected == rep.selected
         assert abs(back.err_value - rep.err_value) <= 1e-9 * rep.err_value
         assert back.solver == rep.solver
@@ -350,25 +351,43 @@ class TestCli:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("argv, names", [
-        (["eval", "--set", "1", "--input", "{tmp}/missing.gff"], "missing.gff"),
-        (["eval", "--set", "1", "--input", "{tmp}/binary.gff"], "can't decode"),
+        (["eval", "--set", "1", "--input", "{tmp}/missing.gff"], ("missing.gff",)),
+        (["eval", "--set", "1", "--input", "{tmp}/binary.gff"],
+         ("binary.gff", "can't decode")),
         (["select", "dp", "--budget", "1", "--input", "{tmp}/p4.gff",
-          "--td", "{tmp}/missing.td"], "missing.td"),
-        (["gen", "gff", "--n", "5", "--out", "{tmp}/no/dir/model.gff"], "model.gff"),
+          "--td", "{tmp}/missing.td"], ("missing.td",)),
+        (["select", "dp", "--budget", "1", "--input", "{tmp}/p4.gff",
+          "--td", "{tmp}/binary.td"], ("binary.td", "can't decode")),
+        (["gen", "gff", "--n", "5", "--out", "{tmp}/no/dir/model.gff"], ("model.gff",)),
         (["convert", "tree-gmrf-to-gff", "--input", "{tmp}/t3.gmrf",
-          "--out", "{tmp}/no/dir/model.gff"], "model.gff"),
+          "--out", "{tmp}/no/dir/model.gff"], ("model.gff",)),
         (["validate", "--trials", "1", "--out", "{tmp}/no/dir/findings.json"],
-         "findings.json"),
-    ], ids=["missing-input", "undecodable-input", "missing-td", "gen-out", "convert-out",
-            "validate-out"])
+         ("findings.json",)),
+    ], ids=["missing-input", "undecodable-input", "missing-td", "undecodable-td",
+            "gen-out", "convert-out", "validate-out"])
     def test_unreadable_or_unwritable_file_exit_code(self, tmp_path, capsys, argv, names):
         write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
         write(tmp_path, "t3.gmrf", "gmrf\n3 3\n1 2 3\n2 -1 0\n-1 2 -1\n0 -1 2\n")
         (tmp_path / "binary.gff").write_bytes(b"\xff\xfe")
+        (tmp_path / "binary.td").write_bytes(b"\xff\xfe")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and names in captured.err
+        assert captured.err.startswith("error: ")
+        assert all(name in captured.err for name in names)
+
+    def test_validate_unwritable_out_fails_before_suites(self, tmp_path, capsys, monkeypatch):
+        import gmrf_select.validate as validate_mod
+
+        def must_not_run(seed, trials):
+            pytest.fail("a suite ran before the output file was opened")
+
+        monkeypatch.setattr(validate_mod, "SUITES", (("three-path", must_not_run),))
+        out_path = tmp_path / "no" / "dir" / "f.json"
+        assert main(["validate", "--trials", "1", "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "f.json" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["gff", "--density", "nan"],

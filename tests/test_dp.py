@@ -18,11 +18,11 @@ from gmrf_select.errors import (
     StateSpaceExceeded,
 )
 from gmrf_select.exact import exact_budget
-from gmrf_select.linalg import eig_extremes, psd_sandwich_check
 from gmrf_select.models import GffModel, err, random_gff
-from gmrf_select.rounding import gff_relation_eps, is_gff_class
+from gmrf_select.rounding import is_gff_class
 
 from conftest import random_tree_gmrf, triangle_chain_gmrf, unit_path
+from oracles import eig_extremes, factor_total, gff_relation_eps, psd_sandwich_check
 
 
 def quiet_dp_select(*args, **kwargs):
@@ -35,15 +35,15 @@ class TestFactorize:
     def test_single_cluster_is_lambda(self):
         m, edges, bags, links = triangle_chain_gmrf(3, np.random.default_rng(0))
         td = normalize([{1, 2, 3}], [], 3, edges)
-        cf = factorize(m, td, "general")
-        assert np.allclose(cf.total(3), m.precision_matrix.block, atol=1e-10)
+        cf = factorize(m, td)
+        assert np.allclose(factor_total(cf, 3), m.precision_matrix.block, atol=1e-10)
 
     def test_gff_edge_assignment_sums_to_laplacian(self):
         g = unit_path(3)
         td = normalize([{1, 2}, {2, 3}], [(0, 1)], 3, g.graph_edges())
-        cf = factorize(g, td, "gff")
-        assert np.allclose(cf.total(3), g.precision().block, atol=1e-12)
-        for f in cf.factors:
+        cf = factorize(g, td)
+        assert np.allclose(factor_total(cf, 3), g.precision().block, atol=1e-12)
+        for f in cf:
             assert is_gff_class(f.block, abs_tol=1e-12)
 
     def test_general_mode_bounds(self):
@@ -52,12 +52,12 @@ class TestFactorize:
             n = int(rng.integers(3, 9))
             m, edges, bags, links = triangle_chain_gmrf(n, rng)
             td = normalize(bags, links, n, edges)
-            cf = factorize(m, td, "general")
+            cf = factorize(m, td)
             lam = m.precision_matrix.block
-            assert np.allclose(cf.total(n), lam,
+            assert np.allclose(factor_total(cf, n), lam,
                                atol=1e-10 * np.abs(lam).max())
             w = np.linalg.eigvalsh(lam)
-            for f in cf.factors:
+            for f in cf:
                 if not f.support:
                     continue
                 lo, hi = eig_extremes(f)
@@ -71,10 +71,10 @@ class TestFactorize:
             n = int(rng.integers(3, 10))
             g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
             td = balance_for_tree(n, g.graph_edges())
-            cf = factorize(g, td, "gff")
+            cf = factorize(g, td)
             lap = g.precision().block
-            assert np.allclose(cf.total(n), lap, atol=1e-10 * np.abs(lap).max())
-            for f in cf.factors:
+            assert np.allclose(factor_total(cf, n), lap, atol=1e-10 * np.abs(lap).max())
+            for f in cf:
                 assert is_gff_class(f.block, abs_tol=1e-12)
 
     def test_elimination_order_broken(self):
@@ -84,20 +84,14 @@ class TestFactorize:
         bad = td.__class__(td.n, td.clusters, td.tree_edges,
                            tuple(reversed(td.elimination_order)))
         with pytest.raises(EliminationOrderBroken):
-            factorize(m, bad, "general")
-
-    def test_general_mode_rejects_gff(self):
-        g = unit_path(3)
-        td = balance_for_tree(3, g.graph_edges())
-        with pytest.raises(InvariantViolation):
-            factorize(g, td, "general")
+            factorize(m, bad)
 
 
 class TestRunDp:
     def test_budget_zero_single_state(self):
         g = unit_path(4)
         td = balance_for_tree(4, g.graph_edges())
-        mt = run_dp(g, td, 0, 0.02, "gff")
+        mt = run_dp(g, td, 0, 0.02)
         rep = extract_solution(mt)
         assert rep.selected == (1,)
         assert abs(rep.err_value - err(g, {1})) < 1e-12
@@ -105,7 +99,7 @@ class TestRunDp:
     def test_path4_b1_close_to_exact(self):
         g = unit_path(4)
         td = balance_for_tree(4, g.graph_edges())
-        mt = run_dp(g, td, 1, 0.02, "gff")
+        mt = run_dp(g, td, 1, 0.02)
         rep = extract_solution(mt)
         ex = exact_budget(g, 1)
         assert rep.err_value <= 1.1 * ex.err_value + 1e-9
@@ -113,8 +107,8 @@ class TestRunDp:
     def test_determinism(self):
         g = random_gff(7, density=0.0, seed=12)
         td = balance_for_tree(7, g.graph_edges())
-        a = extract_solution(run_dp(g, td, 2, 0.05, "gff"))
-        b = extract_solution(run_dp(g, td, 2, 0.05, "gff"))
+        a = extract_solution(run_dp(g, td, 2, 0.05))
+        b = extract_solution(run_dp(g, td, 2, 0.05))
         assert a.selected == b.selected
         assert a.err_value == b.err_value
 
@@ -122,7 +116,7 @@ class TestRunDp:
         g = random_gff(9, density=0.0, seed=4)
         td = balance_for_tree(9, g.graph_edges())
         with pytest.raises(StateSpaceExceeded) as info:
-            run_dp(g, td, 3, 1e-12, "gff", state_cap=25)
+            run_dp(g, td, 3, 1e-12, state_cap=25)
         assert "states" in str(info.value)
 
     def test_budget_soundness(self):
@@ -132,7 +126,7 @@ class TestRunDp:
             g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
             b = int(rng.integers(0, 4))
             td = balance_for_tree(n, g.graph_edges())
-            mt = run_dp(g, td, b, 0.05, "gff")
+            mt = run_dp(g, td, b, 0.05)
             rep = extract_solution(mt)
             assert len([v for v in rep.selected if v != g.pin]) <= b
 
@@ -146,7 +140,7 @@ class TestRunDp:
             g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
             b = int(rng.integers(0, 4))
             td = balance_for_tree(n, g.graph_edges())
-            mt = run_dp(g, td, b, 1e-12, "gff")
+            mt = run_dp(g, td, b, 1e-12)
             best = min(e.value for e in mt.root_table.values())
             ex = exact_budget(g, b)
             assert abs(best / n - ex.err_value) <= 1e-9 * max(ex.err_value, 1e-12)
@@ -156,7 +150,7 @@ class TestTableInvariants:
     def test_gff_audit_relation_and_range(self):
         g = random_gff(8, density=0.0, seed=21)
         td = balance_for_tree(8, g.graph_edges())
-        mt = run_dp(g, td, 2, 0.05, "gff")
+        mt = run_dp(g, td, 2, 0.05)
         assert mt.rounding_audit
         from gmrf_select.rounding import GffRounder
         r = GffRounder.for_model(g, 0.05)
@@ -175,7 +169,7 @@ class TestTableInvariants:
         rng = np.random.default_rng(6)
         m, edges, bags, links = triangle_chain_gmrf(6, rng)
         td = normalize(bags, links, 6, edges)
-        mt = run_dp(m, td, 2, 0.05, "svd")
+        mt = run_dp(m, td, 2, 0.05)
         assert mt.rounding_audit
         w = np.linalg.eigvalsh(m.precision_matrix.block)
         for pre, post in mt.rounding_audit:
@@ -234,7 +228,7 @@ class TestDpSelect:
             links = [(i, i + 1) for i in range(len(bags) - 1)]
             td = normalize(bags, links, n, plain)
             b = int(rng.integers(0, 3))
-            sel = quiet_dp_select(g, td, b, 0.1, rounding="gff")
+            sel = quiet_dp_select(g, td, b, 0.1)
             ex = exact_budget(g, b)
             assert sel.err_value <= 1.1 * ex.err_value + 1e-9
 
@@ -263,12 +257,12 @@ class TestDpSelect:
             dp_select(g, td, 1, 1.5)
 
     def test_svd_rounding_on_tree_gmrf(self):
-        # explicit rounding override: general mode on a tree-structured GMRF
+        # svd mode on a tree-structured GMRF
         rng = np.random.default_rng(10)
         from conftest import random_tree_gmrf
         m = random_tree_gmrf(6, rng)
         td = balance_for_tree(6, m.graph_edges())
-        sel = dp_select(m, td, 2, 0.1, rounding="svd")
+        sel = dp_select(m, td, 2, 0.1)
         ex = exact_budget(m, 2)
         assert sel.err_value <= 1.1 * ex.err_value + 1e-9
 
@@ -298,7 +292,7 @@ def pinned_tree(n, seed, pin):
     return on_tree(GffModel(n, g.edges, pin=pin))
 
 
-# (model and decomposition, rounding, budget, eps_prime, details["sizing"],
+# (model and decomposition, details["rounding"], budget, eps_prime, details["sizing"],
 # table_value.hex(), selected); the DP must reproduce these figures bit for bit
 MEMO_CASES = {
     "gff": (lambda: on_tree(random_gff(12, density=0.0, seed=2)), "gff", 3, 0.1,
@@ -319,7 +313,7 @@ MEMO_CASES = {
 def counted_dp_select(monkeypatch, case):
     """dp_select on a MEMO_CASES model; also every (support, block bytes,
     target) passed to the DP's marginal."""
-    make, rounding, b, eps_prime, *_ = MEMO_CASES[case]
+    make, _, b, eps_prime, *_ = MEMO_CASES[case]
     model, td = make()
     seen = []
     true_marginal = dp_mod.marginal
@@ -329,7 +323,7 @@ def counted_dp_select(monkeypatch, case):
         return true_marginal(m, delta)
 
     monkeypatch.setattr(dp_mod, "marginal", counting)
-    return quiet_dp_select(model, td, b, eps_prime, rounding=rounding), seen
+    return quiet_dp_select(model, td, b, eps_prime), seen
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
@@ -342,7 +336,8 @@ class TestKernelMemo:
 
     def test_sizing_and_table_value_unchanged(self, monkeypatch, case):
         report, _ = counted_dp_select(monkeypatch, case)
-        *_, sizing, value, selected = MEMO_CASES[case]
+        _, rounding, _, _, sizing, value, selected = MEMO_CASES[case]
+        assert report.details["rounding"] == rounding
         assert report.details["sizing"] == sizing
         assert report.details["table_value"].hex() == value
         assert report.selected == selected

@@ -16,14 +16,11 @@ from gmrf_select.models import (
     GmrfModel,
     conditional_variance,
     effective_resistance,
-    electrical_flow,
     err,
-    flow_energy,
     laplacian,
     predictor_weights,
     random_gff,
     random_gmrf,
-    regular_tightness,
     tree_gmrf_to_gff,
 )
 
@@ -34,6 +31,7 @@ from conftest import (
     unit_cycle,
     unit_path,
 )
+from oracles import electrical_flow, flow_energy, regular_tightness
 
 
 class TestLaplacian:
