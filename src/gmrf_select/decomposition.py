@@ -9,6 +9,7 @@ package's graph helpers (``adjacency`` and ``search``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -205,14 +206,10 @@ def normalize(clusters, tree_edges, n, graph_edges) -> TreeDecomposition:
         host = min(t for t in adj if len(adj[t]) == 1)
     empty = new_cluster((), host)
 
-    # non-leaf degree-2 clusters get a twin leaf
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(adj):
-            if len(adj[t]) == 2:
-                new_cluster(clusters[t], t)
-                changed = True
+    # non-leaf degree-2 clusters get a twin leaf; a twin changes no other
+    # cluster's degree, so one pass over the clusters present now suffices
+    for t in [t for t in sorted(adj) if len(adj[t]) == 2]:
+        new_cluster(clusters[t], t)
 
     # pad until m >= n: turn a non-empty leaf into an internal cluster with two twins
     while len(clusters) < n:
@@ -420,7 +417,6 @@ def balance_for_tree(n: int, edges) -> TreeDecomposition:
     td = normalize(clusters, tree_links, n, edges)
     if td.width > 5:
         raise InvariantViolation(f"balanced decomposition width {td.width} > 5")
-    import math
     bound = 2 * math.ceil(math.log(2 * n) / math.log(5.0 / 4.0))
     if td.height > bound:
         raise InvariantViolation(

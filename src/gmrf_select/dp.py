@@ -78,9 +78,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
             blocks[home][pv, pu] -= c
         return tuple(SupportedMatrix(model.n, s, b) for s, b in zip(supports, blocks))
 
-    lam = model.precision()
-    if len(lam.support) != model.n:
-        raise InvariantViolation("general factorization needs full support")
+    lam = model.precision()   # full support: GmrfModel refuses anything else
     w = np.linalg.eigvalsh(lam.block)
     lam_min = float(w[0])
     if lam_min <= 1e-12 * max(float(w[-1]), 0.0):

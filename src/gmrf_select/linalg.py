@@ -239,8 +239,6 @@ def parse_matrix_text(text: str, first_line: int = 1):
         support = tuple(int(t) for t in support_tokens)
     except ValueError:
         fail(1, f"non-integer support index in {lines[1]!r}")
-    if list(support) != sorted(set(support)):
-        fail(1, "support indices must be strictly ascending")
     rows = []
     for r in range(k):
         tokens = lines[2 + r].split()

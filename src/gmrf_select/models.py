@@ -33,11 +33,36 @@ from .linalg import SupportedMatrix
 INDEPENDENCE_TOL = 1e-12  # |Sigma_ij| below this (relative) counts as independent
 
 
-class GffModel:
+class _Model:
+    """What GFFs and GMRFs share once built: n, ``precision_matrix``, ``pinned``."""
+
+    pinned = frozenset()
+    _covariance = None
+
+    @property
+    def vertices(self) -> range:
+        return range(1, self.n + 1)
+
+    def precision(self) -> SupportedMatrix:
+        return self.precision_matrix
+
+    def covariance(self) -> np.ndarray:
+        """Full n x n covariance, exactly symmetric, pinned rows zero; cached."""
+        if self._covariance is None:
+            rest = [v - 1 for v in self.vertices if v not in self.pinned]
+            inv = np.linalg.inv(self.precision_matrix.block[np.ix_(rest, rest)])
+            cov = np.zeros((self.n, self.n))
+            cov[np.ix_(rest, rest)] = 0.5 * (inv + inv.T)
+            cov.setflags(write=False)
+            self._covariance = cov
+        return self._covariance
+
+
+class GffModel(_Model):
     """Gaussian free field: a connected weighted graph with edge resistances
-    and one vertex pinned to zero. ``pinned`` is {pin}: every solver treats it
-    as observed and never charges it against the selection budget.
-    """
+    and one vertex pinned to zero; the precision is the full n x n Laplacian.
+    ``pinned`` is {pin}: every solver treats it as observed and never charges
+    it against the selection budget."""
 
     def __init__(self, n: int, edges, pin: int = 1):
         if n < 2:
@@ -62,8 +87,7 @@ class GffModel:
         self.pin = pin
         self.edges = tuple((u, v, seen[(u, v)]) for (u, v) in sorted(seen))
         self._check_connected()
-        self._laplacian = None
-        self._covariance = None
+        self.precision_matrix = laplacian(self)
 
     @property
     def pinned(self) -> frozenset:
@@ -78,33 +102,10 @@ class GffModel:
     def graph_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v, _ in self.edges]
 
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
 
-    def precision(self) -> SupportedMatrix:
-        """The full n x n Laplacian (rows sum to zero); cached."""
-        if self._laplacian is None:
-            self._laplacian = laplacian(self)
-        return self._laplacian
-
-    def covariance(self) -> np.ndarray:
-        """Full n x n covariance; the pin's row and column are zero; cached."""
-        if self._covariance is None:
-            rest = [v - 1 for v in self.vertices if v != self.pin]
-            cov = np.zeros((self.n, self.n))
-            block = self.precision().block[np.ix_(rest, rest)]
-            cov[np.ix_(rest, rest)] = np.linalg.inv(block)
-            cov.setflags(write=False)
-            self._covariance = cov
-        return self._covariance
-
-
-class GmrfModel:
+class GmrfModel(_Model):
     """Gaussian MRF given by a full-rank precision matrix; the graph is exactly
     the nonzero pattern of the off-diagonal entries. Nothing is pinned."""
-
-    pinned = frozenset()
 
     def __init__(self, precision):
         if isinstance(precision, SupportedMatrix):
@@ -119,14 +120,6 @@ class GmrfModel:
                 f"precision not positive definite (lambda_min = {w[0]:.3e})")
         self.n = mat.ambient_dim
         self.precision_matrix = mat
-        self._covariance = None
-
-    def precision(self) -> SupportedMatrix:
-        return self.precision_matrix
-
-    @property
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
 
     def graph_edges(self) -> list[tuple[int, int]]:
         lam = self.precision_matrix.block
@@ -137,14 +130,6 @@ class GmrfModel:
                 if abs(lam[i, j]) > 1e-14 * scale:
                     out.append((i + 1, j + 1))
         return out
-
-    def covariance(self) -> np.ndarray:
-        if self._covariance is None:
-            cov = np.linalg.inv(self.precision_matrix.block)
-            cov = 0.5 * (cov + cov.T)
-            cov.setflags(write=False)
-            self._covariance = cov
-        return self._covariance
 
     @classmethod
     def from_covariance(cls, sigma) -> "GmrfModel":
@@ -200,12 +185,17 @@ def make_report(model, selected, solver, budget_or_alpha,
 def laplacian(gff: GffModel) -> SupportedMatrix:
     """Graph Laplacian: off-diagonal -1/r_ij, diagonal the row's conductance sum."""
     lam = np.zeros((gff.n, gff.n))
+    total = [0.0] * gff.n   # Python floats: an overflow gives inf, not a numpy warning
     for u, v, r in gff.edges:
         c = 1.0 / r
-        lam[u - 1, u - 1] += c
-        lam[v - 1, v - 1] += c
+        total[u - 1] += c
+        total[v - 1] += c
         lam[u - 1, v - 1] -= c
         lam[v - 1, u - 1] -= c
+    for v, t in enumerate(total, 1):
+        if not np.isfinite(t):
+            raise InvariantViolation(f"total conductance at vertex {v} overflows")
+    lam[np.diag_indices(gff.n)] = total
     return SupportedMatrix.from_dense(lam)
 
 
@@ -251,35 +241,22 @@ def conditional_variance(model, i: int, subset) -> float:
 
 
 def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarray]:
-    """Weights of the best linear predictor of X_i from X_S.
-
-    Returns (sorted observed indices, weights in that order). For a GMRF this is
-    Sigma[S,S]^-1 Sigma[S,i]; for a GFF (pin auto-inserted, where the weight on
-    the pinned variable is immaterial) the harmonic weights
-    -Lambda[Sbar,Sbar]^-1 Lambda[Sbar,S] of the full Laplacian are returned.
-    """
+    """Weights of the best linear predictor (the conditional mean) of X_i from
+    X_S: the row for i of -Lambda[Sbar,Sbar]^-1 Lambda[Sbar,S], the harmonic
+    weights on a GFF (pin auto-inserted). Returns (sorted observed indices,
+    weights in that order)."""
     s = _effective_observed(model, subset)
     if i in s:
         raise InvariantViolation(f"target {i} is observed")
     order = tuple(sorted(s))
-    if isinstance(model, GffModel):
-        lap = model.precision()
-        sbar = tuple(v for v in model.vertices if v not in s)
-        bi = lap.positions(sbar)
-        si = lap.positions(order)
-        try:
-            w_all = -np.linalg.solve(lap.block[np.ix_(bi, bi)], lap.block[np.ix_(bi, si)])
-        except np.linalg.LinAlgError as exc:
-            raise SingularObservationBlock(
-                f"unobserved block singular for S={order}") from exc
-        return order, w_all[sbar.index(i)]
-    sigma = model.covariance()
-    s_idx = [v - 1 for v in order]
+    lam = model.precision()
+    sbar = tuple(v for v in model.vertices if v not in s)
+    bi, si = lam.positions(sbar), lam.positions(order)
     try:
-        w = np.linalg.solve(sigma[np.ix_(s_idx, s_idx)], sigma[s_idx, i - 1])
+        w_all = -np.linalg.solve(lam.block[np.ix_(bi, bi)], lam.block[np.ix_(bi, si)])
     except np.linalg.LinAlgError as exc:
-        raise SingularObservationBlock(f"Sigma[S,S] singular for S={order}") from exc
-    return order, w
+        raise SingularObservationBlock(f"unobserved block singular for S={order}") from exc
+    return order, w_all[sbar.index(i)]
 
 
 def _contracted_potentials(gff: GffModel, i: int, s: frozenset):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -142,14 +142,15 @@ def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None
     enforced contract holds (discrepancy findings do not fail the run), 4 on
     violations. trials = 0 is a vacuous pass with a warning; trials < 0 and
     seed < 0 are refused. ``out_path`` is opened before any suite runs, so an
-    unwritable path fails at once."""
+    unwritable path fails at once; it is removed again if a suite raises."""
     if trials < 0:
         raise InfeasibleParameters(f"trials must be >= 0, got {trials}")
     if seed < 0:
         raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
     if trials:
         thread_count()   # a bad GMRF_SELECT_THREADS is refused before out_path is opened
-    with open(out_path, "w") if out_path else nullcontext() as fh:
+    fh = open(out_path, "w") if out_path else None
+    try:
         if trials == 0:
             warnings.warn("validate: trials = 0, nothing checked", RuntimeWarning,
                           stacklevel=2)
@@ -163,5 +164,13 @@ def validate_suite(seed: int = 0, trials: int = 100, out_path: str | None = None
             payload = {"seed": seed, "trials": trials,
                        "counts": counts, "findings": findings}
         if fh is not None:
-            json.dump(payload, fh, indent=2)
+            with fh:
+                json.dump(payload, fh, indent=2)
+    except BaseException:   # leave no empty or partial findings file behind
+        if fh is not None:
+            fh.close()
+            # only a regular file: never unlink a device or a link like /dev/stdout
+            if os.path.isfile(out_path) and not os.path.islink(out_path):
+                os.remove(out_path)
+        raise
     return code, payload

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -182,6 +183,21 @@ class TestCli:
         path = write(tmp_path, "tiny.gff", "gff 2 1 1\n1 2 1e-320\n")
         assert main(["select", "greedy", "--input", path, "--budget", "1"]) == 2
         assert "overflows" in capsys.readouterr().err
+
+    def test_overflowing_total_conductance_exit_code(self, tmp_path, capsys):
+        # each conductance is finite, but their sum at vertex 2 is not
+        path = write(tmp_path, "huge.gff", "gff 3 2 1\n1 2 1e-308\n2 3 1e-308\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: total conductance at vertex 2 overflows\n"
+
+    def test_unsorted_support_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.gmrf", "gmrf\n2 2\n2 1\n1 0\n0 1\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: support (2, 1) not ascending\n"
 
     @pytest.mark.parametrize("rows", ["inf 0\n0 1", "1 inf\ninf 1", "nan 0\n0 1"],
                              ids=["inf-diagonal", "inf-off-diagonal", "nan"])
@@ -388,6 +404,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "f.json" in captured.err
+
+    def test_validate_crashing_suite_leaves_no_out_file(self, tmp_path, monkeypatch):
+        import gmrf_select.validate as validate_mod
+
+        def crash(seed, trials):
+            raise RuntimeError("suite crashed")
+
+        monkeypatch.setattr(validate_mod, "SUITES", (("three-path", crash),))
+        out_path = tmp_path / "f.json"
+        with pytest.raises(RuntimeError, match="suite crashed"):
+            main(["validate", "--trials", "1", "--out", str(out_path)])
+        assert not out_path.exists()
+
+    def test_text_format(self, tmp_path, capsys):
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        assert main(["select", "greedy", "--input", path, "--budget", "1",
+                     "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"greedy-budget: selected=\[1,\d\] err=\S+ n=4 guarantee=\S+",
+                            lines[0])
+
+    def test_timing_reports_wall_ms(self, tmp_path, capsys):
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        argv = ["select", "greedy", "--input", path, "--budget", "1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["wall_ms"] is None
+        assert main([*argv, "--timing"]) == 0
+        wall_ms = json.loads(capsys.readouterr().out)["wall_ms"]
+        assert isinstance(wall_ms, float) and wall_ms >= 0
 
     @pytest.mark.parametrize("argv", [
         ["gff", "--density", "nan"],

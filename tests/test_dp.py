@@ -7,6 +7,8 @@ import pytest
 import gmrf_select.dp as dp_mod
 from gmrf_select.decomposition import balance_for_tree, normalize
 from gmrf_select.dp import (
+    DEFAULT_STATE_CAP,
+    MessageTable,
     dp_select,
     extract_solution,
     factorize,
@@ -18,6 +20,7 @@ from gmrf_select.errors import (
     StateSpaceExceeded,
 )
 from gmrf_select.exact import exact_budget
+from gmrf_select.linalg import SupportedMatrix
 from gmrf_select.models import GffModel, err, random_gff
 from gmrf_select.rounding import is_gff_class
 
@@ -341,3 +344,44 @@ class TestKernelMemo:
         assert report.details["sizing"] == sizing
         assert report.details["table_value"].hex() == value
         assert report.selected == selected
+
+
+class TestSingularBlockDrop:
+    def test_kernel_drops_singular_block_once(self, monkeypatch):
+        # an operand cancelling a cluster's factor leaves a zero block: both
+        # kernels drop it (None), and the memo answers a repeat without work
+        g, td = on_tree(random_gff(8, density=0, seed=1))
+        mt = MessageTable(g, td, 1, 0.1, DEFAULT_STATE_CAP)
+        i = next(t for t, f in enumerate(mt.sys_factors) if len(f.support) >= 2)
+        f = mt.sys_factors[i]
+        cancel = (SupportedMatrix(g.n, f.support, -f.block),)
+        keep = frozenset(f.support[:1])
+        calls = []
+        true_marginal, true_diag = dp_mod.marginal, dp_mod.linalg.diag_of_inverse
+        monkeypatch.setattr(dp_mod, "marginal",
+                            lambda *a: calls.append("p") or true_marginal(*a))
+        monkeypatch.setattr(dp_mod.linalg, "diag_of_inverse",
+                            lambda *a: calls.append("t") or true_diag(*a))
+        for kind in ("p", "t"):
+            assert mt._kernel(kind, i, cancel, set(), keep) is None
+            assert mt._kernel(kind, i, cancel, set(), keep) is None
+        assert calls == ["p", "t"]
+
+    def test_dropped_configurations_keep_the_optimum(self, monkeypatch):
+        # a resistance spread of 1e14 makes some inside-precision blocks singular
+        g = random_gff(8, density=0.0, seed=139662128,
+                       resistance_range=(1.0079770156104522e-07, 18731635.696855657))
+        dropped = []
+        true_kernel = MessageTable._kernel
+
+        def counting(self, kind, *args):
+            out = true_kernel(self, kind, *args)
+            if out is None:
+                dropped.append(kind)
+            return out
+
+        monkeypatch.setattr(MessageTable, "_kernel", counting)
+        report = quiet_dp_select(*on_tree(g), 1, 0.1)
+        assert "p" in dropped
+        exact = exact_budget(g, 1).err_value
+        assert abs(report.err_value - exact) <= 1e-13 * exact

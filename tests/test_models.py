@@ -435,3 +435,7 @@ def test_invalid_gff_inputs():
         GffModel(3, [(1, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(InvariantViolation):
         GffModel(3, [(1, 2, -1.0), (2, 3, 1.0)])
+    # each conductance 1e308 is finite, vertex 2's total is not; refused with
+    # no numpy overflow warning (pytest turns warnings into errors)
+    with pytest.raises(InvariantViolation, match="total conductance at vertex 2 overflows"):
+        GffModel(3, [(1, 2, 1e-308), (2, 3, 1e-308)])
