@@ -47,6 +47,7 @@ DEFAULT_STATE_CAP = 10_000_000
 EPS_CLAMP = 1e-12
 KEY_QUANTUM_REL = 1e-9   # relative key quantization collapsing float round-off
 AUDIT_CAP = 500
+_MISSING = object()   # memo miss; a cached None is a dropped configuration
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ class MessageTable:
         self.children = {u: sorted(v for v in adj[u] if parent[v] == u)
                          for u in range(td.m)}
         self._reach = {}
-        self._kernels = {}   # (kernel, cluster, operand bits, observed, keep) -> result
+        self._kernels = {}   # (kernel, cluster, *operand bits, observed, keep) -> result
 
     def sizing_report(self) -> str:
         return (f"mode={self.mode} eps={self.eps:.3e} budget={self.budget} "
@@ -205,36 +206,44 @@ class MessageTable:
         return self.sys_clusters[i] - self.sys_clusters[j]
 
     def _kernel(self, kind, i, operands, observed, keep):
-        """A kernel on base = sys_factors[i] + operands (added in order) with the
-        ``observed`` variables conditioned out; None if a block is singular.
-        Kind "p" is the inside precision Round(Marginal(., keep)); kind "t" is the
-        trace term, the summed conditional variances of the kept Gamma-side
-        variables (the separator variables stay unobserved). Memoized for the run
-        on the exact operand bits, so a repeat gets what recomputing gives."""
-        key = (kind, i, tuple((m.support, m.block.tobytes()) for m in operands),
+        """A kernel on base = sys_factors[i] + operands (summed left to right) with
+        the ``observed`` variables conditioned out; None if a block is singular.
+        Kind "p" gives (P, key_of(P)) for the inside precision P =
+        Round(Marginal(., keep)), so each result is keyed once; kind "t" gives
+        the trace term, the summed conditional variances of the kept
+        Gamma-side variables (the separator variables stay unobserved). Memoized
+        for the run on the exact operand bits, so a repeat gets what recomputing
+        gives."""
+        key = (kind, i, *[(m.support, m.block.tobytes()) for m in operands],
                frozenset(observed), keep)
-        if key not in self._kernels:
-            base = self.sys_factors[i]
-            for m in operands:
-                base = add(base, m)
-            try:
-                block = obs(base, observed)
-                self._kernels[key] = (
-                    self._round(marginal(block, keep)) if kind == "p" else
-                    linalg.diag_of_inverse(block, sorted(keep & set(block.support))))
-            except (SingularComplement, SingularMatrix, np.linalg.LinAlgError):
-                self._kernels[key] = None
-        return self._kernels[key]
+        out = self._kernels.get(key, _MISSING)
+        if out is not _MISSING:
+            return out
+        base = self.sys_factors[i]
+        if operands:
+            base = add(base, *operands)
+        try:
+            block = obs(base, observed)
+            if kind == "p":
+                p = self._round(marginal(block, keep))
+                out = (p, self.key_of(p))
+            else:
+                out = linalg.diag_of_inverse(
+                    block, tuple(v for v in block.support if v in keep))
+        except (SingularComplement, SingularMatrix, np.linalg.LinAlgError):
+            out = None
+        self._kernels[key] = out
+        return out
 
     def _local_choices(self, i, j, s_hat, budget):
         """(L-hat, observed set, per-child separator observations) for every local
         choice of edge i->j observing at most ``budget`` vertices, smallest first."""
         gamma = sorted(self.gamma(i, j))
+        seps = [self.sep(c, i) for c in self.children[i]]
         for size in range(min(len(gamma), budget - len(s_hat)) + 1):
             for l_hat in combinations(gamma, size):
-                observed = set(s_hat) | set(l_hat)
-                yield l_hat, observed, tuple(tuple(sorted(observed & self.sep(c, i)))
-                                             for c in self.children[i])
+                observed = frozenset(s_hat).union(l_hat)
+                yield l_hat, observed, tuple(tuple(sorted(observed & sep)) for sep in seps)
 
     # -- bottom-up: reachable rounded inside-precisions (independent of Q) --
 
@@ -245,7 +254,7 @@ class MessageTable:
             return self._reach[key]
         i, j = edge
         out = {}
-        target = self.sep(i, j) - set(s_hat)
+        target = self.sep(i, j).difference(s_hat)
         for _, observed, s_kids in self._local_choices(i, j, s_hat, self.budget):
             reach = [self.reachable((c, i), s).values()
                      for c, s in zip(self.children[i], s_kids)]
@@ -253,13 +262,14 @@ class MessageTable:
                 n_total = len(observed) + sum(n - len(s) for (_, n), s in zip(combo, s_kids))
                 if n_total > self.budget:
                     continue
-                p = self._kernel("p", i, tuple(p for p, _ in combo), observed, target)
-                if p is None:
+                hit = self._kernel("p", i, tuple(p for p, _ in combo), observed, target)
+                if hit is None:
                     continue
-                pk = self.key_of(p)
-                if pk not in out:
+                p, pk = hit
+                old = out.get(pk)
+                if old is None:
                     self._bump("state")
-                if pk not in out or n_total < out[pk][1]:
+                if old is None or n_total < old[1]:
                     out[pk] = (p, n_total)
         self._reach[key] = out
         return out
@@ -277,18 +287,21 @@ class MessageTable:
         self._bump("context")
         table = {}
         gamma = self.gamma(i, j)
-        target = self.sep(i, j) - set(s_hat)
+        target = self.sep(i, j).difference(s_hat)
         for l_hat, observed, s_kids in self._local_choices(i, j, s_hat, n_hat):
             n_kids = n_hat - len(observed) + sum(map(len, s_kids))
+            gamma_keep = gamma.difference(l_hat)
             for value, p_kids, kids_chosen, kids_tie in self._child_entries(
                     i, observed, s_kids, n_kids, q_mat):
-                p = self._kernel("p", i, p_kids, observed, target)
-                if p is None:
+                hit = self._kernel("p", i, p_kids, observed, target)
+                if hit is None:
                     continue
-                tr = self._kernel("t", i, (*p_kids, q_mat), observed, gamma - set(l_hat))
+                # with every Gamma-side variable observed the trace term is 0
+                tr = (self._kernel("t", i, (*p_kids, q_mat), observed, gamma_keep)
+                      if gamma_keep else 0.0)
                 if tr is None:
                     continue
-                self._store(table, p, value + tr, l_hat, kids_chosen, kids_tie)
+                self._store(table, *hit, value + tr, l_hat, kids_chosen, kids_tie)
         self.tables.setdefault(edge, {})[ctx] = table
         return table
 
@@ -301,31 +314,28 @@ class MessageTable:
             yield 0.0, (), frozenset(), ()
             return
         (k, l), (s_ik, s_il) = self.children[i], s_kids
-        reach_l = self.reachable((l, i), s_il)
+        reach_l = sorted(self.reachable((l, i), s_il).items())
+        target_k = self.sep(k, i).difference(s_ik)
+        target_l = self.sep(l, i).difference(s_il)
         for n_k in range(len(s_ik), n_kids - len(s_il) + 1):
             n_l = n_kids - n_k
-            for pl_key, (p_li, min_l) in sorted(reach_l.items()):
+            for pl_key, (p_li, min_l) in reach_l:
                 if min_l > n_l:
                     continue
-                q_ik = self._kernel("p", i, (p_li, q_mat), observed,
-                                    self.sep(k, i) - set(s_ik))
-                if q_ik is None:
+                hit = self._kernel("p", i, (p_li, q_mat), observed, target_k)
+                if hit is None:
                     continue
-                key_ik = self.key_of(q_ik)
-                for pk_key, ent_k in self.evaluate((k, i), q_ik, key_ik, s_ik, n_k).items():
-                    q_il = self._kernel("p", i, (ent_k.p_mat, q_mat), observed,
-                                        self.sep(l, i) - set(s_il))
-                    if q_il is None:
+                for pk_key, ent_k in self.evaluate((k, i), *hit, s_ik, n_k).items():
+                    hit = self._kernel("p", i, (ent_k.p_mat, q_mat), observed, target_l)
+                    if hit is None:
                         continue
-                    ent_l = self.evaluate((l, i), q_il, self.key_of(q_il), s_il,
-                                          n_l).get(pl_key)
+                    ent_l = self.evaluate((l, i), *hit, s_il, n_l).get(pl_key)
                     if ent_l is not None:
                         yield (ent_k.value + ent_l.value, (ent_k.p_mat, p_li),
                                ent_k.chosen | ent_l.chosen,
                                ((k, s_ik, n_k, pk_key), (l, s_il, n_l, pl_key)))
 
-    def _store(self, table, p_mat, value, l_hat, kids_chosen, kids_tie):
-        pk = self.key_of(p_mat)
+    def _store(self, table, p_mat, pk, value, l_hat, kids_chosen, kids_tie):
         tiebreak = (tuple(l_hat), kids_tie)
         old = table.get(pk)
         if old is None:

@@ -9,6 +9,7 @@ in the package. All operations are pure: inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,9 +81,23 @@ class SupportedMatrix:
         return cls(ambient_dim, support, block)
 
     @classmethod
+    def of_symmetric(cls, ambient_dim: int, support: tuple, block: np.ndarray
+                     ) -> "SupportedMatrix":
+        """Wrap a block that is exactly symmetric by construction (a sum or a
+        restriction of stored blocks, or a rounding that writes both
+        triangles): symmetrizing would give back the same bits, so the block is
+        only frozen."""
+        block.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "ambient_dim", ambient_dim)
+        object.__setattr__(m, "support", support)
+        object.__setattr__(m, "block", block)
+        return m
+
+    @classmethod
     def zeros(cls, ambient_dim: int) -> "SupportedMatrix":
         """The zero matrix with empty support."""
-        return cls(ambient_dim, (), np.zeros((0, 0)))
+        return cls.of_symmetric(ambient_dim, (), np.zeros((0, 0)))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SupportedMatrix":
@@ -118,20 +133,78 @@ class SupportedMatrix:
         return 0.0
 
 
-def add(a: SupportedMatrix, b: SupportedMatrix) -> SupportedMatrix:
-    """Entrywise sum; the result is supported on the union of supports."""
-    if a.ambient_dim != b.ambient_dim:
-        raise SupportMismatch(
-            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    support = tuple(sorted(set(a.support) | set(b.support)))
+# Position maps for the small supports the DP sums and eliminates on, keyed
+# on support tuples and built once per distinct key. The caches are bounded, so
+# a long-lived process holds at most MAPS_CACHE entries in each, and every
+# cached array is read-only because all callers share it.
+MAPS_CACHE = 1024
+
+
+def _index(positions) -> np.ndarray:
+    out = np.array(positions, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=MAPS_CACHE)
+def _sum_maps(supports: tuple) -> tuple:
+    """The union of ``supports`` and, per support, the flat positions of its
+    block entries inside the union's block (a plain slice for the union itself)."""
+    support = tuple(sorted(set().union(*supports)))
     k = len(support)
-    out = np.zeros((k, k))
     pos = {v: p for p, v in enumerate(support)}
-    for m in (a, b):
-        if m.support:
-            idx = np.array([pos[v] for v in m.support], dtype=int)
-            out[np.ix_(idx, idx)] += m.block
-    return SupportedMatrix(a.ambient_dim, support, out)
+    flats = tuple(
+        slice(None) if s == support else
+        _index([pos[u] * k + pos[v] for u in s for v in s])
+        for s in supports)
+    return support, flats
+
+
+@lru_cache(maxsize=MAPS_CACHE)
+def _split_maps(support: tuple, delta: frozenset) -> tuple:
+    """(kept indices, eliminated indices, flat positions of the
+    eliminated x eliminated, eliminated x kept and kept x kept blocks)."""
+    if not delta <= set(support):
+        missing = sorted(delta - set(support))
+        raise IndexOutOfSupport(f"marginal target {missing} outside support")
+    k = len(support)
+    ki = [p for p, v in enumerate(support) if v in delta]
+    ei = [p for p, v in enumerate(support) if v not in delta]
+
+    def flat(rows, cols):
+        return _index([r * k + c for r in rows for c in cols])
+
+    return (tuple(support[p] for p in ki), tuple(support[p] for p in ei),
+            flat(ei, ei), flat(ei, ki), flat(ki, ki))
+
+
+@lru_cache(maxsize=MAPS_CACHE)
+def _unit_columns(support: tuple, subset: tuple) -> np.ndarray:
+    """The |V| x |subset| right-hand side with a 1 at each subset index's row."""
+    pos = {v: p for p, v in enumerate(support)}
+    rhs = np.zeros((len(support), len(subset)))
+    for col, v in enumerate(subset):
+        if v not in pos:
+            raise IndexOutOfSupport(f"index {v} not in support {support}")
+        rhs[pos[v], col] = 1.0
+    rhs.setflags(write=False)
+    return rhs
+
+
+def add(a: SupportedMatrix, *more: SupportedMatrix) -> SupportedMatrix:
+    """Entrywise sum a + more[0] + more[1] + ..., added left to right; the
+    result is supported on the union of supports."""
+    for m in more:
+        if m.ambient_dim != a.ambient_dim:
+            raise SupportMismatch(
+                f"ambient dims differ: {a.ambient_dim} vs {m.ambient_dim}")
+    mats = (a, *more)
+    support, flats = _sum_maps(tuple(m.support for m in mats))
+    k = len(support)
+    out = np.zeros(k * k)
+    for m, flat in zip(mats, flats):
+        out[flat] += m.block.ravel()
+    return SupportedMatrix.of_symmetric(a.ambient_dim, support, out.reshape(k, k))
 
 
 def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
@@ -143,26 +216,23 @@ def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
     if not observed <= set(m.support):
         missing = sorted(observed - set(m.support))
         raise IndexOutOfSupport(f"observed indices {missing} outside support")
-    keep = tuple(v for v in m.support if v not in observed)
-    idx = m.positions(keep)
-    return SupportedMatrix(m.ambient_dim, keep, m.block[np.ix_(idx, idx)])
+    if not observed:
+        return m
+    keep = [p for p, v in enumerate(m.support) if v not in observed]
+    idx = np.array(keep, dtype=np.intp)
+    return SupportedMatrix.of_symmetric(m.ambient_dim, tuple(m.support[p] for p in keep),
+                                        m.block.take(idx, 0).take(idx, 1))
 
 
 def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
     """Precision of the marginal over ``delta``: the Schur complement
     M[D,D] - M[D,E] M[E,E]^-1 M[E,D] with E = support \\ delta.
     """
-    delta = frozenset(delta)
-    if not delta <= set(m.support):
-        missing = sorted(delta - set(m.support))
-        raise IndexOutOfSupport(f"marginal target {missing} outside support")
-    keep = tuple(v for v in m.support if v in delta)
-    elim = tuple(v for v in m.support if v not in delta)
+    keep, elim, ee, ek, kk = _split_maps(m.support, frozenset(delta))
     if not elim:
         return m
-    ki = m.positions(keep)
-    ei = m.positions(elim)
-    e_block = m.block[np.ix_(ei, ei)]
+    flat = m.block.ravel()
+    e_block = flat.take(ee).reshape(len(elim), len(elim))
     w = np.linalg.eigvalsh(e_block)
     if w[0] <= RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
         raise SingularComplement(
@@ -170,8 +240,9 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
             f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")
     if not keep:
         return SupportedMatrix.zeros(m.ambient_dim)
-    cross = m.block[np.ix_(ei, ki)]
-    schur = m.block[np.ix_(ki, ki)] - cross.T @ np.linalg.solve(e_block, cross)
+    cross = flat.take(ek).reshape(len(elim), len(keep))
+    schur = (flat.take(kk).reshape(len(keep), len(keep))
+             - cross.T @ np.linalg.solve(e_block, cross))
     return SupportedMatrix(m.ambient_dim, keep, schur)
 
 
@@ -192,16 +263,14 @@ def trace_of_inverse(m: SupportedMatrix) -> float:
 
 def diag_of_inverse(m: SupportedMatrix, subset) -> float:
     """Sum over t in ``subset`` of (M[V,V]^-1)[t,t], via the Cholesky factor."""
-    subset = tuple(v for v in subset)
+    subset = tuple(subset)
     if not subset:
         return 0.0
-    idx = m.positions(subset)
+    rhs = _unit_columns(m.support, subset)
     try:
         chol = np.linalg.cholesky(m.block)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"support block not positive definite: {exc}") from exc
-    rhs = np.zeros((len(m.support), len(subset)))
-    rhs[idx, np.arange(len(subset))] = 1.0
     half = np.linalg.solve(chol, rhs)
     return float(np.sum(half * half))
 

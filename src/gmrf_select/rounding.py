@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,25 +76,32 @@ class GffRounder:
         c_h = gff.n ** 2 * max_c / 2.0
         return cls(c_l=c_l, c_h=c_h, eps=eps, range_factor=range_factor)
 
-    @property
+    # the grid constants below are computed once per rounder, not per snap
+
+    @cached_property
     def top_index(self) -> int:
         return int(math.floor(math.log(self.c_h / self.c_l) / self.eps))
 
-    @property
+    @cached_property
     def zero_tol(self) -> float:
         # numerically-zero band: well below the legitimate value range, well
         # above float round-off accumulated at the c_h scale
         return min(0.5 * self.c_l * math.exp(-self.eps / 2.0) / self.range_factor,
                    1e-10 * self.c_h)
 
+    @cached_property
+    def limits(self) -> tuple[float, float]:
+        """The range [lo, hi] a nonzero value must lie in to be snapped."""
+        return (self.c_l * math.exp(-self.eps / 2.0) * (1.0 - RANGE_SLACK) / self.range_factor,
+                self.c_h * math.exp(self.eps / 2.0) * (1.0 + RANGE_SLACK) * self.range_factor)
+
     def snap(self, value: float) -> float:
         if abs(value) <= self.zero_tol:
             return 0.0
-        lo = self.c_l * math.exp(-self.eps / 2.0) * (1.0 - RANGE_SLACK) / self.range_factor
-        hi = self.c_h * math.exp(self.eps / 2.0) * (1.0 + RANGE_SLACK) * self.range_factor
+        lo, hi = self.limits
         if not lo <= value <= hi:
             raise OutOfGridRange(
-                f"value {value!r} outside [{lo:.6e}, {hi:.6e}] "
+                f"value {float(value)!r} outside [{lo:.6e}, {hi:.6e}] "
                 f"(grid [{self.c_l:.6e}, {self.c_h:.6e}], eps={self.eps:.3e})")
         return log_grid_snap(value, self.c_l, self.eps, self.top_index)
 
@@ -104,15 +112,16 @@ class GffRounder:
             raise InvariantViolation(
                 "matrix outside the diagonally-dominant M-matrix class")
         k = len(p.support)
+        block = p.block.tolist()
         out = np.zeros((k, k))
-        row_sums = p.block.sum(axis=1)
+        flat = out.ravel()
         for i in range(k):
             for j in range(i + 1, k):
-                mag = self.snap(abs(p.block[i, j]))
-                out[i, j] = out[j, i] = -mag
-        for i in range(k):
-            out[i, i] = self.snap(row_sums[i]) + np.abs(out[i]).sum() - abs(out[i, i])
-        return SupportedMatrix(p.ambient_dim, p.support, out)
+                flat[i * k + j] = flat[j * k + i] = -self.snap(abs(block[i][j]))
+        # the diagonal is still 0 where the off-diagonal magnitudes are summed
+        row_sums = [self.snap(x) for x in p.block.sum(axis=1).tolist()]
+        flat[::k + 1] = row_sums + np.abs(out).sum(axis=1)
+        return SupportedMatrix.of_symmetric(p.ambient_dim, p.support, out)
 
 
 def canonical_ray(z: np.ndarray, pitch: float) -> np.ndarray:
@@ -120,24 +129,32 @@ def canonical_ray(z: np.ndarray, pitch: float) -> np.ndarray:
     largest-magnitude coordinate is exactly 1, quantize the rest at ``pitch``
     (ties toward -inf), clip to [-1, 1], renormalize. Idempotent on its image
     up to a global sign."""
-    m = int(np.argmax(np.abs(z)))
-    y = z / z[m]
+    return canonical_rays(np.asarray(z)[:, None], pitch)[:, 0]
+
+
+def canonical_rays(u: np.ndarray, pitch: float) -> np.ndarray:
+    """``canonical_ray`` of every column of ``u``: the element-wise steps run on
+    all columns at once, the norm once per column."""
+    cols = np.arange(u.shape[1])
+    m = np.abs(u).argmax(axis=0)
+    y = u / u[m, cols]
     q = pitch * np.ceil(y / pitch - 0.5)
-    q = np.clip(q, -1.0, 1.0)
-    q[m] = 1.0
-    return q / np.linalg.norm(q)
+    q = q.clip(-1.0, 1.0)
+    q[m, cols] = 1.0
+    return q / [np.linalg.norm(q[:, c]) for c in cols]
 
 
 def ordered_gram_schmidt(columns: np.ndarray) -> np.ndarray:
     out = columns.copy()
     k = out.shape[1]
-    for i in range(k):
-        for j in range(i):
-            out[:, i] -= (out[:, j] @ out[:, i]) * out[:, j]
-        norm = np.linalg.norm(out[:, i])
+    views = [out[:, i] for i in range(k)]   # strided column views into out
+    for i, col in enumerate(views):
+        for prev in views[:i]:
+            col -= (prev @ col) * prev
+        norm = np.linalg.norm(col)
         if norm < 1e-12:
             raise InvariantViolation("Gram-Schmidt collapsed a column")
-        out[:, i] /= norm
+        col /= norm
     return out
 
 
@@ -158,21 +175,26 @@ class SvdRounder:
         return cls(lam_lo=lam_min / m, lam_hi=lam_max, eps=eps,
                    range_factor=range_factor)
 
-    @property
+    @cached_property
     def top_index(self) -> int:
         return int(math.floor(math.log(self.lam_hi / self.lam_lo) / (self.eps / 2.0)))
+
+    @cached_property
+    def limits(self) -> tuple[float, float]:
+        """The range [lo, hi] an eigenvalue must lie in to be snapped."""
+        return ((self.lam_lo * math.exp(-self.eps / 2.0) * (1.0 - RANGE_SLACK)
+                 / self.range_factor - RANGE_SLACK * self.lam_hi),
+                self.lam_hi * math.exp(self.eps / 2.0) * (1.0 + RANGE_SLACK) * self.range_factor)
 
     def eps1(self, k: int) -> float:
         nominal = (self.lam_lo / self.lam_hi) ** 2 * self.eps ** 2 / (1e4 * k ** 3)
         return min(nominal, 1.0 / (k * (4.0 * math.sqrt(2.0) + 4.0)))
 
     def snap_eig(self, value: float) -> float:
-        lo = (self.lam_lo * math.exp(-self.eps / 2.0) * (1.0 - RANGE_SLACK)
-              / self.range_factor - RANGE_SLACK * self.lam_hi)
-        hi = self.lam_hi * math.exp(self.eps / 2.0) * (1.0 + RANGE_SLACK) * self.range_factor
+        lo, hi = self.limits
         if not lo <= value <= hi:
             raise EigenvalueOutOfRange(
-                f"eigenvalue {value!r} outside [{self.lam_lo:.6e}, {self.lam_hi:.6e}]")
+                f"eigenvalue {float(value)!r} outside [{self.lam_lo:.6e}, {self.lam_hi:.6e}]")
         return log_grid_snap(max(value, self.lam_lo), self.lam_lo, self.eps / 2.0,
                              self.top_index)
 
@@ -181,12 +203,10 @@ class SvdRounder:
             return p
         k = len(p.support)
         w, u = np.linalg.eigh(p.block)
+        w = w.tolist()
         if w[0] <= 1e-12 * max(w[-1], 0.0):
             raise RankDeficient(
                 f"matrix on {p.support} has eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]")
-        d = np.array([self.snap_eig(x) for x in w])
-        pitch = self.eps1(k) / math.sqrt(k)
-        cols = np.column_stack([canonical_ray(u[:, i], pitch) for i in range(k)])
-        u2 = ordered_gram_schmidt(cols)
-        out = (u2 * d) @ u2.T
-        return SupportedMatrix(p.ambient_dim, p.support, out)
+        d = [self.snap_eig(x) for x in w]
+        u2 = ordered_gram_schmidt(canonical_rays(u, self.eps1(k) / math.sqrt(k)))
+        return SupportedMatrix(p.ambient_dim, p.support, (u2 * d) @ u2.T)

@@ -3,7 +3,8 @@
 The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
 PSD sandwich, the element-wise rounding relation, report parsing, factor
-totals) live here.
+totals) live here, with the straightforward ``np.ix_`` and element-loop forms
+of the DP kernels that the package computes on cached position maps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from gmrf_select.errors import (
     InvariantViolation,
     NotUnitRegular,
     ParseError,
+    SingularComplement,
     SingularSubmatrix,
     SupportMismatch,
 )
@@ -134,6 +136,56 @@ def psd_sandwich_check(a: SupportedMatrix, b: SupportedMatrix, eps: float) -> bo
             and float(np.linalg.eigvalsh(lower)[0]) >= -tol)
 
 
+def add_reference(a: SupportedMatrix, b: SupportedMatrix) -> SupportedMatrix:
+    """Entrywise sum through per-call position dicts and ``np.ix_``."""
+    support = tuple(sorted(set(a.support) | set(b.support)))
+    k = len(support)
+    out = np.zeros((k, k))
+    pos = {v: p for p, v in enumerate(support)}
+    for m in (a, b):
+        if m.support:
+            idx = np.array([pos[v] for v in m.support], dtype=int)
+            out[np.ix_(idx, idx)] += m.block
+    return SupportedMatrix(a.ambient_dim, support, out)
+
+
+def obs_reference(m: SupportedMatrix, observed) -> SupportedMatrix:
+    keep = tuple(v for v in m.support if v not in set(observed))
+    idx = m.positions(keep)
+    return SupportedMatrix(m.ambient_dim, keep, m.block[np.ix_(idx, idx)])
+
+
+def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
+    """Schur complement onto ``delta`` with ``np.ix_`` blocks; raises
+    SingularComplement where ``linalg.marginal`` must."""
+    keep = tuple(v for v in m.support if v in delta)
+    elim = tuple(v for v in m.support if v not in delta)
+    if not elim:
+        return m
+    ki, ei = m.positions(keep), m.positions(elim)
+    e_block = m.block[np.ix_(ei, ei)]
+    w = np.linalg.eigvalsh(e_block)
+    if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
+        raise SingularComplement(f"eliminated block on {elim} is rank-deficient")
+    if not keep:
+        return SupportedMatrix.zeros(m.ambient_dim)
+    cross = m.block[np.ix_(ei, ki)]
+    schur = m.block[np.ix_(ki, ki)] - cross.T @ np.linalg.solve(e_block, cross)
+    return SupportedMatrix(m.ambient_dim, keep, schur)
+
+
+def diag_of_inverse_reference(m: SupportedMatrix, subset) -> float:
+    subset = tuple(subset)
+    if not subset:
+        return 0.0
+    idx = m.positions(subset)
+    chol = np.linalg.cholesky(m.block)
+    rhs = np.zeros((len(m.support), len(subset)))
+    rhs[idx, np.arange(len(subset))] = 1.0
+    half = np.linalg.solve(chol, rhs)
+    return float(np.sum(half * half))
+
+
 def factor_total(factors, n: int) -> np.ndarray:
     """The dense n x n sum of per-cluster factors, as ``dp.factorize`` returns them."""
     out = np.zeros((n, n))
@@ -145,6 +197,31 @@ def factor_total(factors, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rounding
 # ---------------------------------------------------------------------------
+
+def gff_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
+    """``GffRounder.round`` one entry at a time: each off-diagonal magnitude,
+    then each row sum plus the row's rounded off-diagonal magnitudes."""
+    k = len(p.support)
+    out = np.zeros((k, k))
+    row_sums = p.block.sum(axis=1)
+    for i in range(k):
+        for j in range(i + 1, k):
+            mag = rounder.snap(abs(p.block[i, j]))
+            out[i, j] = out[j, i] = -mag
+    for i in range(k):
+        out[i, i] = rounder.snap(row_sums[i]) + np.abs(out[i]).sum() - abs(out[i, i])
+    return SupportedMatrix(p.ambient_dim, p.support, out)
+
+
+def canonical_ray_reference(z: np.ndarray, pitch: float) -> np.ndarray:
+    """``rounding.canonical_ray`` on one vector at a time."""
+    m = int(np.argmax(np.abs(z)))
+    y = z / z[m]
+    q = pitch * np.ceil(y / pitch - 0.5)
+    q = np.clip(q, -1.0, 1.0)
+    q[m] = 1.0
+    return q / np.linalg.norm(q)
+
 
 def gff_relation_eps(q: SupportedMatrix, q2: SupportedMatrix,
                      zero_tol: float = 0.0) -> float:

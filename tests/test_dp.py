@@ -1,10 +1,13 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import gmrf_select.dp as dp_mod
+from gmrf_select import linalg, models
 from gmrf_select.decomposition import balance_for_tree, normalize
 from gmrf_select.dp import (
     DEFAULT_STATE_CAP,
@@ -385,3 +388,36 @@ class TestSingularBlockDrop:
         assert "p" in dropped
         exact = exact_budget(g, 1).err_value
         assert abs(report.err_value - exact) <= 1e-13 * exact
+
+
+def map_cache_sizes():
+    """Entries held by every module-level cache of the package's linear algebra."""
+    return {name: fn.cache_info().currsize for name, fn in vars(linalg).items()
+            if hasattr(fn, "cache_info")}
+
+
+class TestRunMemory:
+    def test_run_state_goes_with_the_run(self):
+        # the memo, reachable sets and tables belong to the MessageTable; the
+        # module-level position maps hold index arrays only, within their bound
+        g, td = on_tree(random_gff(12, density=0.0, seed=2))
+        mt = run_dp(g, td, 2, 1e-12)
+        assert mt._kernels and map_cache_sizes()
+        assert all(size <= linalg.MAPS_CACHE for size in map_cache_sizes().values())
+        results = [weakref.ref(hit[0]) for hit in mt._kernels.values()
+                   if isinstance(hit, tuple)]
+        table = weakref.ref(mt)
+        assert results
+        del mt
+        gc.collect()
+        assert table() is None
+        assert all(ref() is None for ref in results)
+
+    def test_err_on_a_large_model_fills_no_cache(self):
+        g = random_gff(150, density=0.02, seed=4)
+        before = map_cache_sizes()
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            models.err(g, {int(v) for v in rng.choice(np.arange(2, 151), size=10,
+                                                       replace=False)})
+        assert map_cache_sizes() == before

@@ -22,7 +22,14 @@ from gmrf_select.linalg import (
 )
 
 from conftest import random_pd_supported
-from oracles import eig_extremes, psd_sandwich_check
+from oracles import (
+    add_reference,
+    diag_of_inverse_reference,
+    eig_extremes,
+    marginal_reference,
+    obs_reference,
+    psd_sandwich_check,
+)
 
 
 def path3_laplacian():
@@ -286,3 +293,91 @@ def test_add_unions_support():
     assert out.entry(2, 2) == 3.0
     assert out.entry(1, 2) == 0.5
     assert out.entry(3, 3) == 2.0
+
+
+def test_add_of_several_sums_left_to_right():
+    a = SupportedMatrix(4, (1, 2), np.array([[1.0, 0.5], [0.5, 1.0]]))
+    b = SupportedMatrix(4, (2, 3), np.array([[2.0, 0.0], [0.0, 2.0]]))
+    c = SupportedMatrix(4, (3,), np.array([[0.25]]))
+    out = add(a, b, c)
+    assert out.support == (1, 2, 3)
+    assert out.entry(2, 2) == 3.0 and out.entry(3, 3) == 2.25
+    assert add(a).block.tobytes() == a.block.tobytes()
+    with pytest.raises(SupportMismatch):
+        add(a, b, SupportedMatrix.zeros(5))
+
+
+# The kernels compute on cached position maps; each must give the bits of the
+# np.ix_ form it replaced (tests/oracles.py), on random supports inside an
+# ambient n and random symmetric blocks of up to 6 x 6.
+
+def random_support(rng, n, k):
+    return tuple(sorted(int(v) for v in rng.choice(np.arange(1, n + 1), size=k, replace=False)))
+
+
+def random_symmetric(rng, n, support):
+    k = len(support)
+    x = rng.normal(size=(k, k)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return SupportedMatrix(n, support, x + x.T)
+
+
+def random_operand(rng, n, rank_deficient=False):
+    """A block on a random support of size 0..6: symmetric, positive definite,
+    or (``rank_deficient``) a PSD block of lower rank."""
+    support = random_support(rng, n, int(rng.integers(0, min(n, 6) + 1)))
+    k = len(support)
+    if not rank_deficient:
+        return random_pd_supported(rng, n, support)
+    x = rng.normal(size=(k, int(rng.integers(0, k + 1))))
+    return SupportedMatrix(n, support, x @ x.T)
+
+
+def same(m, ref):
+    return m.support == ref.support and m.block.tobytes() == ref.block.tobytes()
+
+
+class TestKernelBits:
+    def test_add_of_three_is_the_nested_sum(self):
+        rng = np.random.default_rng(101)
+        for _ in range(3000):
+            n = int(rng.integers(1, 10))
+            a, b, c = (random_symmetric(rng, n, random_support(rng, n, int(rng.integers(0, min(n, 6) + 1))))
+                       for _ in range(3))
+            out = add(a, b, c)
+            assert same(out, add_reference(add_reference(a, b), c))
+            assert same(out, add(add(a, b), c))
+
+    def test_obs_matches_reference(self):
+        rng = np.random.default_rng(102)
+        for _ in range(3000):
+            n = int(rng.integers(1, 10))
+            m = random_operand(rng, n)
+            observed = {v for v in m.support if rng.random() < 0.4}
+            assert same(obs(m, observed), obs_reference(m, observed))
+
+    def test_marginal_matches_reference_and_drops_alike(self):
+        rng = np.random.default_rng(103)
+        dropped = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 10))
+            m = random_operand(rng, n, rank_deficient=rng.random() < 0.3)
+            delta = frozenset(v for v in m.support if rng.random() < 0.5)
+            try:
+                ref = marginal_reference(m, delta)
+            except SingularComplement:
+                dropped += 1
+                with pytest.raises(SingularComplement):
+                    marginal(m, delta)
+                continue
+            assert same(marginal(m, delta), ref)
+        assert dropped > 100
+
+    def test_diag_of_inverse_matches_reference(self):
+        rng = np.random.default_rng(104)
+        for _ in range(3000):
+            n = int(rng.integers(1, 10))
+            m = random_operand(rng, n)
+            subset = [v for v in m.support if rng.random() < 0.6]
+            rng.shuffle(subset)
+            assert (diag_of_inverse(m, subset).hex()
+                    == diag_of_inverse_reference(m, subset).hex())

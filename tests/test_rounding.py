@@ -10,11 +10,17 @@ from gmrf_select.rounding import (
     GffRounder,
     SvdRounder,
     canonical_ray,
+    canonical_rays,
     is_gff_class,
     log_grid_snap,
 )
 
-from oracles import gff_relation_eps, psd_sandwich_check
+from oracles import (
+    canonical_ray_reference,
+    gff_relation_eps,
+    gff_round_reference,
+    psd_sandwich_check,
+)
 
 
 def random_g_matrix(rng, k, lo=0.05, hi=2.0, n_ambient=None):
@@ -232,3 +238,41 @@ def test_is_gff_class():
     assert not is_gff_class(np.array([[2.0, 1.0], [1.0, 2.0]]))       # positive off-diag
     assert not is_gff_class(np.array([[0.5, -1.0], [-1.0, 2.0]]))    # not dominant
     assert is_gff_class(np.array([[-2.2e-16]]), abs_tol=1e-12)       # noise-level zero
+
+
+def test_gff_round_matches_element_loop():
+    # round() snaps Python floats and sums the rounded rows in one reduction;
+    # the bits must be those of the entry-by-entry loop (tests/oracles.py)
+    rng = np.random.default_rng(31)
+    r = GffRounder(c_l=1e-3, c_h=1e3, eps=0.05, range_factor=1.01)
+    for _ in range(3000):
+        m = random_g_matrix(rng, int(rng.integers(1, 7)), lo=0.002, hi=500.0, n_ambient=9)
+        out, ref = r.round(m), gff_round_reference(r, m)
+        assert out.support == ref.support and out.block.tobytes() == ref.block.tobytes()
+
+
+def test_vectorised_rays_match_canonical_ray():
+    rng = np.random.default_rng(32)
+    for _ in range(10_000):
+        k = int(rng.integers(1, 7))
+        x = rng.normal(size=(k, k))
+        _, u = np.linalg.eigh(x + x.T)
+        pitch = float(10.0 ** rng.uniform(-6.0, -0.5))
+        one_by_one = np.column_stack([canonical_ray_reference(u[:, i], pitch)
+                                      for i in range(k)])
+        assert canonical_rays(u, pitch).tobytes() == one_by_one.tobytes()
+        assert canonical_ray(u[:, 0], pitch).tobytes() == one_by_one[:, 0].tobytes()
+
+
+def test_range_errors_print_plain_floats():
+    # the DP hands the rounders numpy scalars; messages show the plain float
+    g = GffRounder(c_l=0.01, c_h=100.0, eps=0.1)
+    with pytest.raises(OutOfGridRange) as info:
+        g.snap(np.float64(1.6930901125533637e-3))
+    assert str(info.value) == ("value 0.0016930901125533637 outside [9.512294e-03, "
+                               "1.051271e+02] (grid [1.000000e-02, 1.000000e+02], "
+                               "eps=1.000e-01)")
+    s = SvdRounder(lam_lo=0.05, lam_hi=8.0, eps=0.1)
+    with pytest.raises(EigenvalueOutOfRange) as info:
+        s.snap_eig(np.float64(12.5))
+    assert str(info.value) == "eigenvalue 12.5 outside [5.000000e-02, 8.000000e+00]"
