@@ -4,7 +4,8 @@ leaf, m >= n, and a valid elimination order is stored as a witness.
 
 Also: the PACE-style file format, a balanced decomposition constructor for
 trees (width <= 5, logarithmic height) built from recursive separators, and the
-package's graph helpers (``adjacency`` and ``search``).
+package's graph helpers (``adjacency``, ``search`` and the tree check
+``tree_adjacency``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,24 @@ def search(adj, sources, within=None) -> dict:
                 parent[w] = u
                 stack.append(w)
     return parent
+
+
+def tree_adjacency(n: int, edges) -> dict:
+    """Neighbour sets of the tree with vertices 1..n and the given edges; raise
+    NotATree if the edges do not form one."""
+    if len(edges) != n - 1 or any(u == v for u, v in edges):
+        raise NotATree(f"{len(edges)} edges on {n} vertices is not a tree")
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        if u not in adj or v not in adj:
+            raise NotATree(f"edge ({u}, {v}) outside 1..{n}")
+        if v in adj[u]:
+            raise NotATree(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        adj[u].add(v)
+        adj[v].add(u)
+    if len(search(adj, [1])) != n:
+        raise NotATree("graph is disconnected")
+    return adj
 
 
 @dataclass(frozen=True)
@@ -89,9 +108,6 @@ class TreeDecomposition:
         for v, p in search(self.neighbors(), [self.root]).items():
             depth[v] = 0 if p is None else depth[p] + 1
         return max(depth.values())
-
-    def separator(self, i: int, j: int) -> frozenset:
-        return self.clusters[i] & self.clusters[j]
 
 
 def validate_axioms(clusters, tree_edges, n, graph_edges):
@@ -144,27 +160,11 @@ def _leaf_strip_order(clusters, tree_edges) -> tuple[int, ...]:
     return tuple(order)
 
 
-def check_elimination_order(order, n, graph_edges, clusters):
-    """Verify the order is perfect for the decomposition: at each step the
-    eliminated vertex plus its remaining (fill) neighbors fit in one cluster."""
-    if sorted(order) != list(range(1, n + 1)):
-        raise InvalidDecomposition("elimination order is not a permutation of 1..n")
-    adj = adjacency(range(1, n + 1), graph_edges)
-    for v in order:
-        closure = adj[v] | {v}
-        if not any(closure <= c for c in clusters):
-            raise InvalidDecomposition(
-                f"eliminating {v}: neighborhood {sorted(closure)} fits no cluster")
-        for a in adj[v]:
-            adj[a].discard(v)
-            adj[a].update(adj[v] - {a})
-    return True
-
-
 def normalize(clusters, tree_edges, n, graph_edges) -> TreeDecomposition:
     """Bring a valid decomposition into normalized form: binary internal degree,
     empty leaf cluster last, m >= n, elimination-order witness attached.
-    Cluster duplication never changes the width."""
+    Cluster duplication never changes the width. The input is checked against
+    the axioms; the output is normalized by construction and not re-checked."""
     clusters = [frozenset(c) for c in clusters]
     tree_edges = [tuple(e) for e in tree_edges]
     validate_axioms(clusters, tree_edges, n, graph_edges)
@@ -224,25 +224,8 @@ def normalize(clusters, tree_edges, n, graph_edges) -> TreeDecomposition:
     out_edges = tuple(sorted((min(remap[a], remap[b]), max(remap[a], remap[b]))
                              for a in adj for b in adj[a] if a < b))
 
-    elim = _leaf_strip_order(out_clusters, out_edges)
-    td = TreeDecomposition(n, out_clusters, out_edges, elim)
-    _validate_normalized(td, graph_edges)
-    return td
-
-
-def _validate_normalized(td: TreeDecomposition, graph_edges):
-    validate_axioms(td.clusters, td.tree_edges, td.n, graph_edges)
-    if td.clusters[td.root]:
-        raise InvariantViolation("last cluster is not empty")
-    adj = td.neighbors()
-    if len(adj[td.root]) != 1:
-        raise InvariantViolation("empty cluster is not a leaf")
-    for t, nb in enumerate(adj):
-        if len(nb) not in (0, 1, 3):
-            raise InvariantViolation(f"cluster {t} has degree {len(nb)}")
-    if td.m < td.n:
-        raise InvariantViolation(f"m = {td.m} < n = {td.n}")
-    check_elimination_order(td.elimination_order, td.n, graph_edges, td.clusters)
+    return TreeDecomposition(n, out_clusters, out_edges,
+                             _leaf_strip_order(out_clusters, out_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +316,7 @@ def balance_for_tree(n: int, edges) -> TreeDecomposition:
     vertices; the separator joins the bag with the boundary, and the remaining
     components are packed into two child pieces of balanced size.
     """
-    edges = [(min(u, v), max(u, v)) for u, v in edges]
-    if len(edges) != n - 1 or any(u == v for u, v in edges):
-        raise NotATree(f"{len(edges)} edges on {n} vertices is not a tree")
-    adj = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
-        if v in adj[u]:
-            raise NotATree(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    if len(search(adj, [1])) != n:
-        raise NotATree("graph is disconnected")
-
+    adj = tree_adjacency(n, edges)
     clusters: list[frozenset] = []
     tree_links: list[tuple[int, int]] = []
 
@@ -382,22 +354,16 @@ def balance_for_tree(n: int, edges) -> TreeDecomposition:
             worst = max(len(x) for x in comps)
             if best is None or (worst, c) < best[:2]:
                 best = (worst, c, comps)
-        if best is None:  # every candidate is a leaf of the piece
-            c = min(v for v in candidates if len(adj[v] & piece) > 1)
-            best = (len(piece) - 1, c, components_without(piece, c))
         _, c, comps = best
         groups: list[list[set]] = [[], []]
         sizes = [0, 0]
-        seeded = {}
-        for t, b in enumerate(sorted(boundary - {c})):
-            comp = next(x for x in comps if b in x)
-            slot = seeded.get(id(comp))
-            if slot is None:
-                slot = t if t < 2 else (0 if sizes[0] <= sizes[1] else 1)
-                groups[slot].append(comp)
-                sizes[slot] += len(comp)
-                seeded[id(comp)] = slot
-        rest = [x for x in comps if id(x) not in seeded]
+        # a boundary has at most 2 vertices and c lies on the path between
+        # them, so each boundary vertex but c seeds a group with its component
+        seeds = [next(x for x in comps if b in x) for b in sorted(boundary - {c})]
+        for slot, comp in enumerate(seeds):
+            groups[slot].append(comp)
+            sizes[slot] += len(comp)
+        rest = [x for x in comps if all(x is not s for s in seeds)]
         for comp in sorted(rest, key=lambda x: (-len(x), min(x))):
             slot = 0 if sizes[0] <= sizes[1] else 1
             groups[slot].append(comp)
@@ -405,8 +371,6 @@ def balance_for_tree(n: int, edges) -> TreeDecomposition:
         node = len(clusters)
         clusters.append(frozenset(boundary | {c}))
         for grp in groups:
-            if not grp:
-                continue
             sub_piece = set().union(*grp) | {c}
             sub_boundary = frozenset((boundary & sub_piece) | {c})
             child = build(sub_piece, sub_boundary)

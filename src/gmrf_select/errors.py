@@ -50,10 +50,6 @@ class DisconnectedFromS(GmrfSelectError):
     pass
 
 
-class NotUnitRegular(GmrfSelectError):
-    pass
-
-
 class NotATree(GmrfSelectError):
     pass
 

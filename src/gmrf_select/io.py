@@ -3,7 +3,9 @@
 Formats:
   GFF:   line `gff n m pin`, then m lines `u v r` (1-based, r > 0).
   GMRF:  line `gmrf` (precision) or `gmrf-cov` (covariance), then the matrix
-         text format of the linear-algebra layer.
+         text format of the linear-algebra layer, and nothing else.
+Blank and `#` lines may stand before the header, between GFF edges and after
+a GMRF's matrix.
 Reports serialize to JSON with a stable key order; numbers use 12 significant
 digits. Timing is omitted (null) by default so repeated runs are
 byte-identical.
@@ -18,11 +20,17 @@ from .linalg import format_matrix_text, parse_matrix_text
 from .models import GffModel, GmrfModel, SelectionReport
 
 
+def _no_data(raw: str) -> bool:
+    """Blank lines and ``#`` comment lines around a model carry no data."""
+    line = raw.strip()
+    return not line or line.startswith("#")
+
+
 def parse_model_text(text: str):
     lines = text.splitlines()
     first = None
     for idx, raw in enumerate(lines):
-        if raw.strip():
+        if not _no_data(raw):
             first = idx
             break
     if first is None:
@@ -40,7 +48,7 @@ def parse_model_text(text: str):
         lineno = first + 1
         for raw in lines[first + 1:]:
             lineno += 1
-            if not raw.strip():
+            if _no_data(raw):
                 continue
             parts = raw.split()
             if len(parts) != 3:
@@ -57,7 +65,10 @@ def parse_model_text(text: str):
         return GffModel(n, edges, pin=pin)
     if kind in ("gmrf", "gmrf-cov"):
         body = "\n".join(lines[first + 1:])
-        mat, _ = parse_matrix_text(body, first_line=first + 2)
+        mat, used = parse_matrix_text(body, first_line=first + 2)
+        for lineno, raw in enumerate(lines[first + 1 + used:], start=first + 2 + used):
+            if not _no_data(raw):
+                raise ParseError(f"line {lineno}: unexpected text after the matrix {raw!r}")
         if len(mat.support) != mat.ambient_dim:
             raise ParseError("GMRF matrices must have full support")
         if kind == "gmrf":

@@ -24,12 +24,14 @@ from .errors import (
 RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportedMatrix:
     """Symmetric matrix of ambient dimension n supported on V x V.
 
     ``support`` is a sorted tuple of 1-based indices; ``block`` is the dense
     |V| x |V| slice in support order. Entries outside V x V are implicitly 0.
+    ``==`` is identity and matrices hash by identity; compare supports and
+    ``block.tobytes()`` for equal contents.
 
     The constructor trusts its caller, who built the block: the support must
     already be sorted, distinct and within 1..n, and the block |V| x |V| in

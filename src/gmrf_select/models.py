@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .decomposition import adjacency, search
+from .decomposition import adjacency, search, tree_adjacency
 from .errors import (
     DisconnectedFromS,
     DisconnectedGraph,
     IndependentPairPresent,
     InfeasibleParameters,
     InvariantViolation,
-    NotATree,
     SingularMatrix,
     SingularObservationBlock,
     SingularSubmatrix,
@@ -183,7 +182,8 @@ def make_report(model, selected, solver, budget_or_alpha,
 # ---------------------------------------------------------------------------
 
 def laplacian(gff: GffModel) -> SupportedMatrix:
-    """Graph Laplacian: off-diagonal -1/r_ij, diagonal the row's conductance sum."""
+    """Graph Laplacian: off-diagonal -1/r_ij, diagonal the row's conductance sum.
+    The model validated its edges, so the block goes to the constructor as is."""
     lam = np.zeros((gff.n, gff.n))
     total = [0.0] * gff.n   # Python floats: an overflow gives inf, not a numpy warning
     for u, v, r in gff.edges:
@@ -196,7 +196,7 @@ def laplacian(gff: GffModel) -> SupportedMatrix:
         if not np.isfinite(t):
             raise InvariantViolation(f"total conductance at vertex {v} overflows")
     lam[np.diag_indices(gff.n)] = total
-    return SupportedMatrix.from_dense(lam)
+    return SupportedMatrix(gff.n, tuple(gff.vertices), lam)
 
 
 def _effective_observed(model, subset) -> frozenset:
@@ -311,11 +311,7 @@ def tree_gmrf_to_gff(model: GmrfModel):
     """
     n = model.n
     edges = model.graph_edges()
-    if len(edges) != n - 1:
-        raise NotATree(f"graph has {len(edges)} edges, a tree on {n} vertices needs {n - 1}")
-    parent = search(adjacency(model.vertices, edges), [1])
-    if len(parent) != n:
-        raise NotATree("graph is disconnected")
+    parent = search(tree_adjacency(n, edges), [1])
 
     sigma = model.covariance()
     diag = np.sqrt(np.diag(sigma))

@@ -124,16 +124,11 @@ class GffRounder:
         return SupportedMatrix.of_symmetric(p.ambient_dim, p.support, out)
 
 
-def canonical_ray(z: np.ndarray, pitch: float) -> np.ndarray:
-    """Deterministic unit representative of the line through z: scale so the
-    largest-magnitude coordinate is exactly 1, quantize the rest at ``pitch``
-    (ties toward -inf), clip to [-1, 1], renormalize. Idempotent on its image
-    up to a global sign."""
-    return canonical_rays(np.asarray(z)[:, None], pitch)[:, 0]
-
-
 def canonical_rays(u: np.ndarray, pitch: float) -> np.ndarray:
-    """``canonical_ray`` of every column of ``u``: the element-wise steps run on
+    """Deterministic unit representative of the line through each column of
+    ``u``: scale so the largest-magnitude coordinate is exactly 1, quantize the
+    rest at ``pitch`` (ties toward -inf), clip to [-1, 1], renormalize.
+    Idempotent on its image up to a global sign. The element-wise steps run on
     all columns at once, the norm once per column."""
     cols = np.arange(u.shape[1])
     m = np.abs(u).argmax(axis=0)

@@ -2,9 +2,10 @@
 
 The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
-PSD sandwich, the element-wise rounding relation, report parsing, factor
-totals) live here, with the straightforward ``np.ix_`` and element-loop forms
-of the DP kernels that the package computes on cached position maps.
+PSD sandwich, the element-wise rounding relation, the elimination-order
+check, report parsing, factor totals) live here, with the straightforward
+``np.ix_`` and element-loop forms of the DP kernels that the package computes
+on cached position maps.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import math
 import numpy as np
 
 from gmrf_select import linalg
+from gmrf_select.decomposition import adjacency
 from gmrf_select.errors import (
+    GmrfSelectError,
+    InvalidDecomposition,
     InvariantViolation,
-    NotUnitRegular,
     ParseError,
     SingularComplement,
     SingularSubmatrix,
@@ -28,6 +31,11 @@ from gmrf_select.models import GffModel, Guarantee, SelectionReport, _contracted
 
 ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
 SANDWICH_TOL = 1e-10     # slack in PSD-order comparisons
+
+
+class NotUnitRegular(GmrfSelectError):
+    """``regular_tightness`` was given a graph that is not unit-resistance
+    regular."""
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +222,7 @@ def gff_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
 
 
 def canonical_ray_reference(z: np.ndarray, pitch: float) -> np.ndarray:
-    """``rounding.canonical_ray`` on one vector at a time."""
+    """``rounding.canonical_rays`` on one vector at a time."""
     m = int(np.argmax(np.abs(z)))
     y = z / z[m]
     q = pitch * np.ceil(y / pitch - 0.5)
@@ -250,6 +258,27 @@ def gff_relation_eps(q: SupportedMatrix, q2: SupportedMatrix,
             return math.inf
         worst = max(worst, abs(math.log(y / x)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# tree decompositions
+# ---------------------------------------------------------------------------
+
+def check_elimination_order(order, n, graph_edges, clusters):
+    """Verify the order is perfect for the decomposition: at each step the
+    eliminated vertex plus its remaining (fill) neighbors fit in one cluster."""
+    if sorted(order) != list(range(1, n + 1)):
+        raise InvalidDecomposition("elimination order is not a permutation of 1..n")
+    adj = adjacency(range(1, n + 1), graph_edges)
+    for v in order:
+        closure = adj[v] | {v}
+        if not any(closure <= c for c in clusters):
+            raise InvalidDecomposition(
+                f"eliminating {v}: neighborhood {sorted(closure)} fits no cluster")
+        for a in adj[v]:
+            adj[a].discard(v)
+            adj[a].update(adj[v] - {a})
+    return True
 
 
 # ---------------------------------------------------------------------------

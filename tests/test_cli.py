@@ -52,6 +52,17 @@ class TestParseModel:
         with pytest.raises(ParseError, match="line 1"):
             io.parse_model_text("mystery 3\n")
 
+    def test_comment_lines_around_a_model(self):
+        m = io.parse_model_text("# a comment\n\ngff 2 1 1\n  # between edges\n1 2 2.0\n# end\n")
+        assert m.edges == ((1, 2, 2.0),)
+        g = io.parse_model_text("# precision\ngmrf\n2 2\n1 2\n2 1\n1 2\n\n# end\n")
+        assert g.precision_matrix.block.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+    def test_text_after_gmrf_matrix_rejected(self):
+        # blank and '#' lines after the matrix are skipped, the next is not
+        with pytest.raises(ParseError, match="^line 8: unexpected text after the matrix 'x'$"):
+            io.parse_model_text("gmrf\n2 2\n1 2\n2 1\n1 2\n\n# fine\nx\n")
+
     def test_model_round_trip(self):
         m = io.parse_model_text(C4_TEXT)
         again = io.parse_model_text(io.format_model(m))
@@ -170,10 +181,41 @@ class TestCli:
         text = "gmrf\n2 2\n1 2\n2 1\n1 2\n"
         path = write(tmp_path, "t.gmrf", text)
         assert main(["convert", "tree-gmrf-to-gff", "--input", path]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if not l.startswith("#")]
-        back = io.parse_model_text("\n".join(lines))
+        back = io.parse_model_text(capsys.readouterr().out)
         assert isinstance(back, GffModel)
+
+    def test_converted_file_reads_back(self, tmp_path, capsys):
+        # the '#' lines convert writes before the model do not stop a reader
+        gmrf_path, gff_path = str(tmp_path / "t5.gmrf"), str(tmp_path / "t5.gff")
+        assert main(["gen", "gmrf", "--n", "5", "--width", "1", "--seed", "3",
+                     "--out", gmrf_path]) == 0
+        assert main(["convert", "tree-gmrf-to-gff", "--input", gmrf_path,
+                     "--out", gff_path]) == 0
+        assert main(["eval", "--input", gff_path, "--set", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["n"] > 5
+
+    def test_text_after_gmrf_matrix_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "long.gmrf", "gmrf\n2 2\n1 2\n2 1\n1 2\n3 3\n1 2 3\nx y\n")
+        assert main(["eval", "--input", path, "--set", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 6: unexpected text after the matrix '3 3'\n"
+
+    def test_pin_on_gmrf_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "t.gmrf", "gmrf\n2 2\n1 2\n2 1\n1 2\n")
+        assert main(["eval", "--input", path, "--set", "1", "--pin", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --pin applies to GFF models only\n"
+
+    def test_dp_alpha_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        assert main(["select", "dp", "--input", path, "--alpha", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: select dp needs --budget\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         path = write(tmp_path, "bad.gff", "gff 2 1 1\n1 2 -3\n")
@@ -480,6 +522,20 @@ class TestValidateSuite:
         code, payload = validate_suite(seed=0, trials=5)
         assert code == 4
         assert any(f["suite"] == "three-path" for f in payload["findings"])
+
+    def test_cli_prints_findings(self, monkeypatch, capsys):
+        import gmrf_select.validate as validate_mod
+
+        true_cv = validate_mod.models.conditional_variance
+        monkeypatch.setattr(validate_mod.models, "conditional_variance",
+                            lambda model, i, s: -true_cv(model, i, s))
+        assert main(["validate", "--seed", "0", "--trials", "2"]) == 4
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"validate: [1-9]\d* violations, \d+ discrepancies "
+                            r"\(seed=0, trials=2\)", head)
+        assert lines and all(re.fullmatch(r"  \[(violation|discrepancy)\] [\w-]+: .+", x)
+                             for x in lines)
+        assert any(x.startswith("  [violation] three-path: ") for x in lines)
 
     def test_threaded_run_matches(self, monkeypatch):
         code_serial, payload_serial = validate_suite(seed=2, trials=6)

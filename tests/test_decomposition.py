@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from gmrf_select import decomposition
 from gmrf_select.decomposition import (
     TreeDecomposition,
     adjacency,
     balance_for_tree,
-    check_elimination_order,
     normalize,
     parse_and_normalize,
     read_td_text,
@@ -24,6 +24,7 @@ from gmrf_select.errors import (
 from gmrf_select.models import random_gff
 
 from conftest import unit_path
+from oracles import check_elimination_order
 
 
 def path_edges(n):
@@ -163,6 +164,9 @@ class TestBalanceForTree:
             balance_for_tree(4, [(1, 2), (3, 4), (1, 2)])
         with pytest.raises(NotATree, match="graph is disconnected"):
             balance_for_tree(4, [(1, 2), (2, 3), (1, 3)])
+        for bad in (5, 0):
+            with pytest.raises(NotATree, match=rf"edge \(2, {bad}\) outside 1..3"):
+                balance_for_tree(3, [(1, 2), (2, bad)])
 
 
 class TestPaceFormat:
@@ -201,10 +205,91 @@ class TestPaceFormat:
             parse_and_normalize(text, g)
 
 
+def sweep_trees():
+    """(n, edges) of 500 random trees, half of them relabeled, then a path, a
+    star and a caterpillar (a path with legs) for every n in 2..40."""
+    rng = np.random.default_rng(11)
+    for t in range(500):
+        n = int(rng.integers(2, 60))
+        edges = [(int(rng.integers(1, v)), v) for v in range(2, n + 1)]
+        if t % 2:
+            label = [0] + [int(x) + 1 for x in rng.permutation(n)]
+            edges = [(label[u], label[v]) for u, v in edges]
+        yield n, edges
+    for n in range(2, 41):
+        spine = max(1, n // 3)
+        yield n, path_edges(n)
+        yield n, [(1, v) for v in range(2, n + 1)]
+        yield n, path_edges(spine) + [(int(rng.integers(1, spine + 1)), v)
+                                      for v in range(spine + 1, n + 1)]
+
+
+def sweep_decompositions():
+    """(clusters, tree_edges, n, graph_edges) of 250 valid decompositions:
+    random cluster trees whose first clusters tend to have degree > 3, each
+    vertex held by a random connected set of clusters, graph edges drawn
+    inside clusters; every fifth input is a single bag."""
+    rng = np.random.default_rng(12)
+    for t in range(250):
+        n = int(rng.integers(1, 12))
+        m = 1 if t % 5 == 0 else int(rng.integers(2, 12))
+        links = [(int(rng.integers(0, min(v, 3))), v) for v in range(1, m)]
+        adj = adjacency(range(m), links)
+        clusters = [set() for _ in range(m)]
+        for v in range(1, n + 1):
+            held = {int(rng.integers(0, m))}
+            for _ in range(int(rng.integers(0, 4))):
+                held.add(int(rng.choice(sorted(set().union(*(adj[c] for c in held)) | held))))
+            for c in held:
+                clusters[c].add(v)
+        graph_edges = sorted({(u, v) for c in clusters for u in c for v in c
+                              if u < v and rng.random() < 0.5})
+        yield clusters, links, n, graph_edges
+
+
+@pytest.fixture
+def axiom_checks(monkeypatch):
+    """The clusters of every validate_axioms call made by the package, as
+    they were at the call."""
+    calls = []
+    monkeypatch.setattr(decomposition, "validate_axioms",
+                        lambda *args: calls.append(tuple(args[0])) or validate_axioms(*args))
+    return calls
+
+
+# normalize checks its input once and trusts its own output; these sweeps
+# check every output instead
+
+
+def test_balance_for_tree_sweep(axiom_checks):
+    count = 0
+    for n, edges in sweep_trees():
+        td = balance_for_tree(n, edges)
+        assert len(axiom_checks) == 1
+        axiom_checks.clear()
+        assert_normalized(td, edges)
+        count += 1
+    assert count >= 500 + 3 * 39
+
+
+def test_normalize_sweep(axiom_checks):
+    high_degree = single = 0
+    for clusters, links, n, graph_edges in sweep_decompositions():
+        degrees = [len(nb) for nb in adjacency(range(len(clusters)), links).values()]
+        high_degree += max(degrees) > 3
+        single += len(clusters) == 1
+        td = normalize(clusters, links, n, graph_edges)
+        assert axiom_checks == [tuple(frozenset(c) for c in clusters)]
+        axiom_checks.clear()
+        assert_normalized(td, graph_edges)
+        assert td.width == max(len(c) for c in clusters) - 1
+    assert high_degree >= 20 and single == 50
+
+
 def test_height_and_separators():
     td = normalize([{1, 2}, {2, 3}], [(0, 1)], 3, [(1, 2), (2, 3)])
     # separator of the original adjacent bags
     pairs = [(a, b) for a, b in td.tree_edges]
-    seps = [td.separator(a, b) for a, b in pairs]
+    seps = [td.clusters[a] & td.clusters[b] for a, b in pairs]
     assert any(s == frozenset({2}) for s in seps)
     assert td.height >= 1

@@ -66,6 +66,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not symmetric"):
             SupportedMatrix.from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_equality_is_identity_and_matrices_hash(self):
+        a, b = path3_laplacian(), path3_laplacian()
+        assert a == a and a != b and not (a == b)
+        assert a in [b, a] and b not in [a]
+        assert {a: 1, b: 2}[b] == 2 and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
 
 class TestObs:
     def test_empty_observation_is_identity(self):

@@ -8,7 +8,6 @@ from gmrf_select.errors import (
     InfeasibleParameters,
     InvariantViolation,
     NotATree,
-    NotUnitRegular,
 )
 from gmrf_select.linalg import obs, trace_of_inverse
 from gmrf_select.models import (
@@ -31,7 +30,7 @@ from conftest import (
     unit_cycle,
     unit_path,
 )
-from oracles import electrical_flow, flow_energy, regular_tightness
+from oracles import NotUnitRegular, electrical_flow, flow_energy, regular_tightness
 
 
 class TestLaplacian:
@@ -403,6 +402,14 @@ class TestGenerators:
         m = random_gmrf(12, 3, condition_cap=50.0, seed=3)
         eig = np.linalg.eigvalsh(m.precision_matrix.block)
         assert eig[-1] / eig[0] <= 50.0 * (1 + 1e-9)
+
+    def test_condition_cap_shift(self):
+        # at cap 10 these instances need the diagonal shift
+        for seed in range(4):
+            kappa = np.linalg.cond(random_gmrf(30, 3, seed=seed).precision_matrix.block)
+            eig = np.linalg.eigvalsh(random_gmrf(30, 3, condition_cap=10.0, seed=seed)
+                                     .precision_matrix.block)
+            assert kappa > 10.0 and eig[-1] / eig[0] <= 10.0 * (1 + 1e-9)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleParameters):

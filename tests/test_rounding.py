@@ -9,7 +9,6 @@ from gmrf_select.models import laplacian, random_gff
 from gmrf_select.rounding import (
     GffRounder,
     SvdRounder,
-    canonical_ray,
     canonical_rays,
     is_gff_class,
     log_grid_snap,
@@ -225,8 +224,8 @@ class TestSvdRound:
             z = rng.normal(size=k)
             z /= np.linalg.norm(z)
             pitch = 10.0 ** -int(rng.integers(1, 6))
-            ray = canonical_ray(z, pitch)
-            again = canonical_ray(ray, pitch)
+            ray = canonical_rays(z[:, None], pitch)[:, 0]
+            again = canonical_rays(ray[:, None], pitch)[:, 0]
             assert np.allclose(np.abs(again), np.abs(ray), atol=1e-14)
             assert abs(np.linalg.norm(ray) - 1.0) < 1e-12
             # stays within a bounded angle of the input
@@ -261,7 +260,8 @@ def test_vectorised_rays_match_canonical_ray():
         one_by_one = np.column_stack([canonical_ray_reference(u[:, i], pitch)
                                       for i in range(k)])
         assert canonical_rays(u, pitch).tobytes() == one_by_one.tobytes()
-        assert canonical_ray(u[:, 0], pitch).tobytes() == one_by_one[:, 0].tobytes()
+        one = canonical_rays(u[:, :1], pitch)[:, 0]
+        assert one.tobytes() == one_by_one[:, 0].tobytes()
 
 
 def test_range_errors_print_plain_floats():

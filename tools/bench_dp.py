@@ -1,12 +1,13 @@
 """DP kernel benchmark: in-process layer timings and end-to-end pairs of a change
 against its parent commit.
 
-    python3 tools/bench_dp.py --parent DIR [--change DIR] [--repeats 5]
-                              [--pairs 10] [--seconds 15] [--out BENCH_15.json]
+    python3 tools/bench_dp.py --parent DIR --out FILE [--change DIR]
+                              [--repeats 5] [--pairs 10] [--seconds 15]
 
 DIR is a source checkout of the parent commit, for example made with
-`git archive <sha> | tar -x -C DIR`; --change defaults to this checkout. Two
-measurements go into one JSON file:
+`git archive <sha> | tar -x -C DIR`; --change defaults to this checkout. FILE
+has no default, so a run never overwrites a committed BENCH_*.json by
+accident. Two measurements go into FILE:
 
 - layer: the five seed-1 dp-tree models of `benchmark/workloads.py`,
   `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1 and
@@ -176,17 +177,18 @@ def main(argv=None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if args.layer is not None:
         print(json.dumps(run_layer(args.layer.resolve())))
         return 0
-    if args.parent is None:
-        ap.error("--parent is required")
+    for name in ("parent", "out"):
+        if getattr(args, name) is None:
+            ap.error(f"--{name} is required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
         "title": "DP kernel misses on per-run position maps",
-        "command": "python3 tools/bench_dp.py --parent DIR",
+        "command": "python3 tools/bench_dp.py --parent DIR --out FILE",
         "method": ("in-process layer runs: one fresh process per side and repeat, sides "
                    "alternating, numpy routines warmed up untimed, medians of wall and CPU "
                    "time; end-to-end: benchmark/run.py --trace 0 run alternately in two "
