@@ -94,18 +94,11 @@ class TreeDecomposition:
         """Index of the empty leaf cluster the messages flow toward."""
         return self.m - 1
 
-    def neighbors(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.m)]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return [sorted(nb) for nb in adj]
-
     @property
     def height(self) -> int:
         """Longest cluster-to-root path, in edges."""
         depth = {}
-        for v, p in search(self.neighbors(), [self.root]).items():
+        for v, p in search(adjacency(range(self.m), self.tree_edges), [self.root]).items():
             depth[v] = 0 if p is None else depth[p] + 1
         return max(depth.values())
 

@@ -29,7 +29,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import linalg
-from .decomposition import TreeDecomposition, search
+from .decomposition import TreeDecomposition, adjacency, search
 from .errors import (
     EliminationOrderBroken,
     EmptyTable,
@@ -82,7 +82,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
     lam = model.precision()   # full support: GmrfModel refuses anything else
     w = np.linalg.eigvalsh(lam.block)
     lam_min = float(w[0])
-    if lam_min <= 1e-12 * max(float(w[-1]), 0.0):
+    if lam_min <= linalg.RANK_TOL * max(float(w[-1]), 0.0):
         raise InvariantViolation("general factorization needs positive definite Lambda")
 
     order = td.elimination_order
@@ -161,14 +161,14 @@ class MessageTable:
 
         # allow for drift accumulated over the tree height in the runtime
         # range checks; the nets themselves are unchanged
-        drift = (1.0 + 1e-6) * math.exp(min(2.0 * max(td.height, 1) * eps, 0.5))
+        drift = (1.0 + 1e-6) * math.exp(min(2.0 * td.height * eps, 0.5))
         if self.mode == "gff":
             self.rounder = GffRounder.for_model(model, eps, range_factor=drift)
         else:
             self.rounder = SvdRounder.for_system(float(w[0]), float(w[-1]), td.m, eps,
                                                  range_factor=drift)
 
-        adj = td.neighbors()
+        adj = adjacency(range(td.m), td.tree_edges)
         parent = search(adj, [td.root])
         self.children = {u: sorted(v for v in adj[u] if parent[v] == u)
                          for u in range(td.m)}
@@ -406,7 +406,7 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
     if not 0.0 < eps_prime < 1.0:
         raise InvariantViolation(f"eps_prime must lie in (0, 1), got {eps_prime}")
     rounding = "gff" if isinstance(model, GffModel) else "svd"
-    h = max(td.height, 1)
+    h = td.height
     details = {"eps_prime": eps_prime, "rounding": rounding}
     if rounding == "gff":
         kappa = td.width

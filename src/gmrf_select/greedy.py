@@ -52,7 +52,7 @@ def _greedy_rounds(model, stop):
     while rows and not stop(selected, current):
         fresh, chosen, k, engine = _choose(model, selected, rows, sigma)
         if not abs(engine - (current - fresh)) < DRIFT_TOL * current:
-            idx = model.precision().positions(rows)
+            idx = [v - 1 for v in rows]
             sigma = np.linalg.inv(model.precision().block[np.ix_(idx, idx)])
             fresh, chosen, k, engine = _choose(model, selected, rows, sigma)
         if fresh - current > 1e-12 * max(current, 1.0):

@@ -3,7 +3,8 @@
 A SupportedMatrix is an n-dimensional symmetric PSD matrix that is zero outside
 a support set V of (1-based) indices; only the V x V block is stored. These
 carry precision matrices, cluster factors and message arguments everywhere else
-in the package. All operations are pure: inputs are never mutated.
+in the package. The class holds data and its constructors; every operation on
+it is a function of this module, and all are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ class SupportedMatrix:
         block = 0.5 * (block + block.T)
         block.setflags(write=False)
         object.__setattr__(self, "block", block)
-
-    # -- construction helpers --
 
     @classmethod
     def checked(cls, ambient_dim: int, support, block) -> "SupportedMatrix":
@@ -107,32 +106,6 @@ class SupportedMatrix:
         dense = np.asarray(dense, dtype=float)
         n = dense.shape[0]
         return cls.checked(n, tuple(range(1, n + 1)), dense)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.ambient_dim, self.ambient_dim))
-        idx = np.array([i - 1 for i in self.support], dtype=int)
-        if len(idx):
-            out[np.ix_(idx, idx)] = self.block
-        return out
-
-    # -- indexing --
-
-    def positions(self, indices) -> np.ndarray:
-        """Positions of ``indices`` within the stored block (must lie in support)."""
-        pos = {v: p for p, v in enumerate(self.support)}
-        try:
-            return np.array([pos[i] for i in indices], dtype=int)
-        except KeyError as exc:
-            raise IndexOutOfSupport(
-                f"index {exc.args[0]} not in support {self.support}") from exc
-
-    def entry(self, i: int, j: int) -> float:
-        pos = {v: p for p, v in enumerate(self.support)}
-        if i in pos and j in pos:
-            return float(self.block[pos[i], pos[j]])
-        if i < 1 or i > self.ambient_dim or j < 1 or j > self.ambient_dim:
-            raise IndexOutOfSupport(f"({i}, {j}) outside ambient 1..{self.ambient_dim}")
-        return 0.0
 
 
 # Position maps for the small supports the DP sums and eliminates on, keyed
@@ -236,7 +209,7 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
     flat = m.block.ravel()
     e_block = flat.take(ee).reshape(len(elim), len(elim))
     w = np.linalg.eigvalsh(e_block)
-    if w[0] <= RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
+    if w[0] <= RANK_TOL * max(w[-1], 0.0):
         raise SingularComplement(
             f"eliminated block on {elim} is rank-deficient "
             f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")

@@ -2,10 +2,11 @@
 objective and its evaluation paths, effective resistance, and the tree-GMRF to
 GFF reduction.
 
-Vertices are labeled 1..n throughout, matching the file formats. Models are
-immutable after construction; every query is a pure function, so concurrent
-reads are safe. The covariance is materialized once, lazily. A model's
-``pinned`` set (a GFF's pin, nothing for a GMRF) is observed in every query.
+Vertices are labeled 1..n throughout, matching the file formats, and vertex v
+is row v - 1 of a model's precision and covariance. Models are immutable after
+construction; every query is a pure function, so concurrent reads are safe.
+The covariance is materialized once, lazily. A model's ``pinned`` set (a GFF's
+pin, nothing for a GMRF) is observed in every query.
 """
 
 from __future__ import annotations
@@ -249,11 +250,11 @@ def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarra
     if i in s:
         raise InvariantViolation(f"target {i} is observed")
     order = tuple(sorted(s))
-    lam = model.precision()
+    lam = model.precision().block
     sbar = tuple(v for v in model.vertices if v not in s)
-    bi, si = lam.positions(sbar), lam.positions(order)
+    bi, si = [v - 1 for v in sbar], [v - 1 for v in order]
     try:
-        w_all = -np.linalg.solve(lam.block[np.ix_(bi, bi)], lam.block[np.ix_(bi, si)])
+        w_all = -np.linalg.solve(lam[np.ix_(bi, bi)], lam[np.ix_(bi, si)])
     except np.linalg.LinAlgError as exc:
         raise SingularObservationBlock(f"unobserved block singular for S={order}") from exc
     return order, w_all[sbar.index(i)]

@@ -21,7 +21,7 @@ from .errors import (
     OutOfGridRange,
     RankDeficient,
 )
-from .linalg import SupportedMatrix
+from .linalg import RANK_TOL, SupportedMatrix
 
 GFF_CLASS_TOL = 1e-9   # relative slack for the dd / non-positive-off-diagonal class
 RANGE_SLACK = 1e-9     # relative slack on grid range containment
@@ -199,7 +199,7 @@ class SvdRounder:
         k = len(p.support)
         w, u = np.linalg.eigh(p.block)
         w = w.tolist()
-        if w[0] <= 1e-12 * max(w[-1], 0.0):
+        if w[0] <= RANK_TOL * max(w[-1], 0.0):
             raise RankDeficient(
                 f"matrix on {p.support} has eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]")
         d = [self.snap_eig(x) for x in w]

@@ -122,7 +122,7 @@ def suite_dp_vs_exact(seed, trials):
             warnings.simplefilter("ignore", RuntimeWarning)
             sel = dp_select(g, td, b, 0.1)
         ex = exact_budget(g, b)
-        if sel.err_value > 1.1 * ex.err_value + 1e-9:
+        if sel.err_value > sel.guarantee.factor * ex.err_value + 1e-9:
             findings.append(_finding(
                 "violation", "dp-vs-exact", "DP err above 1.1 * exact",
                 n=n, b=b, dp=sel.err_value, exact=ex.err_value))

@@ -159,7 +159,7 @@ def add_reference(a: SupportedMatrix, b: SupportedMatrix) -> SupportedMatrix:
 
 def obs_reference(m: SupportedMatrix, observed) -> SupportedMatrix:
     keep = tuple(v for v in m.support if v not in set(observed))
-    idx = m.positions(keep)
+    idx = [m.support.index(v) for v in keep]
     return SupportedMatrix(m.ambient_dim, keep, m.block[np.ix_(idx, idx)])
 
 
@@ -170,7 +170,7 @@ def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
     elim = tuple(v for v in m.support if v not in delta)
     if not elim:
         return m
-    ki, ei = m.positions(keep), m.positions(elim)
+    ki, ei = [m.support.index(v) for v in keep], [m.support.index(v) for v in elim]
     e_block = m.block[np.ix_(ei, ei)]
     w = np.linalg.eigvalsh(e_block)
     if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
@@ -186,7 +186,7 @@ def diag_of_inverse_reference(m: SupportedMatrix, subset) -> float:
     subset = tuple(subset)
     if not subset:
         return 0.0
-    idx = m.positions(subset)
+    idx = [m.support.index(v) for v in subset]
     chol = np.linalg.cholesky(m.block)
     rhs = np.zeros((len(m.support), len(subset)))
     rhs[idx, np.arange(len(subset))] = 1.0
@@ -198,7 +198,8 @@ def factor_total(factors, n: int) -> np.ndarray:
     """The dense n x n sum of per-cluster factors, as ``dp.factorize`` returns them."""
     out = np.zeros((n, n))
     for f in factors:
-        out += f.to_dense()
+        idx = [v - 1 for v in f.support]
+        out[np.ix_(idx, idx)] += f.block
     return out
 
 

@@ -41,3 +41,14 @@ def test_public_surface_is_pinned():
     assert sorted(gmrf_select.__all__) == PUBLIC
     for name in gmrf_select.__all__:
         assert getattr(gmrf_select, name) is not None
+
+
+def test_data_type_attributes_are_pinned():
+    # lookups are linalg/decomposition functions, not methods: a precision row
+    # is v - 1, and cluster-tree neighbours come from decomposition.adjacency
+    def public(cls):
+        return [name for name in dir(cls) if not name.startswith("_")]
+
+    assert public(gmrf_select.SupportedMatrix) == [
+        "checked", "from_dense", "of_symmetric", "zeros"]
+    assert public(gmrf_select.TreeDecomposition) == ["height", "m", "root", "width"]

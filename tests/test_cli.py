@@ -333,7 +333,7 @@ class TestCli:
         # a tree, so dp needs no decomposition file; the pin is free
         g = random_gff(9, density=0.0, seed=5)
         path = write(tmp_path, "t9.gff", io.format_model(g))
-        lap = laplacian(g).to_dense()
+        lap = laplacian(g).block
         for pin in (4, 9):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

@@ -60,7 +60,7 @@ class TestConstruction:
 
     def test_checked_accepts_valid_input(self):
         m = SupportedMatrix.checked(3, (1, 3), np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        assert m.support == (1, 3) and m.entry(3, 1) == -1.0
+        assert m.support == (1, 3) and m.block[1, 0] == -1.0
 
     def test_from_dense_is_checked(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -297,9 +297,9 @@ def test_add_unions_support():
     b = SupportedMatrix(4, (2, 3), np.array([[2.0, 0.0], [0.0, 2.0]]))
     out = add(a, b)
     assert out.support == (1, 2, 3)
-    assert out.entry(2, 2) == 3.0
-    assert out.entry(1, 2) == 0.5
-    assert out.entry(3, 3) == 2.0
+    assert out.block[1, 1] == 3.0
+    assert out.block[0, 1] == 0.5
+    assert out.block[2, 2] == 2.0
 
 
 def test_add_of_several_sums_left_to_right():
@@ -308,7 +308,7 @@ def test_add_of_several_sums_left_to_right():
     c = SupportedMatrix(4, (3,), np.array([[0.25]]))
     out = add(a, b, c)
     assert out.support == (1, 2, 3)
-    assert out.entry(2, 2) == 3.0 and out.entry(3, 3) == 2.25
+    assert out.block[1, 1] == 3.0 and out.block[2, 2] == 2.25
     assert add(a).block.tobytes() == a.block.tobytes()
     with pytest.raises(SupportMismatch):
         add(a, b, SupportedMatrix.zeros(5))
