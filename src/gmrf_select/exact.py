@@ -1,9 +1,10 @@
 """Exhaustive-search oracle for the budget and cover problems on small
 instances. This is the ground truth every approximation claim is tested
 against, so it stays deliberately simple: plain subset enumeration, no pruning,
-nothing shared with greedy. Subsets of one size are scored in stacked chunks
-(one Cholesky and one inverse per chunk); those whose score could decide the
-answer are scored again with ``models.err``, which alone ranks them.
+nothing shared with greedy. Subsets of one size are scored in chunks by
+``models.err_batch`` (one stacked Cholesky and one inverse per chunk); those
+whose score could decide the answer are scored again with ``models.err``,
+which alone ranks them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import math
 import os
 import time
 
-import numpy as np
-
-from .errors import InfeasibleParameters, InstanceTooLarge, InvariantViolation
-from .models import SelectionReport, err, make_report
+from .errors import (
+    InfeasibleParameters,
+    InstanceTooLarge,
+    InvariantViolation,
+    SingularSubmatrix,
+)
+from .models import SelectionReport, err, err_batch, make_report
 
 DEFAULT_MAX_N = 20
 # Subsets per stacked scoring call. The name dates from the thread pool it
@@ -45,25 +49,17 @@ def _shortlist(model, combos, alpha=None):
     """Yield, in enumeration order, the sorted selections whose stacked score
     is within _TIE_TOL of ``alpha`` (of the chunk's best when None). A chunk
     with a block that is not positive definite is yielded whole, so that err
-    raises at the same subset as a per-subset loop."""
-    lam = model.precision().block  # full support: vertex v is row v - 1
+    raises at the same subset as a per-subset loop, after any earlier winner."""
     pinned = model.pinned
-    fixed = [v - 1 for v in pinned]
     combos = iter(combos)
     while chunk := list(itertools.islice(combos, _THREAD_CHUNK)):
-        rows = np.arange(len(chunk))[:, None]
-        free = np.ones((len(chunk), model.n), dtype=bool)
-        free[:, fixed] = False
-        free[rows, np.array(chunk, dtype=int).reshape(len(chunk), -1) - 1] = False
-        idx = free.nonzero()[1].reshape(len(chunk), -1)
         try:
-            chol = np.linalg.cholesky(lam[idx[:, :, None], idx[:, None, :]])
-        except np.linalg.LinAlgError:
+            scores = err_batch(model, chunk)
+        except SingularSubmatrix:
             keep = itertools.repeat(True)
         else:
-            inv_l = np.linalg.inv(chol)
-            scores = np.sum(inv_l * inv_l, axis=(1, 2)) / model.n
-            keep = scores <= (scores.min() if alpha is None else alpha) * (1 + _TIE_TOL)
+            cut = (min(scores) if alpha is None else alpha) * (1 + _TIE_TOL)
+            keep = (score <= cut for score in scores)
         for extra, kept in zip(chunk, keep):
             if kept:
                 yield tuple(sorted(pinned | set(extra)))

@@ -223,6 +223,34 @@ def err(model, subset) -> float:
             f"unobserved block on {sbar} is singular: {exc}") from exc
 
 
+def err_batch(model, subsets) -> list[float]:
+    """``[err(model, s) for s in subsets]``, bit for bit. The unobserved
+    blocks of one size go through one stacked Cholesky and one stacked inverse
+    (LAPACK still factors each block alone, and each block's squares are summed
+    as err sums them). If a set is not a selection or a block is not positive
+    definite, the sets are scored one by one with err, which raises its own
+    error at the same set."""
+    subsets = [tuple(s) for s in subsets]
+    flat = [v for s in subsets for v in s]
+    if not set(flat) <= set(model.vertices):
+        return [err(model, s) for s in subsets]
+    free = np.ones((len(subsets), model.n), dtype=bool)
+    free[:, [v - 1 for v in model.pinned]] = False
+    free[[i for i, s in enumerate(subsets) for _ in s], np.array(flat, dtype=int) - 1] = False
+    sizes = free.sum(axis=1)
+    lam = model.precision().block
+    out = np.zeros(len(subsets))
+    try:
+        for k in sorted(set(sizes.tolist()) - {0}):   # np.unique would import numpy.ma
+            which = (sizes == k).nonzero()[0]
+            idx = free[which].nonzero()[1].reshape(len(which), k)
+            inv_l = np.linalg.inv(np.linalg.cholesky(lam[idx[:, :, None], idx[:, None, :]]))
+            out[which] = np.sum(inv_l * inv_l, axis=(1, 2)) / model.n
+    except np.linalg.LinAlgError:
+        return [err(model, s) for s in subsets]
+    return out.tolist()
+
+
 def conditional_variance(model, i: int, subset) -> float:
     """V[X_i | X_S] via the covariance route; 0 when i is observed."""
     s = _effective_observed(model, subset)

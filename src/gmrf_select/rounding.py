@@ -42,9 +42,14 @@ def is_gff_class(block: np.ndarray, abs_tol: float = 0.0) -> bool:
     numerically-zero matrices)."""
     if block.size == 0:
         return True
+    return _in_gff_class(block, block.sum(axis=1), abs_tol)
+
+
+def _in_gff_class(block: np.ndarray, row_sums: np.ndarray, abs_tol: float) -> bool:
+    """is_gff_class on a nonempty block whose row sums are already known."""
     cut = max(GFF_CLASS_TOL * np.abs(block).max(), abs_tol, 1e-300)
     off = block - np.diag(np.diag(block))
-    return off.max(initial=0.0) <= cut and block.sum(axis=1).min() >= -cut
+    return off.max(initial=0.0) <= cut and row_sums.min() >= -cut
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,8 @@ class GffRounder:
     def round(self, p: SupportedMatrix) -> SupportedMatrix:
         if not p.support:
             return p
-        if not is_gff_class(p.block, abs_tol=self.zero_tol):
+        sums = p.block.sum(axis=1)
+        if not _in_gff_class(p.block, sums, self.zero_tol):
             raise InvariantViolation(
                 "matrix outside the diagonally-dominant M-matrix class")
         k = len(p.support)
@@ -119,7 +125,7 @@ class GffRounder:
             for j in range(i + 1, k):
                 flat[i * k + j] = flat[j * k + i] = -self.snap(abs(block[i][j]))
         # the diagonal is still 0 where the off-diagonal magnitudes are summed
-        row_sums = [self.snap(x) for x in p.block.sum(axis=1).tolist()]
+        row_sums = [self.snap(x) for x in sums.tolist()]
         flat[::k + 1] = row_sums + np.abs(out).sum(axis=1)
         return SupportedMatrix.of_symmetric(p.ambient_dim, p.support, out)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -355,6 +356,26 @@ class TestCli:
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "False"
 
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        assert main(["select", "greedy", "--input", path, "--budget", "1"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_process_entry_matches_in_process_main(self, tmp_path, capsys):
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                        os.pardir, "src"))
+        path = write(tmp_path, "c4.gff", C4_TEXT)
+        for argv, code in ((["select", "exact", "--input", path, "--budget", "2"], 0),
+                           (["eval", "--input", str(tmp_path / "missing.gff"), "--set", "1"], 2),
+                           (["validate", "--trials", "2"], 0)):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "gmrf_select.cli", *argv],
+                                  env=env, capture_output=True, text=True)
+            assert (proc.stdout, proc.stderr, proc.returncode) == (
+                captured.out, captured.err, code)
+
     def test_traced_launcher_matches_plain_cli(self, tmp_path):
         # benchmark/traced.py rebinds each layer function by name; a rename in
         # src/ must fail here rather than silently drop spans from a traced run
@@ -536,6 +557,54 @@ class TestValidateSuite:
         assert lines and all(re.fullmatch(r"  \[(violation|discrepancy)\] [\w-]+: .+", x)
                              for x in lines)
         assert any(x.startswith("  [violation] three-path: ") for x in lines)
+
+    def _flag_first_check(self, monkeypatch):
+        """Make the batch flag the first supermodularity check of seed 0 by
+        lowering its err(A) score. Returns a dict that receives that check's
+        model and its four sets A, A+x, A+y, A+x+y."""
+        import gmrf_select.validate as validate_mod
+
+        true_batch, first = validate_mod.err_batch, {}
+
+        def flagging_batch(model, subsets):
+            scores = true_batch(model, subsets)
+            if not first:
+                first.update(model=model, sets=[frozenset(s) for s in subsets[:4]])
+                scores[0] = -1.0
+            return scores
+
+        monkeypatch.setattr(validate_mod, "err_batch", flagging_batch)
+        return first
+
+    def test_unconfirmed_batch_flag_makes_no_finding(self, monkeypatch):
+        import gmrf_select.validate as validate_mod
+
+        first = self._flag_first_check(monkeypatch)
+        rescored = []
+
+        def counting_err(model, subset):
+            rescored.append(frozenset(subset))
+            return err(model, subset)
+
+        monkeypatch.setattr(validate_mod, "err", counting_err)
+        assert validate_mod.suite_supermodularity(0, 10) == []
+        assert rescored == first["sets"]
+
+    def test_confirmed_batch_flag_carries_errs_numbers(self, monkeypatch):
+        import gmrf_select.validate as validate_mod
+
+        first = self._flag_first_check(monkeypatch)
+
+        def bumped_err(model, subset):   # err(A + x) up by 1, so err confirms the flag
+            return err(model, subset) + (1.0 if frozenset(subset) == first["sets"][1] else 0.0)
+
+        monkeypatch.setattr(validate_mod, "err", bumped_err)
+        (finding,) = validate_mod.suite_supermodularity(0, 10)
+        g, (a, ax, ay, axy) = first["model"], first["sets"]
+        assert (finding["suite"], finding["n"]) == ("supermodularity", g.n)
+        assert (set(finding["a"]), {finding["x"]}, {finding["y"]}) == (a, ax - a, ay - a)
+        assert finding["lhs"] == err(g, a) - (err(g, ax) + 1.0)
+        assert finding["rhs"] == err(g, ay) - err(g, axy)
 
     def test_threaded_run_matches(self, monkeypatch):
         code_serial, payload_serial = validate_suite(seed=2, trials=6)

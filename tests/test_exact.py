@@ -8,7 +8,7 @@ from gmrf_select.cli import main
 from gmrf_select.errors import InstanceTooLarge, InvariantViolation, SingularSubmatrix
 from gmrf_select.exact import exact_budget, exact_cover
 from gmrf_select.io import parse_model
-from gmrf_select.models import GffModel, GmrfModel, err, random_gff, random_gmrf
+from gmrf_select.models import GffModel, GmrfModel, err, err_batch, random_gff, random_gmrf
 
 from conftest import unit_cycle, unit_path
 
@@ -269,3 +269,65 @@ class TestSingularBlocks:
         assert main(["select", "exact", "--input", str(path), "--budget", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: unobserved block on (1, 3, 4)")
         assert main(["select", "exact", "--input", str(path), "--alpha", repr(alpha)]) == 0
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _random_selections(model, rng, count):
+    """Mixed-size selections, each in a random order; the pin may be named."""
+    out = []
+    for _ in range(count):
+        order = rng.permutation(model.vertices)
+        out.append(tuple(int(v) for v in order[:rng.integers(0, model.n + 1)]))
+    return out
+
+
+class TestErrBatch:
+    """models.err_batch, the stacked scorer behind the exhaustive search and the
+    supermodularity suite, against a per-set err loop, bit for bit."""
+
+    def test_random_gffs(self):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            n = int(rng.integers(3, 13))
+            g = random_gff(n, density=float(rng.uniform(0.0, 0.6)),
+                           seed=int(rng.integers(1 << 30)))
+            subsets = _random_selections(g, rng, 40)
+            unpinned = tuple(v for v in g.vertices if v != g.pin)
+            subsets += [(), (g.pin,), tuple(g.vertices), unpinned]
+            assert _hex(err_batch(g, subsets)) == _hex(err(g, s) for s in subsets)
+
+    def test_random_gmrfs(self):
+        rng = np.random.default_rng(72)
+        for _ in range(60):
+            n = int(rng.integers(2, 17))
+            m = random_gmrf(n, tree_width_hint=int(rng.integers(1, 4)),
+                            seed=int(rng.integers(1 << 30)))
+            subsets = _random_selections(m, rng, 40) + [(), tuple(m.vertices)]
+            assert _hex(err_batch(m, subsets)) == _hex(err(m, s) for s in subsets)
+
+    def test_edge_selections(self):
+        g = random_gff(6, density=0.3, seed=4)
+        assert err_batch(g, []) == []
+        assert _hex(err_batch(g, [(), (1,)])) == _hex([err(g, ()), err(g, (1,))])
+        assert err_batch(g, [tuple(g.vertices)] * 3) == [0.0] * 3
+        with pytest.raises(InvariantViolation, match="outside 1..6"):
+            err_batch(g, [(2,), (0, 3)])
+
+    def test_singular_stack_raises_errs_error_at_the_same_set(self, tmp_path):
+        path = tmp_path / "mid.gmrf"
+        path.write_text(MID_CHUNK_SINGULAR)
+        model = parse_model(str(path))
+        # {2} is the only singular set; {4} shares its stack, () and {1, 3} do not
+        subsets = [(), (1,), (1, 3), (4,), (2,), (3,)]
+        with pytest.raises(SingularSubmatrix) as want:
+            for s in subsets:
+                err(model, s)
+        with pytest.raises(SingularSubmatrix) as got:
+            err_batch(model, subsets)
+        assert str(got.value) == str(want.value)
+        assert "unobserved block on (1, 3, 4)" in str(got.value)
+        assert _hex(err_batch(model, [(), (1,), (1, 3)])) == _hex(
+            [err(model, ()), err(model, (1,)), err(model, (1, 3))])

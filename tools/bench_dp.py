@@ -1,5 +1,5 @@
-"""DP kernel benchmark: in-process layer timings and end-to-end pairs of a change
-against its parent commit.
+"""Benchmark of a change against its parent commit: in-process layer timings,
+process exit times and end-to-end pairs.
 
     python3 tools/bench_dp.py --parent DIR --out FILE [--change DIR]
                               [--repeats 5] [--pairs 10] [--seconds 15]
@@ -7,22 +7,32 @@ against its parent commit.
 DIR is a source checkout of the parent commit, for example made with
 `git archive <sha> | tar -x -C DIR`; --change defaults to this checkout. FILE
 has no default, so a run never overwrites a committed BENCH_*.json by
-accident. Two measurements go into FILE:
+accident. Three measurements go into FILE, each with its median and q1-q3
+spread beside every run, and each median is printed with its spread:
 
 - layer: the five seed-1 dp-tree models of `benchmark/workloads.py`,
   `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1 and
   `random_gmrf(32, tree_width_hint=1, seed=3)` with b=3, eps'=0.5, each run
-  with `dp_select` on `balance_for_tree`. Every repeat is one fresh process
-  per side, the sides alternating which goes first; after one untimed call of
-  each numpy routine the DP uses, each case runs once and records its wall
-  and CPU time, sizing, selection, `err.hex()` and `table_value.hex()`.
+  with `dp_select` on `balance_for_tree`, and `validate.suite_supermodularity(0,
+  1000)`. Every repeat is one fresh process per side, the sides alternating
+  which goes first; after one untimed call of each numpy routine the cases
+  use, each case runs once and records its wall and CPU time and its result
+  (a DP's sizing, selection, `err.hex()` and `table_value.hex()`; the suite's
+  findings).
+- exit: the first `select greedy`, `select dp`, `select exact` and `validate`
+  request of the seed-1 workloads, each run `--repeats` times per side as
+  `python3 -m gmrf_select.cli` would run it, sides alternating; records the
+  time from the last atexit hook (main has returned) to the moment the
+  process is reaped, and the process's wall time.
 - pairs: `benchmark/run.py --trace 0` on every workload, run alternately in
   both checkouts at seeds 31, 32, ..., one seed per pair, in the layout of
-  BENCH_8.json, with per-metric medians, quartiles and change wins.
+  BENCH_8.json, with per-metric medians, quartiles and change wins, and the
+  pass count of every run.
 
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are set to 1 on this
-process before numpy is imported and recorded; the layer processes inherit
-them. `benchmark/run.py` removes them from the requests it starts, as always.
+process before numpy is imported and recorded; the layer and exit processes
+inherit them. `benchmark/run.py` removes them from the requests it starts, as
+always.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -56,8 +67,8 @@ def src_sha256(src: Path) -> str:
     return digest.hexdigest()
 
 
-def layer_cases(root: Path):
-    """(name, model, budget, eps_prime) for every in-process case."""
+def dp_cases(root: Path):
+    """(name, model, budget, eps_prime) for every in-process DP case."""
     sys.path.insert(0, str(root / "benchmark"))
     from workloads import dp_tree
 
@@ -73,13 +84,20 @@ def layer_cases(root: Path):
 
 
 def warm_up() -> None:
-    """First calls of the numpy routines the DP uses, so their one-time set-up
-    is timed in neither side's first case; no package code runs."""
+    """First calls of the numpy routines the cases use, so their one-time
+    set-up is timed in neither side's first case; no package code runs."""
     import numpy as np
 
     block = np.eye(3) + 0.5
     np.linalg.eigvalsh(block), np.linalg.eigh(block), np.linalg.norm(block[:, 0])
-    np.linalg.solve(np.linalg.cholesky(block), block)
+    np.linalg.solve(np.linalg.cholesky(block), block), np.linalg.inv(block[None])
+
+
+def timed(fn, *args):
+    """(wall s, CPU s, value) of one call."""
+    start, cpu = time.perf_counter(), time.process_time()
+    value = fn(*args)
+    return time.perf_counter() - start, time.process_time() - cpu, value
 
 
 def run_layer(root: Path) -> dict:
@@ -87,25 +105,33 @@ def run_layer(root: Path) -> dict:
     sys.path.insert(0, str(root / "src"))
     from gmrf_select.decomposition import balance_for_tree
     from gmrf_select.dp import dp_select
+    from gmrf_select.validate import suite_supermodularity
 
     warm_up()
     out = {}
-    for name, model, budget, eps_prime in layer_cases(root):
+    for name, model, budget, eps_prime in dp_cases(root):
         td = balance_for_tree(model.n, model.graph_edges())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            start, cpu = time.perf_counter(), time.process_time()
-            report = dp_select(model, td, budget, eps_prime)
-            elapsed, cpu = time.perf_counter() - start, time.process_time() - cpu
-        out[name] = {"time_s": elapsed, "cpu_s": cpu, "sizing": report.details["sizing"],
-                     "selected": list(report.selected), "err": report.err_value.hex(),
-                     "table_value": report.details["table_value"].hex()}
+            elapsed, cpu, report = timed(dp_select, model, td, budget, eps_prime)
+        out[name] = {"time_s": elapsed, "cpu_s": cpu, "result": {
+            "sizing": report.details["sizing"], "selected": list(report.selected),
+            "err": report.err_value.hex(), "table_value": report.details["table_value"].hex()}}
+    elapsed, cpu, findings = timed(suite_supermodularity, 0, 1000)
+    out["supermodularity-1000"] = {"time_s": elapsed, "cpu_s": cpu,
+                                   "result": {"findings": findings}}
     return out
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def show(entry: dict) -> str:
+    """A spread as ``median [q1-q3]``."""
+    return f"{entry['median']:.3f} [{entry['q1']:.3f}-{entry['q3']:.3f}]"
 
 
 def layer(sides: dict, repeats: int) -> dict:
@@ -116,25 +142,63 @@ def layer(sides: dict, repeats: int) -> dict:
             proc = subprocess.run([sys.executable, __file__, "--layer", str(sides[side])],
                                   capture_output=True, text=True, check=True)
             runs[side].append(json.loads(proc.stdout.splitlines()[-1]))
-    result_keys = ("sizing", "selected", "err", "table_value")
     cases = {}
     for name in runs["change"][0]:
         entry = {}
         for side in sides:
             mine = [run[name] for run in runs[side]]
-            times = [run["time_s"] for run in mine]
-            cpu = [run["cpu_s"] for run in mine]
-            entry[side] = {**{k: mine[0][k] for k in result_keys},
-                           "times_s": times, "median_s": statistics.median(times),
-                           "cpu_s": cpu, "median_cpu_s": statistics.median(cpu),
-                           "repeats_agree": all({k: run[k] for k in result_keys}
-                                                == {k: mine[0][k] for k in result_keys}
+            entry[side] = {"result": mine[0]["result"],
+                           "time_s": spread([run["time_s"] for run in mine]),
+                           "cpu_s": spread([run["cpu_s"] for run in mine]),
+                           "repeats_agree": all(run["result"] == mine[0]["result"]
                                                 for run in mine)}
-        entry["speedup"] = entry["parent"]["median_s"] / entry["change"]["median_s"]
-        entry["cpu_speedup"] = entry["parent"]["median_cpu_s"] / entry["change"]["median_cpu_s"]
-        entry["same_result"] = all(entry["parent"][k] == entry["change"][k] for k in result_keys)
+        for key in ("time_s", "cpu_s"):
+            entry[f"speedup_{key}"] = entry["parent"][key]["median"] / entry["change"][key]["median"]
+        entry["same_result"] = entry["parent"]["result"] == entry["change"]["result"]
         cases[name] = entry
     return cases
+
+
+EXIT_PROBE = """
+import atexit, runpy, sys, time
+atexit.register(lambda: sys.stderr.write(f"main returned at {time.perf_counter()!r}\\n"))
+runpy.run_module("gmrf_select.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def exit_times(sides: dict, repeats: int) -> dict:
+    """Per request kind and side: ms from main returning to the process being
+    reaped, and the process's wall ms. atexit hooks run in reverse order, so
+    the probe's hook, registered before any import, runs last."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    import workloads
+
+    kinds = ("select greedy", "select dp", "select exact", "validate")
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        requests = {}
+        for make in workloads.WORKLOADS.values():
+            work = make(1)
+            for file, text in work.files.items():
+                Path(tmp, file).write_text(text)
+            for req in work.requests:
+                if req.kind in kinds:
+                    requests.setdefault(req.kind, req.argv(tmp))
+        for kind in kinds:
+            samples = {side: {"exit_ms": [], "wall_ms": []} for side in sides}
+            for rep in range(repeats):
+                for side in (list(sides) if rep % 2 == 0 else list(reversed(sides))):
+                    env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
+                    start = time.perf_counter()
+                    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *requests[kind]],
+                                          env=env, capture_output=True, text=True, check=True)
+                    reaped = time.perf_counter()
+                    returned = float(proc.stderr.rsplit(" ", 1)[-1])
+                    samples[side]["exit_ms"].append((reaped - returned) * 1e3)
+                    samples[side]["wall_ms"].append((reaped - start) * 1e3)
+            result[kind] = {side: {key: spread(values) for key, values in mine.items()}
+                            for side, mine in samples.items()}
+    return result
 
 
 def benchmark_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -158,7 +222,8 @@ def pairs(sides: dict, count: int, seconds: float) -> tuple[list, dict]:
                 pair[side] = benchmark_run(sides[side], workload, seed, seconds)
             records.append(pair)
         mine = [p for p in records if p["workload"] == workload]
-        summary[workload] = {"pairs": len(mine)}
+        summary[workload] = {"pairs": len(mine), "passes": {
+            side: [p[side]["detail"]["passes"] for p in mine] for side in sides}}
         for metric, direction in better.items():
             values = {side: [p[side]["result"]["metrics"][metric]["value"] for p in mine]
                       for side in sides}
@@ -187,28 +252,36 @@ def main(argv=None) -> int:
             ap.error(f"--{name} is required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
-        "title": "DP kernel misses on per-run position maps",
         "command": "python3 tools/bench_dp.py --parent DIR --out FILE",
+        "repeats": args.repeats, "pairs_per_workload": args.pairs, "seconds": args.seconds,
         "method": ("in-process layer runs: one fresh process per side and repeat, sides "
-                   "alternating, numpy routines warmed up untimed, medians of wall and CPU "
-                   "time; end-to-end: benchmark/run.py --trace 0 run alternately in two "
-                   "checkouts at seeds not used while the change was written, 'first' says "
-                   "which side ran first in each pair"),
+                   "alternating, numpy routines warmed up untimed; exit: one process per "
+                   "request, side and repeat, sides alternating; end-to-end: "
+                   "benchmark/run.py --trace 0 run alternately in two checkouts at seeds "
+                   "not used while the change was written, 'first' says which side ran "
+                   "first in each pair; every median has its q1-q3 spread"),
         "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
         "src_sha256": {side: src_sha256(path / "src") for side, path in sides.items()},
         "layer": layer(sides, args.repeats),
+        "exit": exit_times(sides, args.repeats),
     }
     records, summary = pairs(sides, args.pairs, args.seconds) if args.pairs else ([], {})
     result["summary"] = summary
     result["pairs"] = records
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for name, case in result["layer"].items():
-        print(f"{name}: {case['parent']['median_s']:.3f} s -> {case['change']['median_s']:.3f} s "
-              f"({case['speedup']:.2f}x, same result: {case['same_result']})")
+        print(f"{name}: {show(case['parent']['time_s'])} s -> {show(case['change']['time_s'])} s "
+              f"({case['speedup_time_s']:.2f}x, same result: {case['same_result']})")
+    for kind, case in result["exit"].items():
+        for key in ("exit_ms", "wall_ms"):
+            print(f"{kind} {key}: {show(case['parent'][key])} -> {show(case['change'][key])}")
     for workload, rows in summary.items():
-        tp = rows["throughput_rps"]
-        print(f"{workload}: throughput_rps {tp['parent']['median']:.3f} -> "
-              f"{tp['change']['median']:.3f}, change wins {tp['change_wins']}/{rows['pairs']}")
+        for metric, row in rows.items():
+            if isinstance(row, dict) and "change_wins" in row:
+                print(f"{workload} {metric}: {show(row['parent'])} -> {show(row['change'])}, "
+                      f"change wins {row['change_wins']}/{rows['pairs']}")
+        print(f"{workload} passes: parent {rows['passes']['parent']}, "
+              f"change {rows['passes']['change']}")
     return 0
 
 
