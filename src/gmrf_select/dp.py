@@ -79,7 +79,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
             blocks[home][pv, pu] -= c
         return tuple(SupportedMatrix(model.n, s, b) for s, b in zip(supports, blocks))
 
-    lam = model.precision()   # full support: GmrfModel refuses anything else
+    lam = model.precision_matrix   # full support: GmrfModel refuses anything else
     w = np.linalg.eigvalsh(lam.block)
     lam_min = float(w[0])
     if lam_min <= linalg.RANK_TOL * max(float(w[-1]), 0.0):
@@ -156,7 +156,7 @@ class MessageTable:
             obs(f, model.pinned & set(f.support)) for f in factorize(model, td))
         self.sys_clusters = [frozenset(c) - model.pinned for c in td.clusters]
 
-        w = np.linalg.eigvalsh(obs(model.precision(), model.pinned).block)
+        w = np.linalg.eigvalsh(obs(model.precision_matrix, model.pinned).block)
         self.key_quantum = max(float(w[-1]), 1e-12) * KEY_QUANTUM_REL
 
         # allow for drift accumulated over the tree height in the runtime

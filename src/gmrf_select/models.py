@@ -43,9 +43,6 @@ class _Model:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def precision(self) -> SupportedMatrix:
-        return self.precision_matrix
-
     def covariance(self) -> np.ndarray:
         """Full n x n covariance, exactly symmetric, pinned rows zero; cached."""
         if self._covariance is None:
@@ -215,7 +212,7 @@ def err(model, subset) -> float:
     sbar = tuple(v for v in model.vertices if v not in s)
     if not sbar:
         return 0.0
-    sub = linalg.obs(model.precision(), s)
+    sub = linalg.obs(model.precision_matrix, s)
     try:
         return linalg.trace_of_inverse(sub) / model.n
     except linalg.SingularMatrix as exc:
@@ -238,7 +235,7 @@ def err_batch(model, subsets) -> list[float]:
     free[:, [v - 1 for v in model.pinned]] = False
     free[[i for i, s in enumerate(subsets) for _ in s], np.array(flat, dtype=int) - 1] = False
     sizes = free.sum(axis=1)
-    lam = model.precision().block
+    lam = model.precision_matrix.block
     out = np.zeros(len(subsets))
     try:
         for k in sorted(set(sizes.tolist()) - {0}):   # np.unique would import numpy.ma
@@ -278,7 +275,7 @@ def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarra
     if i in s:
         raise InvariantViolation(f"target {i} is observed")
     order = tuple(sorted(s))
-    lam = model.precision().block
+    lam = model.precision_matrix.block
     sbar = tuple(v for v in model.vertices if v not in s)
     bi, si = [v - 1 for v in sbar], [v - 1 for v in order]
     try:

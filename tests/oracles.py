@@ -98,7 +98,7 @@ def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
         return (0.0, True)
     if not s:
         raise SingularSubmatrix("S empty: err is undefined on the full Laplacian")
-    err_s = linalg.trace_of_inverse(linalg.obs(gff.precision(), s)) / gff.n
+    err_s = linalg.trace_of_inverse(linalg.obs(gff.precision_matrix, s)) / gff.n
     sbar_set = set(sbar)
     independent = not any(u in sbar_set and v in sbar_set for u, v, _ in gff.edges)
     attained = abs(err_s - bound) <= 1e-9

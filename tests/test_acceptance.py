@@ -274,7 +274,7 @@ def test_criterion_09_factorization():
         g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
         td = balance_for_tree(n, g.graph_edges())
         cf = factorize(g, td)
-        lap = g.precision().block
+        lap = g.precision_matrix.block
         assert np.allclose(factor_total(cf, n), lap, atol=1e-10 * max(np.abs(lap).max(), 1)), \
             "gff factor sum mismatch"
         pairs += 1

@@ -52,3 +52,16 @@ def test_data_type_attributes_are_pinned():
     assert public(gmrf_select.SupportedMatrix) == [
         "checked", "from_dense", "of_symmetric", "zeros"]
     assert public(gmrf_select.TreeDecomposition) == ["height", "m", "root", "width"]
+
+
+def test_model_attributes_are_pinned():
+    # the precision has one reader, the precision_matrix attribute
+    def public(obj):
+        return [name for name in dir(obj) if not name.startswith("_")]
+
+    gff = gmrf_select.GffModel(3, [(1, 2, 1.0), (2, 3, 2.0)])
+    gmrf = gmrf_select.GmrfModel([[2.0, -1.0], [-1.0, 2.0]])
+    assert public(gff) == ["covariance", "edges", "graph_edges", "n", "pin", "pinned",
+                           "precision_matrix", "vertices"]
+    assert public(gmrf) == ["covariance", "from_covariance", "graph_edges", "n", "pinned",
+                            "precision_matrix", "vertices"]

@@ -11,7 +11,8 @@ import pytest
 
 from gmrf_select import io
 from gmrf_select.cli import main
-from gmrf_select.errors import ParseError
+from gmrf_select.decomposition import parse_and_normalize
+from gmrf_select.errors import GmrfSelectError, ParseError
 from gmrf_select.models import GffModel, GmrfModel, err, laplacian, random_gff
 from gmrf_select.validate import validate_suite
 
@@ -20,6 +21,7 @@ from oracles import parse_report
 
 
 C4_TEXT = "gff 4 4 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 1 1.0\n"
+P4_TEXT = "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n"
 
 
 def write(tmp_path, name, text):
@@ -93,6 +95,12 @@ class TestReports:
         assert abs(back.err_value - rep.err_value) <= 1e-9 * rep.err_value
         assert back.solver == rep.solver
         assert back.guarantee.source == rep.guarantee.source
+
+    def test_unknown_format_rejected(self):
+        from gmrf_select.greedy import greedy_budget
+        rep = greedy_budget(unit_cycle(4), 1)
+        with pytest.raises(ParseError, match="^unknown report format 'xml'$"):
+            io.emit_report(rep, fmt="xml")
 
     def test_empty_selection_reports_pin(self):
         from gmrf_select.greedy import greedy_budget
@@ -366,11 +374,24 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
                                                         os.pardir, "src"))
         path = write(tmp_path, "c4.gff", C4_TEXT)
+        tree = write(tmp_path, "t12.gff", io.format_model(random_gff(12, density=0.0, seed=2)))
+
+        def to_stderr(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
         for argv, code in ((["select", "exact", "--input", path, "--budget", "2"], 0),
+                           (["select", "greedy", "--input", path, "--budget", "2"], 0),
+                           (["select", "dp", "--input", tree, "--budget", "1"], 0),
                            (["eval", "--input", str(tmp_path / "missing.gff"), "--set", "1"], 2),
                            (["validate", "--trials", "2"], 0)):
-            assert main(argv) == code
+            # a RuntimeWarning (the GFF DP's clamped epsilon) prints to stderr
+            # once, under the process's default filter
+            with warnings.catch_warnings():
+                warnings.simplefilter("default", RuntimeWarning)
+                warnings.showwarning = to_stderr
+                assert main(argv) == code
             captured = capsys.readouterr()
+            assert ("clamped to 1e-12" in captured.err) == (argv[1] == "dp")
             proc = subprocess.run([sys.executable, "-m", "gmrf_select.cli", *argv],
                                   env=env, capture_output=True, text=True)
             assert (proc.stdout, proc.stderr, proc.returncode) == (
@@ -514,6 +535,82 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert not out_path.exists()
+
+
+TD_TWO_BAGS = "s td 2 3 4\nb 1 1 2\nb 2 2 3 4\n"
+
+# one case per message a model or decomposition file can get at the boundary:
+# (model text, decomposition text or None, exact message)
+BAD_FILES = {
+    "empty-model": ("# nothing here\n\n", None, "line 1: empty model file"),
+    "gff-header-fields": ("gff 2 1\n", None, "line 1: expected 'gff n m pin', got 'gff 2 1'"),
+    "gff-header-integer": ("gff 2 x 1\n", None, "line 1: non-integer header field"),
+    "gff-edge-malformed": ("gff 2 1 1\n1 2 x\n", None, "line 2: malformed edge '1 2 x'"),
+    "gff-edge-count": ("gff 3 2 1\n1 2 1.0\n", None, "expected 2 edges, found 1"),
+    "gff-one-vertex": ("gff 1 0 1\n", None, "a GFF needs at least 2 vertices, got 1"),
+    "gff-pin-range": ("gff 2 1 3\n1 2 1.0\n", None, "pin 3 outside 1..2"),
+    "gff-edge-range": ("gff 2 1 1\n1 3 1.0\n", None, "edge (1,3) outside 1..2"),
+    "gff-conflicting": ("gff 2 2 1\n1 2 1.0\n2 1 2.0\n", None,
+                        "conflicting resistances on edge (1, 2)"),
+    "gmrf-partial-support": ("gmrf\n3 2\n1 2\n1 0\n0 1\n", None,
+                             "GMRF matrices must have full support"),
+    "gmrf-not-definite": ("gmrf\n2 2\n1 2\n1 2\n2 1\n", None,
+                          "precision not positive definite (lambda_min = -1.000e+00)"),
+    "matrix-no-header": ("gmrf\n", None, "line 2: missing matrix header"),
+    "matrix-header-integer": ("gmrf\n2 x\n", None, "line 2: non-integer matrix header '2 x'"),
+    "matrix-dimensions": ("gmrf\n2 3\n", None, "line 2: invalid dimensions n=2 k=3"),
+    "matrix-short": ("gmrf\n2 2\n1 2\n1 0\n", None,
+                     "line 4: expected support line and 2 rows"),
+    "matrix-support-count": ("gmrf\n2 2\n1\n1 0\n0 1\n", None,
+                             "line 3: expected 2 support indices, got 1"),
+    "matrix-row-length": ("gmrf\n2 2\n1 2\n1 0 0\n0 1\n", None,
+                          "line 4: expected 2 entries, got 3"),
+    "td-duplicate-header": (P4_TEXT, "s td 1 4 4\ns td 1 4 4\n",
+                            "line 2: duplicate 's td' header"),
+    "td-header-integer": (P4_TEXT, "s td 1 x 4\n", "line 1: non-integer header field"),
+    "td-bag-malformed": (P4_TEXT, "s td 1 4 4\nb x 1\n", "line 2: malformed bag line 'b x 1'"),
+    "td-bag-duplicate": (P4_TEXT, "s td 2 4 4\nb 1 1 2\nb 1 1 2\n",
+                         "line 3: duplicate bag 1"),
+    "td-edge-first": (P4_TEXT, "1 2\ns td 1 4 4\n", "line 1: edge before 's td' header"),
+    "td-edge-malformed": (P4_TEXT, TD_TWO_BAGS + "1 2 3\n",
+                          "line 4: malformed edge line '1 2 3'"),
+    "td-edge-integer": (P4_TEXT, TD_TWO_BAGS + "1 x\n", "line 4: non-integer edge '1 x'"),
+    "td-no-header": (P4_TEXT, "c a comment only\n", "missing 's td' header"),
+    "td-tree-edge": (P4_TEXT, TD_TWO_BAGS + "1 1\n", "bad tree edge (0, 0)"),
+    "td-edge-count": (P4_TEXT, TD_TWO_BAGS, "0 tree edges for 2 clusters; a tree needs 1"),
+    "td-vertex-range": (P4_TEXT, "s td 2 3 4\nb 1 1 2 5\nb 2 2 3 4\n1 2\n",
+                        "cluster vertices [5] outside 1..4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_file_message_and_exit_code(tmp_path, capsys, case):
+    # the parser's message is the CLI's, and the CLI exits 2 on it
+    model_text, td_text, message = BAD_FILES[case]
+    with pytest.raises(GmrfSelectError) as info:
+        model = io.parse_model_text(model_text)
+        parse_and_normalize(td_text, model)
+    assert str(info.value) == message
+    argv = ["eval", "--set", "1", "--input", write(tmp_path, "m.txt", model_text)]
+    if td_text is not None:
+        argv = ["select", "dp", "--budget", "1", "--input", argv[-1],
+                "--td", write(tmp_path, "m.td", td_text)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_vertex_set_boundary(tmp_path, capsys):
+    path = write(tmp_path, "c4.gff", C4_TEXT)
+    assert main(["eval", "--input", path, "--set", " "]) == 0
+    assert json.loads(capsys.readouterr().out)["selected"] == [1]   # the pin alone
+    assert main(["eval", "--input", path, "--set", "1,x"]) == 2
+    assert capsys.readouterr() == ("", "error: bad vertex set '1,x'\n")
+
+
+def test_convert_gff_exit_code(tmp_path, capsys):
+    path = write(tmp_path, "c4.gff", C4_TEXT)
+    assert main(["convert", "tree-gmrf-to-gff", "--input", path]) == 2
+    assert capsys.readouterr() == ("", "error: convert expects a GMRF model file\n")
 
 
 class TestValidateSuite:

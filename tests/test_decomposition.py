@@ -185,6 +185,10 @@ class TestPaceFormat:
         back = parse_and_normalize(write_td_text(td), g)
         assert_normalized(back, g.graph_edges())
 
+    def test_comment_and_blank_lines_skipped(self):
+        text = "c made by hand\n\ns td 2 2 3\nc bags\nb 1 1 2\nb 2 2 3\n\n1 2\n"
+        assert read_td_text(text) == ([{1, 2}, {2, 3}], [(0, 1)], 3)
+
     def test_header_errors(self):
         with pytest.raises(ParseError):
             read_td_text("b 1 1 2\n")                 # bag before header

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import warnings
 import weakref
 
@@ -20,6 +21,8 @@ from gmrf_select.dp import (
 from gmrf_select.errors import (
     EliminationOrderBroken,
     InvariantViolation,
+    SingularComplement,
+    SingularMatrix,
     StateSpaceExceeded,
 )
 from gmrf_select.exact import exact_budget
@@ -48,7 +51,7 @@ class TestFactorize:
         g = unit_path(3)
         td = normalize([{1, 2}, {2, 3}], [(0, 1)], 3, g.graph_edges())
         cf = factorize(g, td)
-        assert np.allclose(factor_total(cf, 3), g.precision().block, atol=1e-12)
+        assert np.allclose(factor_total(cf, 3), g.precision_matrix.block, atol=1e-12)
         for f in cf:
             assert is_gff_class(f.block, abs_tol=1e-12)
 
@@ -78,7 +81,7 @@ class TestFactorize:
             g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
             td = balance_for_tree(n, g.graph_edges())
             cf = factorize(g, td)
-            lap = g.precision().block
+            lap = g.precision_matrix.block
             assert np.allclose(factor_total(cf, n), lap, atol=1e-10 * np.abs(lap).max())
             for f in cf:
                 assert is_gff_class(f.block, abs_tol=1e-12)
@@ -388,6 +391,57 @@ class TestSingularBlockDrop:
         assert "p" in dropped
         exact = exact_budget(g, 1).err_value
         assert abs(report.err_value - exact) <= 1e-13 * exact
+
+
+def force_one_singular(monkeypatch, owner, name, error, pick):
+    """Patch the kernel ``owner.name`` (called as ``fn(block, keep)`` by
+    MessageTable._kernel) to raise ``error`` on the first input that
+    ``pick(call_site_frame, keep)`` accepts, and on every recomputation of that
+    input; returns the list of those calls."""
+    true_fn = getattr(owner, name)
+    forced = []
+
+    def patched(m, keep):
+        key = (m.support, m.block.tobytes(), frozenset(keep))
+        site = sys._getframe(2)   # patched <- MessageTable._kernel <- call site
+        if (forced and key == forced[0]) or (not forced and pick(site, keep)):
+            forced.append(key)
+            raise error("forced singular block")
+        return true_fn(m, keep)
+
+    monkeypatch.setattr(owner, name, patched)
+    return forced
+
+
+def child_prior(child):
+    """Picks a child's outside prior in _child_entries, below the root context
+    (the root's own prior is zero, and its child priors are all it has): the
+    kernel passes the call site's own keep set, target_k for the first child,
+    target_l for the second."""
+    return lambda site, keep: (site.f_code.co_name == "_child_entries"
+                               and site.f_locals["q_mat"].support != ()
+                               and keep is site.f_locals[f"target_{child}"])
+
+
+class TestForcedDrops:
+    """Each drop branch of the top-down pass, driven by one kernel input made
+    singular: the run still ends with a finite root table, and the input is
+    computed once, its None memoised for every repeat."""
+
+    @pytest.mark.parametrize("kernel", ["trace", "prior-k", "prior-l"])
+    def test_one_singular_input_is_dropped_once(self, monkeypatch, kernel):
+        if kernel == "trace":
+            forced = force_one_singular(monkeypatch, dp_mod.linalg, "diag_of_inverse",
+                                        SingularMatrix, lambda site, keep: True)
+        else:
+            forced = force_one_singular(monkeypatch, dp_mod, "marginal",
+                                        SingularComplement, child_prior(kernel[-1]))
+        g, td = on_tree(random_gff(12, density=0.0, seed=2))
+        mt = run_dp(g, td, 3, 1e-12)
+        assert len(forced) == 1
+        assert list(mt._kernels.values()).count(None) == 1
+        assert mt.root_table
+        assert all(math.isfinite(e.value) for e in mt.root_table.values())
 
 
 def map_cache_sizes():

@@ -9,7 +9,7 @@ from gmrf_select.errors import (
     InvariantViolation,
     NotATree,
 )
-from gmrf_select.linalg import obs, trace_of_inverse
+from gmrf_select.linalg import SupportedMatrix, obs, trace_of_inverse
 from gmrf_select.models import (
     GffModel,
     GmrfModel,
@@ -56,6 +56,13 @@ class TestLaplacian:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             GffModel(4, [(1, 2, 1.0), (3, 4, 1.0)])
+
+
+def test_gmrf_precision_needs_full_support():
+    # a file's partial support stops in the parser; a library caller's stops here
+    partial = SupportedMatrix(3, (1, 2), np.eye(2))
+    with pytest.raises(InvariantViolation, match=r"^precision must have full support 1\.\.n$"):
+        GmrfModel(partial)
 
 
 class TestErr:

@@ -14,11 +14,18 @@ spread beside every run, and each median is printed with its spread:
   `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1 and
   `random_gmrf(32, tree_width_hint=1, seed=3)` with b=3, eps'=0.5, each run
   with `dp_select` on `balance_for_tree`, and `validate.suite_supermodularity(0,
-  1000)`. Every repeat is one fresh process per side, the sides alternating
-  which goes first; after one untimed call of each numpy routine the cases
-  use, each case runs once and records its wall and CPU time and its result
-  (a DP's sizing, selection, `err.hex()` and `table_value.hex()`; the suite's
-  findings).
+  1000)`. Then the solvers' other layers: one `models.err` on
+  `random_gff(200, density=0.02, seed=3)` observing every tenth vertex; one
+  greedy round, `greedy_budget(random_gff(400, density=0.01, seed=3), 1)` on
+  the model's already cached covariance (the round's err calls and the
+  report's err included); and one exact chunk, `models.err_batch` on the first
+  4,096 six-vertex subsets of `random_gff(16, density=0.3, seed=3)`. Every
+  repeat is one fresh process per side, the sides alternating which goes
+  first; after one untimed call of each numpy routine the cases use, each case
+  runs once and records its wall and CPU time and its result (a DP's sizing,
+  selection, `err.hex()` and `table_value.hex()`; the suite's findings; the
+  err's hex, the greedy selection and err's hex, a hash of the chunk's
+  scores in hex), so both sides are checked to give identical results.
 - exit: the first `select greedy`, `select dp`, `select exact` and `validate`
   request of the seed-1 workloads, each run `--repeats` times per side as
   `python3 -m gmrf_select.cli` would run it, sides alternating; records the
@@ -120,7 +127,29 @@ def run_layer(root: Path) -> dict:
     elapsed, cpu, findings = timed(suite_supermodularity, 0, 1000)
     out["supermodularity-1000"] = {"time_s": elapsed, "cpu_s": cpu,
                                    "result": {"findings": findings}}
+    for name, fn, args, result in solver_cases():
+        elapsed, cpu, value = timed(fn, *args)
+        out[name] = {"time_s": elapsed, "cpu_s": cpu, "result": result(value)}
     return out
+
+
+def solver_cases():
+    """(name, function, arguments, result of its value) for one err, one
+    greedy round and one exact chunk."""
+    from itertools import combinations, islice
+
+    from gmrf_select.greedy import greedy_budget
+    from gmrf_select.models import err, err_batch, random_gff
+
+    g200 = random_gff(200, density=0.02, seed=3)
+    yield "err-n200", err, (g200, range(2, 201, 10)), float.hex
+    g400 = random_gff(400, density=0.01, seed=3)
+    g400.covariance()   # the round starts from the cached covariance, as in a run
+    yield "greedy-round-n400", greedy_budget, (g400, 1), lambda report: {
+        "selected": list(report.selected), "err": report.err_value.hex()}
+    chunk = list(islice(combinations(range(2, 17), 6), 4096))
+    yield "exact-chunk-n16", err_batch, (random_gff(16, density=0.3, seed=3), chunk), \
+        lambda scores: hashlib.sha256(" ".join(map(float.hex, scores)).encode()).hexdigest()
 
 
 def spread(values: list[float]) -> dict:
@@ -251,6 +280,12 @@ def main(argv=None) -> int:
         if getattr(args, name) is None:
             ap.error(f"--{name} is required")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for path in sides.values():
+        # both sides start from compiled bytecode, whatever PYTHONDONTWRITEBYTECODE
+        # says: a side that compiles its modules in every process is 30-55 ms
+        # slower a request
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(path / "src")],
+                       check=True)
     result = {
         "command": "python3 tools/bench_dp.py --parent DIR --out FILE",
         "repeats": args.repeats, "pairs_per_workload": args.pairs, "seconds": args.seconds,
