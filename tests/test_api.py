@@ -45,20 +45,14 @@ def test_public_surface_is_pinned():
 
 def test_data_type_attributes_are_pinned():
     # lookups are linalg/decomposition functions, not methods: a precision row
-    # is v - 1, and cluster-tree neighbours come from decomposition.adjacency
-    def public(cls):
-        return [name for name in dir(cls) if not name.startswith("_")]
+    # is v - 1, and cluster-tree neighbours come from decomposition.adjacency;
+    # a model's precision has one reader, the precision_matrix attribute
+    def public(obj):
+        return [name for name in dir(obj) if not name.startswith("_")]
 
     assert public(gmrf_select.SupportedMatrix) == [
         "checked", "from_dense", "of_symmetric", "zeros"]
     assert public(gmrf_select.TreeDecomposition) == ["height", "m", "root", "width"]
-
-
-def test_model_attributes_are_pinned():
-    # the precision has one reader, the precision_matrix attribute
-    def public(obj):
-        return [name for name in dir(obj) if not name.startswith("_")]
-
     gff = gmrf_select.GffModel(3, [(1, 2, 1.0), (2, 3, 2.0)])
     gmrf = gmrf_select.GmrfModel([[2.0, -1.0], [-1.0, 2.0]])
     assert public(gff) == ["covariance", "edges", "graph_edges", "n", "pin", "pinned",

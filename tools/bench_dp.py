@@ -36,6 +36,11 @@ spread beside every run, and each median is printed with its spread:
   BENCH_8.json, with per-metric medians, quartiles and change wins, and the
   pass count of every run.
 
+Before any timing, both sides' `src/` are compiled with `compileall`, so no
+side's processes pay for compiling its modules (BENCH_20.json and earlier
+files were timed without this step, so their exit and wall times are not
+comparable with later files).
+
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are set to 1 on this
 process before numpy is imported and recorded; the layer and exit processes
 inherit them. `benchmark/run.py` removes them from the requests it starts, as
@@ -294,7 +299,8 @@ def main(argv=None) -> int:
                    "request, side and repeat, sides alternating; end-to-end: "
                    "benchmark/run.py --trace 0 run alternately in two checkouts at seeds "
                    "not used while the change was written, 'first' says which side ran "
-                   "first in each pair; every median has its q1-q3 spread"),
+                   "first in each pair; every median has its q1-q3 spread; both sides' "
+                   "src/ compiled with compileall before timing"),
         "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
         "src_sha256": {side: src_sha256(path / "src") for side, path in sides.items()},
         "layer": layer(sides, args.repeats),
