@@ -35,9 +35,10 @@ class SupportedMatrix:
     ``block.tobytes()`` for equal contents.
 
     The constructor trusts its caller, who built the block: the support must
-    already be sorted, distinct and within 1..n, and the block |V| x |V| in
-    support order. It only symmetrizes and freezes the block. Outside input
-    (files, dense arrays) enters through ``checked``, which validates first.
+    already be sorted, distinct and within 1..n, and the block an exactly
+    symmetric float |V| x |V| array in support order. It only freezes the
+    block, without a copy. Outside input (files, dense arrays) enters through
+    ``checked``, which validates and symmetrizes first.
     """
 
     ambient_dim: int
@@ -45,18 +46,15 @@ class SupportedMatrix:
     block: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        block = np.asarray(self.block, dtype=float)
-        block = 0.5 * (block + block.T)
-        block.setflags(write=False)
-        object.__setattr__(self, "block", block)
+        self.block.setflags(write=False)
 
     @classmethod
     def checked(cls, ambient_dim: int, support, block) -> "SupportedMatrix":
         """Validate outside input, then construct: the support must be
         ascending, distinct and within 1..n, and the block finite, k x k and
-        symmetric. A bad block raises InvalidMatrix naming the first row with
-        a non-finite entry, or the row of the first below-diagonal entry that
-        disagrees with its mirror."""
+        symmetric (it is stored as 0.5 * (block + block.T)). A bad block raises
+        InvalidMatrix naming the first row with a non-finite entry, or the row
+        of the first below-diagonal entry that disagrees with its mirror."""
         support = tuple(support)
         if any(i < 1 or i > ambient_dim for i in support):
             raise IndexOutOfSupport(
@@ -79,33 +77,12 @@ class SupportedMatrix:
                 below = np.tril(bad | bad.T, -1)
                 raise InvalidMatrix("block is not symmetric",
                                     row=int(below.any(axis=1).argmax()))
-        return cls(ambient_dim, support, block)
-
-    @classmethod
-    def of_symmetric(cls, ambient_dim: int, support: tuple, block: np.ndarray
-                     ) -> "SupportedMatrix":
-        """Wrap a block that is exactly symmetric by construction (a sum or a
-        restriction of stored blocks, or a rounding that writes both
-        triangles): symmetrizing would give back the same bits, so the block is
-        only frozen."""
-        block.setflags(write=False)
-        m = object.__new__(cls)
-        object.__setattr__(m, "ambient_dim", ambient_dim)
-        object.__setattr__(m, "support", support)
-        object.__setattr__(m, "block", block)
-        return m
+        return cls(ambient_dim, support, 0.5 * (block + block.T))
 
     @classmethod
     def zeros(cls, ambient_dim: int) -> "SupportedMatrix":
         """The zero matrix with empty support."""
-        return cls.of_symmetric(ambient_dim, (), np.zeros((0, 0)))
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SupportedMatrix":
-        """Wrap a full n x n array, supported on every index."""
-        dense = np.asarray(dense, dtype=float)
-        n = dense.shape[0]
-        return cls.checked(n, tuple(range(1, n + 1)), dense)
+        return cls(ambient_dim, (), np.zeros((0, 0)))
 
 
 # Position maps for the small supports the DP sums and eliminates on, keyed
@@ -179,7 +156,7 @@ def add(a: SupportedMatrix, *more: SupportedMatrix) -> SupportedMatrix:
     out = np.zeros(k * k)
     for m, flat in zip(mats, flats):
         out[flat] += m.block.ravel()
-    return SupportedMatrix.of_symmetric(a.ambient_dim, support, out.reshape(k, k))
+    return SupportedMatrix(a.ambient_dim, support, out.reshape(k, k))
 
 
 def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
@@ -195,13 +172,13 @@ def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
         return m
     keep = [p for p, v in enumerate(m.support) if v not in observed]
     idx = np.array(keep, dtype=np.intp)
-    return SupportedMatrix.of_symmetric(m.ambient_dim, tuple(m.support[p] for p in keep),
-                                        m.block.take(idx, 0).take(idx, 1))
+    return SupportedMatrix(m.ambient_dim, tuple(m.support[p] for p in keep),
+                           m.block.take(idx, 0).take(idx, 1))
 
 
 def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
     """Precision of the marginal over ``delta``: the Schur complement
-    M[D,D] - M[D,E] M[E,E]^-1 M[E,D] with E = support \\ delta.
+    M[D,D] - M[D,E] M[E,E]^-1 M[E,D] with E = support \\ delta, symmetrized.
     """
     keep, elim, ee, ek, kk = _split_maps(m.support, frozenset(delta))
     if not elim:
@@ -218,7 +195,7 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
     cross = flat.take(ek).reshape(len(elim), len(keep))
     schur = (flat.take(kk).reshape(len(keep), len(keep))
              - cross.T @ np.linalg.solve(e_block, cross))
-    return SupportedMatrix(m.ambient_dim, keep, schur)
+    return SupportedMatrix(m.ambient_dim, keep, 0.5 * (schur + schur.T))
 
 
 def trace_of_inverse(m: SupportedMatrix) -> float:

@@ -110,7 +110,8 @@ class GmrfModel(_Model):
                 raise InvariantViolation("precision must have full support 1..n")
             mat = precision
         else:
-            mat = SupportedMatrix.from_dense(np.asarray(precision, dtype=float))
+            dense = np.asarray(precision, dtype=float)
+            mat = SupportedMatrix.checked(len(dense), range(1, len(dense) + 1), dense)
         w = np.linalg.eigvalsh(mat.block)
         if w[0] <= 0:
             raise InvariantViolation(

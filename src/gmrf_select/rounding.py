@@ -79,6 +79,8 @@ class GffRounder:
         # pairwise or set conductance is at most the sum of all edge
         # conductances, which is below n^2 * max_c / 2.
         c_h = gff.n ** 2 * max_c / 2.0
+        if not (c_l > 0.0 and math.isfinite(c_h / c_l)):
+            raise OutOfGridRange(f"conductances [{min_c:.3e}, {max_c:.3e}] overflow the grid")
         return cls(c_l=c_l, c_h=c_h, eps=eps, range_factor=range_factor)
 
     # the grid constants below are computed once per rounder, not per snap
@@ -127,7 +129,7 @@ class GffRounder:
         # the diagonal is still 0 where the off-diagonal magnitudes are summed
         row_sums = [self.snap(x) for x in sums.tolist()]
         flat[::k + 1] = row_sums + np.abs(out).sum(axis=1)
-        return SupportedMatrix.of_symmetric(p.ambient_dim, p.support, out)
+        return SupportedMatrix(p.ambient_dim, p.support, out)
 
 
 def canonical_rays(u: np.ndarray, pitch: float) -> np.ndarray:
@@ -210,4 +212,5 @@ class SvdRounder:
                 f"matrix on {p.support} has eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]")
         d = [self.snap_eig(x) for x in w]
         u2 = ordered_gram_schmidt(canonical_rays(u, self.eps1(k) / math.sqrt(k)))
-        return SupportedMatrix(p.ambient_dim, p.support, (u2 * d) @ u2.T)
+        out = (u2 * d) @ u2.T
+        return SupportedMatrix(p.ambient_dim, p.support, 0.5 * (out + out.T))

@@ -67,4 +67,5 @@ def random_pd_supported(rng, n_ambient, support, eig_range=(0.1, 10.0)):
     k = len(support)
     q, _ = np.linalg.qr(rng.normal(size=(k, k)))
     eigs = np.exp(rng.uniform(np.log(eig_range[0]), np.log(eig_range[1]), size=k))
-    return SupportedMatrix(n_ambient, tuple(support), (q * eigs) @ q.T)
+    block = (q * eigs) @ q.T
+    return SupportedMatrix(n_ambient, tuple(support), 0.5 * (block + block.T))

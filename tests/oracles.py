@@ -179,7 +179,7 @@ def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
         return SupportedMatrix.zeros(m.ambient_dim)
     cross = m.block[np.ix_(ei, ki)]
     schur = m.block[np.ix_(ki, ki)] - cross.T @ np.linalg.solve(e_block, cross)
-    return SupportedMatrix(m.ambient_dim, keep, schur)
+    return SupportedMatrix(m.ambient_dim, keep, 0.5 * (schur + schur.T))
 
 
 def diag_of_inverse_reference(m: SupportedMatrix, subset) -> float:

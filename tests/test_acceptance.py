@@ -228,7 +228,8 @@ def test_criterion_08_rounding_contracts():
         k = int(rng.integers(1, 5))
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))
         eigs = np.exp(rng.uniform(np.log(sr.lam_lo), np.log(sr.lam_hi), size=k))
-        p = SupportedMatrix(6, tuple(range(1, k + 1)), (q * eigs) @ q.T)
+        block = (q * eigs) @ q.T
+        p = SupportedMatrix(6, tuple(range(1, k + 1)), 0.5 * (block + block.T))
         out = sr.round(p)
         assert psd_sandwich_check(out, p, sr.eps)
         again = sr.round(out)

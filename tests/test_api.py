@@ -50,8 +50,7 @@ def test_data_type_attributes_are_pinned():
     def public(obj):
         return [name for name in dir(obj) if not name.startswith("_")]
 
-    assert public(gmrf_select.SupportedMatrix) == [
-        "checked", "from_dense", "of_symmetric", "zeros"]
+    assert public(gmrf_select.SupportedMatrix) == ["checked", "zeros"]
     assert public(gmrf_select.TreeDecomposition) == ["height", "m", "root", "width"]
     gff = gmrf_select.GffModel(3, [(1, 2, 1.0), (2, 3, 2.0)])
     gmrf = gmrf_select.GmrfModel([[2.0, -1.0], [-1.0, 2.0]])

@@ -1,10 +1,12 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,17 @@ from gmrf_select import io
 from gmrf_select.cli import main
 from gmrf_select.decomposition import parse_and_normalize
 from gmrf_select.errors import GmrfSelectError, ParseError
-from gmrf_select.models import GffModel, GmrfModel, err, laplacian, random_gff
+from gmrf_select.exact import exact_budget
+from gmrf_select.greedy import BUDGET_FACTOR
+from gmrf_select.models import (
+    GffModel,
+    GmrfModel,
+    Guarantee,
+    effective_resistance,
+    err,
+    laplacian,
+    random_gff,
+)
 from gmrf_select.validate import validate_suite
 
 from conftest import COUNTEREXAMPLE_SIGMA, unit_cycle
@@ -242,6 +254,44 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: total conductance at vertex 2 overflows\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_conductance_near_float_max(self, tmp_path, capsys):
+        # 1e308 is a finite conductance, but twice it is not: a Laplacian that
+        # is exactly symmetric must be stored as built, not averaged with its
+        # transpose
+        g = GffModel(3, [(1, 2, 1e-308), (2, 3, 1.0)])
+        assert np.isfinite(g.precision_matrix.block).all()
+        for s in ({1}, {1, 2}, {1, 3}):
+            rest = [v for v in g.vertices if v not in s]
+            by_resistance = sum(effective_resistance(g, i, s) for i in rest) / g.n
+            assert abs(err(g, s) - by_resistance) <= 1e-9 * by_resistance
+        path = write(tmp_path, "wide.gff", "gff 3 2 1\n1 2 1e-308\n2 3 1\n")
+        assert main(["select", "greedy", "--input", path, "--budget", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == [1, 3]
+        assert main(["select", "exact", "--input", path, "--budget", "1"]) == 0
+        captured = capsys.readouterr()
+        assert '"err": 3.33333333333e-309,' in captured.out and captured.err == ""
+
+    # (model text, budget, exact message) of models and budgets the DP refuses
+    DP_REFUSALS = {
+        # the GFF grid's c_h / c_l overflows; at 1e-308 c_l underflows to 0 too
+        "grid-range-200": ("gff 3 2 1\n1 2 1e-200\n2 3 1\n", "1",
+                           "conductances [1.000e+00, 1.000e+200] overflow the grid"),
+        "grid-range-308": ("gff 3 2 1\n1 2 1e-308\n2 3 1\n", "1",
+                           "conductances [1.000e+00, 1.000e+308] overflow the grid"),
+        # positive definite, but lambda_min / lambda_max is below RANK_TOL
+        "flat-gmrf": ("gmrf\n2 2\n1 2\n5e-13 1e-13\n1e-13 1\n", "1",
+                      "general factorization needs positive definite Lambda"),
+        "negative-budget": (P4_TEXT, "-1", "budget must be >= 0, got -1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DP_REFUSALS))
+    def test_dp_refusal_exit_code(self, tmp_path, capsys, case):
+        text, budget, message = self.DP_REFUSALS[case]
+        path = write(tmp_path, "m.txt", text)
+        assert main(["select", "dp", "--input", path, "--budget", budget]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_unsorted_support_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bad.gmrf", "gmrf\n2 2\n2 1\n1 0\n0 1\n")
@@ -642,6 +692,64 @@ class TestValidateSuite:
         code, payload = validate_suite(seed=0, trials=5)
         assert code == 4
         assert any(f["suite"] == "three-path" for f in payload["findings"])
+
+    # A fault in one solver must surface as findings of that solver's suite,
+    # with the severity that decides the exit code.
+
+    def _faulty_run(self, monkeypatch, name, fault):
+        """validate_suite(seed=0, trials=3) with validate's ``name`` replaced
+        by ``fault(true_function, *args)``; returns the exit code and findings."""
+        import gmrf_select.validate as validate_mod
+
+        true_fn = getattr(validate_mod, name)
+        monkeypatch.setattr(validate_mod, name, lambda *args: fault(true_fn, *args))
+        code, payload = validate_suite(seed=0, trials=3)
+        return code, payload["findings"]
+
+    def test_greedy_above_classical_bound_is_a_violation(self, monkeypatch):
+        def worst(greedy, g, b):   # worse than observing nothing but the pin
+            return replace(greedy(g, b), err_value=err(g, g.pinned) + 1.0)
+
+        code, findings = self._faulty_run(monkeypatch, "greedy_budget", worst)
+        assert code == 4
+        violations = [f for f in findings if f["severity"] == "violation"]
+        assert len(violations) == 3
+        assert all((f["suite"], f["detail"]) == ("greedy-budget", "classical mixed bound violated")
+                   and f["greedy"] > f["bound"] for f in violations)
+
+    def test_greedy_at_classical_bound_is_a_discrepancy(self, monkeypatch):
+        def at_bound(greedy, g, b):   # the err the classical bound allows, and no more
+            opt = exact_budget(g, b).err_value
+            return replace(greedy(g, b),
+                           err_value=err(g, {g.pin}) / math.e + (1.0 - 1.0 / math.e) * opt)
+
+        code, findings = self._faulty_run(monkeypatch, "greedy_budget", at_bound)
+        assert code == 0 and findings
+        assert all((f["severity"], f["suite"], f["detail"]) == (
+            "discrepancy", "greedy-budget",
+            "stated factor e/(e-1) exceeded (known-unproven certificate)")
+            and f["ratio"] > BUDGET_FACTOR for f in findings)
+
+    def test_greedy_cover_above_certificate_is_a_violation(self, monkeypatch):
+        def understated(greedy, g, alpha):   # a certificate of half a vertex per optimal one
+            return replace(greedy(g, alpha), guarantee=Guarantee(0.5, "wrong"))
+
+        code, findings = self._faulty_run(monkeypatch, "greedy_cover", understated)
+        assert code == 4 and len(findings) == 3
+        assert all((f["severity"], f["suite"], f["detail"], f["factor"]) == (
+            "violation", "greedy-cover", "cover certificate violated", 0.5)
+            for f in findings)
+
+    def test_dp_above_target_is_a_violation(self, monkeypatch):
+        def doubled(dp, g, td, b, eps_prime):
+            report = dp(g, td, b, eps_prime)
+            return replace(report, err_value=2.0 * report.err_value + 1.0)
+
+        code, findings = self._faulty_run(monkeypatch, "dp_select", doubled)
+        assert code == 4 and len(findings) == 4
+        assert all((f["severity"], f["suite"], f["detail"]) == (
+            "violation", "dp-vs-exact", "DP err above 1.1 * exact")
+            and f["dp"] > 1.1 * f["exact"] for f in findings)
 
     def test_cli_prints_findings(self, monkeypatch, capsys):
         import gmrf_select.validate as validate_mod

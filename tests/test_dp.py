@@ -20,6 +20,7 @@ from gmrf_select.dp import (
 )
 from gmrf_select.errors import (
     EliminationOrderBroken,
+    EmptyTable,
     InvariantViolation,
     SingularComplement,
     SingularMatrix,
@@ -127,6 +128,12 @@ class TestRunDp:
         with pytest.raises(StateSpaceExceeded) as info:
             run_dp(g, td, 3, 1e-12, state_cap=25)
         assert "states" in str(info.value)
+
+    def test_extract_before_run_raises(self):
+        g = unit_path(4)
+        mt = MessageTable(g, balance_for_tree(4, g.graph_edges()), 1, 0.02, DEFAULT_STATE_CAP)
+        with pytest.raises(EmptyTable, match="^run_dp has not populated a finite root message$"):
+            extract_solution(mt)
 
     def test_budget_soundness(self):
         rng = np.random.default_rng(5)

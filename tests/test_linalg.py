@@ -33,17 +33,19 @@ from oracles import (
 
 
 def path3_laplacian():
-    return SupportedMatrix.from_dense(np.array([
+    return SupportedMatrix.checked(3, (1, 2, 3), np.array([
         [1.0, -1.0, 0.0],
         [-1.0, 2.0, -1.0],
         [0.0, -1.0, 1.0]]))
 
 
 class TestConstruction:
-    def test_constructor_symmetrizes_and_freezes(self):
-        m = SupportedMatrix(3, (1, 3), np.array([[1.0, 2.0], [4.0, 5.0]]))
-        assert np.array_equal(m.block, [[1.0, 3.0], [3.0, 5.0]])
-        assert not m.block.flags.writeable
+    def test_constructor_only_freezes(self):
+        # the caller's block is stored as given: not copied, not symmetrized
+        block = np.array([[1.0, 2.0], [4.0, 5.0]])
+        m = SupportedMatrix(3, (1, 3), block)
+        assert m.block is block and not block.flags.writeable
+        assert block.tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
     @pytest.mark.parametrize("support, block, error, message", [
         ((0, 2), np.eye(2), IndexOutOfSupport, "not within 1..3"),
@@ -61,10 +63,12 @@ class TestConstruction:
     def test_checked_accepts_valid_input(self):
         m = SupportedMatrix.checked(3, (1, 3), np.array([[2.0, -1.0], [-1.0, 2.0]]))
         assert m.support == (1, 3) and m.block[1, 0] == -1.0
-
-    def test_from_dense_is_checked(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            SupportedMatrix.from_dense(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        # a block symmetric to round-off is stored as the mean of it and its mirror
+        block = np.array([[2.0, -1.0], [-1.0 - 2.0 ** -51, 2.0]])
+        m = SupportedMatrix.checked(3, (1, 3), block)
+        assert m.block is not block and not m.block.flags.writeable
+        assert m.block.tobytes() == (0.5 * (block + block.T)).tobytes()
+        assert m.block[0, 1] == m.block[1, 0] != -1.0
 
     def test_equality_is_identity_and_matrices_hash(self):
         a, b = path3_laplacian(), path3_laplacian()
@@ -336,7 +340,8 @@ def random_operand(rng, n, rank_deficient=False):
     if not rank_deficient:
         return random_pd_supported(rng, n, support)
     x = rng.normal(size=(k, int(rng.integers(0, k + 1))))
-    return SupportedMatrix(n, support, x @ x.T)
+    block = x @ x.T
+    return SupportedMatrix(n, support, 0.5 * (block + block.T))
 
 
 def same(m, ref):

@@ -180,7 +180,8 @@ class TestSvdRound:
     def random_in_range(self, rng, k, r):
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))
         eigs = np.exp(rng.uniform(np.log(r.lam_lo), np.log(r.lam_hi), size=k))
-        return SupportedMatrix(6, tuple(range(1, k + 1)), (q * eigs) @ q.T)
+        block = (q * eigs) @ q.T
+        return SupportedMatrix(6, tuple(range(1, k + 1)), 0.5 * (block + block.T))
 
     def test_sandwich_and_idempotence(self):
         rng = np.random.default_rng(6)
