@@ -77,7 +77,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
             blocks[home][pv, pv] += c
             blocks[home][pu, pv] -= c
             blocks[home][pv, pu] -= c
-        return tuple(SupportedMatrix(model.n, s, b) for s, b in zip(supports, blocks))
+        return tuple(SupportedMatrix(s, b) for s, b in zip(supports, blocks))
 
     lam = model.precision_matrix   # full support: GmrfModel refuses anything else
     w = np.linalg.eigvalsh(lam.block)
@@ -118,7 +118,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
         share = shift / len(bags)
         for t in bags:
             blocks[t][pos[t][v], pos[t][v]] += share
-    return tuple(SupportedMatrix(model.n, s, b) for s, b in zip(supports, blocks))
+    return tuple(SupportedMatrix(s, b) for s, b in zip(supports, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float,
         raise InvariantViolation(f"state cap must be >= 0, got {state_cap}")
     mt = MessageTable(model, td, b, eps, state_cap)
     (root_neighbor,) = mt.children[td.root]
-    zero_q = SupportedMatrix.zeros(model.n)
+    zero_q = SupportedMatrix.zeros()
     mt.root_table = mt.evaluate((root_neighbor, td.root), zero_q, mt.key_of(zero_q), (), b)
     if not mt.root_table:
         raise NumericFailure(

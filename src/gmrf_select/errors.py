@@ -19,10 +19,6 @@ class SingularMatrix(GmrfSelectError):
     pass
 
 
-class SupportMismatch(GmrfSelectError):
-    pass
-
-
 class InvalidMatrix(GmrfSelectError, ValueError):
     """A misshapen, non-finite or asymmetric block. ``row`` is the 0-based
     block row holding the offending entry, or None when no row is at fault."""

@@ -3,9 +3,10 @@
 Formats:
   GFF:   line `gff n m pin`, then m lines `u v r` (1-based, r > 0).
   GMRF:  line `gmrf` (precision) or `gmrf-cov` (covariance), then the matrix
-         text format of the linear-algebra layer, and nothing else.
+         and nothing else: a line `n k`, a line of the k ascending 1-based
+         support indices and k rows of k entries; a model's has k = n.
 Blank and `#` lines may stand before the header, between GFF edges and after
-a GMRF's matrix.
+a GMRF's matrix. Parse errors name the 1-based line of the file at fault.
 Reports serialize to JSON with a stable key order; numbers use 12 significant
 digits. Timing is omitted (null) by default so repeated runs are
 byte-identical.
@@ -15,8 +16,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
-from .linalg import format_matrix_text, parse_matrix_text
+import numpy as np
+
+from .errors import IndexOutOfSupport, InvalidMatrix, ParseError
+from .linalg import SupportedMatrix
 from .models import GffModel, GmrfModel, SelectionReport
 
 
@@ -24,6 +27,53 @@ def _no_data(raw: str) -> bool:
     """Blank lines and ``#`` comment lines around a model carry no data."""
     line = raw.strip()
     return not line or line.startswith("#")
+
+
+def _parse_matrix(text: str, first_line: int):
+    """(n, checked block, number of lines used) of the matrix at the start of
+    ``text``, whose first line is line ``first_line`` of the file."""
+    lines = text.splitlines()
+
+    def fail(offset, msg):
+        raise ParseError(f"line {first_line + offset}: {msg}")
+
+    if not lines:
+        fail(0, "missing matrix header")
+    head = lines[0].split()
+    if len(head) != 2:
+        fail(0, f"expected 'n k', got {lines[0]!r}")
+    try:
+        n, k = int(head[0]), int(head[1])
+    except ValueError:
+        fail(0, f"non-integer matrix header {lines[0]!r}")
+    if n < 0 or k < 0 or k > n:
+        fail(0, f"invalid dimensions n={n} k={k}")
+    if len(lines) < 2 + k:
+        fail(len(lines) - 1, f"expected support line and {k} rows")
+    support_tokens = lines[1].split()
+    if len(support_tokens) != k:
+        fail(1, f"expected {k} support indices, got {len(support_tokens)}")
+    try:
+        support = tuple(int(t) for t in support_tokens)
+    except ValueError:
+        fail(1, f"non-integer support index in {lines[1]!r}")
+    rows = []
+    for r in range(k):
+        tokens = lines[2 + r].split()
+        if len(tokens) != k:
+            fail(2 + r, f"expected {k} entries, got {len(tokens)}")
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            fail(2 + r, f"non-numeric entry in {lines[2 + r]!r}")
+    block = np.array(rows) if k else np.zeros((0, 0))
+    try:
+        block = SupportedMatrix.checked(n, support, block).block
+    except InvalidMatrix as exc:
+        fail(0 if exc.row is None else 2 + exc.row, str(exc))
+    except IndexOutOfSupport as exc:
+        fail(1, str(exc))
+    return n, block, 2 + k
 
 
 def parse_model_text(text: str):
@@ -65,15 +115,15 @@ def parse_model_text(text: str):
         return GffModel(n, edges, pin=pin)
     if kind in ("gmrf", "gmrf-cov"):
         body = "\n".join(lines[first + 1:])
-        mat, used = parse_matrix_text(body, first_line=first + 2)
+        n, block, used = _parse_matrix(body, first + 2)
         for lineno, raw in enumerate(lines[first + 1 + used:], start=first + 2 + used):
             if not _no_data(raw):
                 raise ParseError(f"line {lineno}: unexpected text after the matrix {raw!r}")
-        if len(mat.support) != mat.ambient_dim:
+        if len(block) != n:
             raise ParseError("GMRF matrices must have full support")
         if kind == "gmrf":
-            return GmrfModel(mat)
-        return GmrfModel.from_covariance(mat.block)
+            return GmrfModel(block)
+        return GmrfModel.from_covariance(block)
     raise ParseError(f"line {first + 1}: unknown model kind {kind!r}")
 
 
@@ -95,8 +145,10 @@ def format_model(model) -> str:
         lines = [f"gff {model.n} {len(model.edges)} {model.pin}"]
         for u, v, r in model.edges:
             lines.append(f"{u} {v} {r:.12g}")
-        return "\n".join(lines) + "\n"
-    return "gmrf\n" + format_matrix_text(model.precision_matrix)
+    else:
+        lines = ["gmrf", f"{model.n} {model.n}", " ".join(str(v) for v in model.vertices)]
+        lines += [" ".join(f"{x:.12g}" for x in row) for row in model.precision_matrix.block]
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x) -> float:

@@ -1,10 +1,11 @@
 """Dense symmetric linear algebra over support-indexed matrices.
 
-A SupportedMatrix is an n-dimensional symmetric PSD matrix that is zero outside
-a support set V of (1-based) indices; only the V x V block is stored. These
-carry precision matrices, cluster factors and message arguments everywhere else
-in the package. The class holds data and its constructors; every operation on
-it is a function of this module, and all are pure: inputs are never mutated.
+A SupportedMatrix is a symmetric PSD matrix that is zero outside a support set
+V of (1-based) indices; only the V x V block is stored. These carry precision
+matrices, cluster factors and message arguments everywhere else in the
+package, whose models own the dimension n. The class holds data and its
+constructors; every operation on it is a function of this module, and all are
+pure: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from .errors import (
     InvalidMatrix,
     SingularComplement,
     SingularMatrix,
-    SupportMismatch,
 )
 
 RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
+HALF_MAX = np.finfo(float).max / 2  # larger entries overflow block + block.T
 
 
 @dataclass(frozen=True, eq=False)
 class SupportedMatrix:
-    """Symmetric matrix of ambient dimension n supported on V x V.
+    """Symmetric matrix supported on V x V.
 
     ``support`` is a sorted tuple of 1-based indices; ``block`` is the dense
     |V| x |V| slice in support order. Entries outside V x V are implicitly 0.
@@ -35,13 +36,12 @@ class SupportedMatrix:
     ``block.tobytes()`` for equal contents.
 
     The constructor trusts its caller, who built the block: the support must
-    already be sorted, distinct and within 1..n, and the block an exactly
+    already be sorted, distinct and positive, and the block an exactly
     symmetric float |V| x |V| array in support order. It only freezes the
     block, without a copy. Outside input (files, dense arrays) enters through
     ``checked``, which validates and symmetrizes first.
     """
 
-    ambient_dim: int
     support: tuple[int, ...]
     block: np.ndarray = field(repr=False)
 
@@ -49,16 +49,16 @@ class SupportedMatrix:
         self.block.setflags(write=False)
 
     @classmethod
-    def checked(cls, ambient_dim: int, support, block) -> "SupportedMatrix":
+    def checked(cls, n: int, support, block) -> "SupportedMatrix":
         """Validate outside input, then construct: the support must be
-        ascending, distinct and within 1..n, and the block finite, k x k and
-        symmetric (it is stored as 0.5 * (block + block.T)). A bad block raises
-        InvalidMatrix naming the first row with a non-finite entry, or the row
-        of the first below-diagonal entry that disagrees with its mirror."""
+        ascending, distinct and within 1..n, and the block k x k, finite, no
+        larger in magnitude than HALF_MAX, and symmetric (it is stored as
+        0.5 * (block + block.T)). A bad block raises InvalidMatrix naming the
+        first row with a non-finite or too large entry, or the row of the
+        first below-diagonal entry that disagrees with its mirror."""
         support = tuple(support)
-        if any(i < 1 or i > ambient_dim for i in support):
-            raise IndexOutOfSupport(
-                f"support {support} not within 1..{ambient_dim}")
+        if any(i < 1 or i > n for i in support):
+            raise IndexOutOfSupport(f"support {support} not within 1..{n}")
         if len(set(support)) != len(support):
             raise IndexOutOfSupport(f"duplicate indices in support {support}")
         if list(support) != sorted(support):
@@ -71,18 +71,23 @@ class SupportedMatrix:
         if bad.any():
             raise InvalidMatrix("block has non-finite entries",
                                 row=int(bad.any(axis=1).argmax()))
+        size = np.abs(block)
+        bad = size > HALF_MAX
+        if bad.any():
+            raise InvalidMatrix(f"block has entries above {HALF_MAX:.6g} in magnitude",
+                                row=int(bad.any(axis=1).argmax()))
         if k:
-            bad = ~np.isclose(block, block.T, atol=1e-12 * (1.0 + np.abs(block).max()))
+            bad = ~np.isclose(block, block.T, atol=1e-12 * (1.0 + size.max()))
             if bad.any():
                 below = np.tril(bad | bad.T, -1)
                 raise InvalidMatrix("block is not symmetric",
                                     row=int(below.any(axis=1).argmax()))
-        return cls(ambient_dim, support, 0.5 * (block + block.T))
+        return cls(support, 0.5 * (block + block.T))
 
     @classmethod
-    def zeros(cls, ambient_dim: int) -> "SupportedMatrix":
+    def zeros(cls) -> "SupportedMatrix":
         """The zero matrix with empty support."""
-        return cls(ambient_dim, (), np.zeros((0, 0)))
+        return cls((), np.zeros((0, 0)))
 
 
 # Position maps for the small supports the DP sums and eliminates on, keyed
@@ -146,17 +151,13 @@ def _unit_columns(support: tuple, subset: tuple) -> np.ndarray:
 def add(a: SupportedMatrix, *more: SupportedMatrix) -> SupportedMatrix:
     """Entrywise sum a + more[0] + more[1] + ..., added left to right; the
     result is supported on the union of supports."""
-    for m in more:
-        if m.ambient_dim != a.ambient_dim:
-            raise SupportMismatch(
-                f"ambient dims differ: {a.ambient_dim} vs {m.ambient_dim}")
     mats = (a, *more)
     support, flats = _sum_maps(tuple(m.support for m in mats))
     k = len(support)
     out = np.zeros(k * k)
     for m, flat in zip(mats, flats):
         out[flat] += m.block.ravel()
-    return SupportedMatrix(a.ambient_dim, support, out.reshape(k, k))
+    return SupportedMatrix(support, out.reshape(k, k))
 
 
 def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
@@ -172,7 +173,7 @@ def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
         return m
     keep = [p for p, v in enumerate(m.support) if v not in observed]
     idx = np.array(keep, dtype=np.intp)
-    return SupportedMatrix(m.ambient_dim, tuple(m.support[p] for p in keep),
+    return SupportedMatrix(tuple(m.support[p] for p in keep),
                            m.block.take(idx, 0).take(idx, 1))
 
 
@@ -191,11 +192,11 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
             f"eliminated block on {elim} is rank-deficient "
             f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")
     if not keep:
-        return SupportedMatrix.zeros(m.ambient_dim)
+        return SupportedMatrix.zeros()
     cross = flat.take(ek).reshape(len(elim), len(keep))
     schur = (flat.take(kk).reshape(len(keep), len(keep))
              - cross.T @ np.linalg.solve(e_block, cross))
-    return SupportedMatrix(m.ambient_dim, keep, 0.5 * (schur + schur.T))
+    return SupportedMatrix(keep, 0.5 * (schur + schur.T))
 
 
 def trace_of_inverse(m: SupportedMatrix) -> float:
@@ -226,63 +227,3 @@ def diag_of_inverse(m: SupportedMatrix, subset) -> float:
     half = np.linalg.solve(chol, rhs)
     return float(np.sum(half * half))
 
-
-def parse_matrix_text(text: str, first_line: int = 1):
-    """Parse the matrix text format: ``n k``, a line of k ascending 1-based
-    support indices (blank for k = 0), then k rows of k entries.
-
-    Returns (SupportedMatrix, number of lines consumed). ``first_line`` is only
-    used to report 1-based line numbers in errors.
-    """
-    lines = text.splitlines()
-
-    def fail(offset, msg):
-        from .errors import ParseError
-        raise ParseError(f"line {first_line + offset}: {msg}")
-
-    if not lines:
-        fail(0, "missing matrix header")
-    head = lines[0].split()
-    if len(head) != 2:
-        fail(0, f"expected 'n k', got {lines[0]!r}")
-    try:
-        n, k = int(head[0]), int(head[1])
-    except ValueError:
-        fail(0, f"non-integer matrix header {lines[0]!r}")
-    if n < 0 or k < 0 or k > n:
-        fail(0, f"invalid dimensions n={n} k={k}")
-    if len(lines) < 2 + k:
-        fail(len(lines) - 1, f"expected support line and {k} rows")
-    support_tokens = lines[1].split()
-    if len(support_tokens) != k:
-        fail(1, f"expected {k} support indices, got {len(support_tokens)}")
-    try:
-        support = tuple(int(t) for t in support_tokens)
-    except ValueError:
-        fail(1, f"non-integer support index in {lines[1]!r}")
-    rows = []
-    for r in range(k):
-        tokens = lines[2 + r].split()
-        if len(tokens) != k:
-            fail(2 + r, f"expected {k} entries, got {len(tokens)}")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            fail(2 + r, f"non-numeric entry in {lines[2 + r]!r}")
-    block = np.array(rows) if k else np.zeros((0, 0))
-    try:
-        mat = SupportedMatrix.checked(n, support, block)
-    except InvalidMatrix as exc:
-        fail(0 if exc.row is None else 2 + exc.row, str(exc))
-    except IndexOutOfSupport as exc:
-        fail(1, str(exc))
-    return mat, 2 + k
-
-
-def format_matrix_text(m: SupportedMatrix) -> str:
-    """Serialize in the matrix text format (12 significant digits)."""
-    lines = [f"{m.ambient_dim} {len(m.support)}",
-             " ".join(str(i) for i in m.support)]
-    for row in m.block:
-        lines.append(" ".join(f"{x:.12g}" for x in row))
-    return "\n".join(lines) + "\n"

@@ -105,18 +105,13 @@ class GmrfModel(_Model):
     the nonzero pattern of the off-diagonal entries. Nothing is pinned."""
 
     def __init__(self, precision):
-        if isinstance(precision, SupportedMatrix):
-            if len(precision.support) != precision.ambient_dim:
-                raise InvariantViolation("precision must have full support 1..n")
-            mat = precision
-        else:
-            dense = np.asarray(precision, dtype=float)
-            mat = SupportedMatrix.checked(len(dense), range(1, len(dense) + 1), dense)
+        dense = np.asarray(precision, dtype=float)
+        self.n = len(dense)
+        mat = SupportedMatrix.checked(self.n, self.vertices, dense)
         w = np.linalg.eigvalsh(mat.block)
         if w[0] <= 0:
             raise InvariantViolation(
                 f"precision not positive definite (lambda_min = {w[0]:.3e})")
-        self.n = mat.ambient_dim
         self.precision_matrix = mat
 
     def graph_edges(self) -> list[tuple[int, int]]:
@@ -195,7 +190,7 @@ def laplacian(gff: GffModel) -> SupportedMatrix:
         if not np.isfinite(t):
             raise InvariantViolation(f"total conductance at vertex {v} overflows")
     lam[np.diag_indices(gff.n)] = total
-    return SupportedMatrix(gff.n, tuple(gff.vertices), lam)
+    return SupportedMatrix(tuple(gff.vertices), lam)
 
 
 def _effective_observed(model, subset) -> frozenset:

@@ -129,7 +129,7 @@ class GffRounder:
         # the diagonal is still 0 where the off-diagonal magnitudes are summed
         row_sums = [self.snap(x) for x in sums.tolist()]
         flat[::k + 1] = row_sums + np.abs(out).sum(axis=1)
-        return SupportedMatrix(p.ambient_dim, p.support, out)
+        return SupportedMatrix(p.support, out)
 
 
 def canonical_rays(u: np.ndarray, pitch: float) -> np.ndarray:
@@ -213,4 +213,4 @@ class SvdRounder:
         d = [self.snap_eig(x) for x in w]
         u2 = ordered_gram_schmidt(canonical_rays(u, self.eps1(k) / math.sqrt(k)))
         out = (u2 * d) @ u2.T
-        return SupportedMatrix(p.ambient_dim, p.support, 0.5 * (out + out.T))
+        return SupportedMatrix(p.support, 0.5 * (out + out.T))

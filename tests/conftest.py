@@ -61,11 +61,11 @@ def triangle_chain_gmrf(n, rng):
     return GmrfModel(lam), edges, bags, links
 
 
-def random_pd_supported(rng, n_ambient, support, eig_range=(0.1, 10.0)):
+def random_pd_supported(rng, support, eig_range=(0.1, 10.0)):
     """Random PD SupportedMatrix with eigenvalues log-uniform in eig_range."""
     from gmrf_select.linalg import SupportedMatrix
     k = len(support)
     q, _ = np.linalg.qr(rng.normal(size=(k, k)))
     eigs = np.exp(rng.uniform(np.log(eig_range[0]), np.log(eig_range[1]), size=k))
     block = (q * eigs) @ q.T
-    return SupportedMatrix(n_ambient, tuple(support), 0.5 * (block + block.T))
+    return SupportedMatrix(tuple(support), 0.5 * (block + block.T))

@@ -24,7 +24,6 @@ from gmrf_select.errors import (
     ParseError,
     SingularComplement,
     SingularSubmatrix,
-    SupportMismatch,
 )
 from gmrf_select.linalg import SupportedMatrix
 from gmrf_select.models import GffModel, Guarantee, SelectionReport, _contracted_potentials
@@ -132,9 +131,8 @@ def eig_extremes(m: SupportedMatrix) -> tuple[float, float]:
 
 def psd_sandwich_check(a: SupportedMatrix, b: SupportedMatrix, eps: float) -> bool:
     """True iff e^-eps B <= A <= e^eps B in the PSD order, within tolerance."""
-    if a.ambient_dim != b.ambient_dim or a.support != b.support:
-        raise SupportMismatch(
-            f"supports differ: {a.support} vs {b.support}")
+    if a.support != b.support:
+        raise ValueError(f"supports differ: {a.support} vs {b.support}")
     if not a.support:
         return True
     tol = SANDWICH_TOL * max(float(np.linalg.eigvalsh(b.block)[-1]), 0.0)
@@ -154,13 +152,13 @@ def add_reference(a: SupportedMatrix, b: SupportedMatrix) -> SupportedMatrix:
         if m.support:
             idx = np.array([pos[v] for v in m.support], dtype=int)
             out[np.ix_(idx, idx)] += m.block
-    return SupportedMatrix(a.ambient_dim, support, out)
+    return SupportedMatrix(support, out)
 
 
 def obs_reference(m: SupportedMatrix, observed) -> SupportedMatrix:
     keep = tuple(v for v in m.support if v not in set(observed))
     idx = [m.support.index(v) for v in keep]
-    return SupportedMatrix(m.ambient_dim, keep, m.block[np.ix_(idx, idx)])
+    return SupportedMatrix(keep, m.block[np.ix_(idx, idx)])
 
 
 def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
@@ -176,10 +174,10 @@ def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
     if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
         raise SingularComplement(f"eliminated block on {elim} is rank-deficient")
     if not keep:
-        return SupportedMatrix.zeros(m.ambient_dim)
+        return SupportedMatrix.zeros()
     cross = m.block[np.ix_(ei, ki)]
     schur = m.block[np.ix_(ki, ki)] - cross.T @ np.linalg.solve(e_block, cross)
-    return SupportedMatrix(m.ambient_dim, keep, 0.5 * (schur + schur.T))
+    return SupportedMatrix(keep, 0.5 * (schur + schur.T))
 
 
 def diag_of_inverse_reference(m: SupportedMatrix, subset) -> float:
@@ -219,7 +217,7 @@ def gff_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
             out[i, j] = out[j, i] = -mag
     for i in range(k):
         out[i, i] = rounder.snap(row_sums[i]) + np.abs(out[i]).sum() - abs(out[i, i])
-    return SupportedMatrix(p.ambient_dim, p.support, out)
+    return SupportedMatrix(p.support, out)
 
 
 def canonical_ray_reference(z: np.ndarray, pitch: float) -> np.ndarray:

@@ -229,7 +229,7 @@ def test_criterion_08_rounding_contracts():
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))
         eigs = np.exp(rng.uniform(np.log(sr.lam_lo), np.log(sr.lam_hi), size=k))
         block = (q * eigs) @ q.T
-        p = SupportedMatrix(6, tuple(range(1, k + 1)), 0.5 * (block + block.T))
+        p = SupportedMatrix(tuple(range(1, k + 1)), 0.5 * (block + block.T))
         out = sr.round(p)
         assert psd_sandwich_check(out, p, sr.eps)
         again = sr.round(out)
@@ -249,7 +249,7 @@ def test_criterion_08_rounding_contracts():
                     block[i, j] = block[j, i] = -c
         extra = np.exp(rng.uniform(np.log(gr.c_l * 1.2), np.log(gr.c_h * 0.8), k))
         block[np.diag_indices(k)] = -block.sum(axis=1) + extra
-        return SupportedMatrix(8, tuple(range(1, k + 1)), block)
+        return SupportedMatrix(tuple(range(1, k + 1)), block)
 
     trace_ok = True
     for _ in range(100):
@@ -320,7 +320,7 @@ def test_criterion_11_eigenvalue_preservation():
     rng = np.random.default_rng(111)
     for _ in range(100):
         k = int(rng.integers(3, 8))
-        m = random_pd_supported(rng, 9, range(1, k + 1))
+        m = random_pd_supported(rng, range(1, k + 1))
         lo, _ = eig_extremes(m)
         o = set(int(v) for v in rng.choice(np.arange(1, k + 1),
                                            size=int(rng.integers(1, k)),

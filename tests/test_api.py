@@ -1,3 +1,5 @@
+import dataclasses
+
 import gmrf_select
 
 PUBLIC = [
@@ -51,6 +53,9 @@ def test_data_type_attributes_are_pinned():
         return [name for name in dir(obj) if not name.startswith("_")]
 
     assert public(gmrf_select.SupportedMatrix) == ["checked", "zeros"]
+    # the dimension n belongs to the model, not to its matrices
+    fields = [f.name for f in dataclasses.fields(gmrf_select.SupportedMatrix)]
+    assert fields == ["support", "block"]
     assert public(gmrf_select.TreeDecomposition) == ["height", "m", "root", "width"]
     gff = gmrf_select.GffModel(3, [(1, 2, 1.0), (2, 3, 2.0)])
     gmrf = gmrf_select.GmrfModel([[2.0, -1.0], [-1.0, 2.0]])

@@ -28,7 +28,7 @@ from gmrf_select.models import (
 )
 from gmrf_select.validate import validate_suite
 
-from conftest import COUNTEREXAMPLE_SIGMA, unit_cycle
+from conftest import COUNTEREXAMPLE_SIGMA, random_pd_supported, unit_cycle
 from oracles import parse_report
 
 
@@ -86,6 +86,34 @@ class TestParseModel:
         back = io.parse_model_text(io.format_model(gm))
         assert np.allclose(back.precision_matrix.block,
                            gm.precision_matrix.block, rtol=1e-10)
+
+
+class TestMatrixText:
+    def test_round_trip(self):
+        rng = np.random.default_rng(11)
+        model = GmrfModel(random_pd_supported(rng, (1, 2, 3)).block)
+        text = io.format_model(model)
+        assert text.splitlines()[:3] == ["gmrf", "3 3", "1 2 3"]
+        back = io.parse_model_text(text)
+        assert back.n == 3
+        assert np.allclose(back.precision_matrix.block, model.precision_matrix.block,
+                           rtol=1e-11)
+
+    def test_parse_errors_carry_line_numbers(self):
+        cases = [
+            ("gmrf\nnonsense", "line 2: expected 'n k', got 'nonsense'"),
+            ("gmrf\n3 2\n1 x\n1 0\n0 1", "line 3: non-integer support index in '1 x'"),
+            ("gmrf\n3 2\n1 2\n1 oops\n0 1", "line 4: non-numeric entry in '1 oops'"),
+            # block errors name the row holding the bad entry
+            ("gmrf\n2 2\n1 2\n1 0\n0 inf", "line 5: block has non-finite entries"),
+            ("gmrf\n3 3\n1 2 3\n1 0 0\n0 1 0.5\n0 0.7 1", "line 6: block is not symmetric"),
+            # a support index outside 1..n is reported at the support line
+            ("gmrf\n3 2\n1 5\n1 0\n0 1", "line 3: support (1, 5) not within 1..3"),
+        ]
+        for text, message in cases:
+            with pytest.raises(ParseError) as info:
+                io.parse_model_text(text)
+            assert str(info.value) == message
 
 
 class TestReports:
@@ -617,6 +645,9 @@ BAD_FILES = {
                              "line 3: expected 2 support indices, got 1"),
     "matrix-row-length": ("gmrf\n2 2\n1 2\n1 0 0\n0 1\n", None,
                           "line 4: expected 2 entries, got 3"),
+    # twice 1e308 overflows, so the block could not be averaged with its mirror
+    "matrix-entry-too-large": ("gmrf\n2 2\n1 2\n1e308 0\n0 1\n", None,
+                               "line 4: block has entries above 8.98847e+307 in magnitude"),
     "td-duplicate-header": (P4_TEXT, "s td 1 4 4\ns td 1 4 4\n",
                             "line 2: duplicate 's td' header"),
     "td-header-integer": (P4_TEXT, "s td 1 x 4\n", "line 1: non-integer header field"),

@@ -367,7 +367,7 @@ class TestSingularBlockDrop:
         mt = MessageTable(g, td, 1, 0.1, DEFAULT_STATE_CAP)
         i = next(t for t, f in enumerate(mt.sys_factors) if len(f.support) >= 2)
         f = mt.sys_factors[i]
-        cancel = (SupportedMatrix(g.n, f.support, -f.block),)
+        cancel = (SupportedMatrix(f.support, -f.block),)
         keep = frozenset(f.support[:1])
         calls = []
         true_marginal, true_diag = dp_mod.marginal, dp_mod.linalg.diag_of_inverse

@@ -6,10 +6,11 @@ from gmrf_select.errors import (
     DisconnectedGraph,
     IndependentPairPresent,
     InfeasibleParameters,
+    InvalidMatrix,
     InvariantViolation,
     NotATree,
 )
-from gmrf_select.linalg import SupportedMatrix, obs, trace_of_inverse
+from gmrf_select.linalg import obs, trace_of_inverse
 from gmrf_select.models import (
     GffModel,
     GmrfModel,
@@ -58,11 +59,10 @@ class TestLaplacian:
             GffModel(4, [(1, 2, 1.0), (3, 4, 1.0)])
 
 
-def test_gmrf_precision_needs_full_support():
-    # a file's partial support stops in the parser; a library caller's stops here
-    partial = SupportedMatrix(3, (1, 2), np.eye(2))
-    with pytest.raises(InvariantViolation, match=r"^precision must have full support 1\.\.n$"):
-        GmrfModel(partial)
+def test_gmrf_precision_must_be_symmetric():
+    # every precision goes through SupportedMatrix.checked, files and library callers alike
+    with pytest.raises(InvalidMatrix, match="^block is not symmetric$"):
+        GmrfModel(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 class TestErr:

@@ -22,7 +22,7 @@ from oracles import (
 )
 
 
-def random_g_matrix(rng, k, lo=0.05, hi=2.0, n_ambient=None):
+def random_g_matrix(rng, k, lo=0.05, hi=2.0):
     """Random diagonally-dominant M-matrix on support 1..k."""
     block = np.zeros((k, k))
     for i in range(k):
@@ -32,7 +32,7 @@ def random_g_matrix(rng, k, lo=0.05, hi=2.0, n_ambient=None):
                 block[i, j] = block[j, i] = -c
     slack = np.exp(rng.uniform(np.log(lo), np.log(hi), size=k))
     block[np.diag_indices(k)] = -block.sum(axis=1) + slack
-    return SupportedMatrix(n_ambient or k, tuple(range(1, k + 1)), block)
+    return SupportedMatrix(tuple(range(1, k + 1)), block)
 
 
 class TestLogGridSnap:
@@ -72,7 +72,7 @@ class TestGffRound:
     def test_scalar_log_rounding_oracle(self):
         g, r = self.rounder(eps=0.1)
         v = r.c_l * math.exp(3.7 * r.eps)
-        m = SupportedMatrix(4, (2,), np.array([[v]]))
+        m = SupportedMatrix((2,), np.array([[v]]))
         out = r.round(m)
         # oracle: nearest exponent in log space
         k = round(math.log(v / r.c_l) / r.eps)
@@ -82,7 +82,7 @@ class TestGffRound:
         # a pure sub-Laplacian block has zero row sums
         block = np.array([[1.0, -1.0], [-1.0, 1.0]])
         g, r = self.rounder()
-        out = r.round(SupportedMatrix(8, (1, 2), block))
+        out = r.round(SupportedMatrix((1, 2), block))
         assert np.allclose(out.block.sum(axis=1), 0.0, atol=1e-15)
 
     def test_element_relation_at_half_eps(self):
@@ -90,24 +90,24 @@ class TestGffRound:
         g, r = self.rounder(eps=0.08)
         for _ in range(100):
             m = random_g_matrix(rng, int(rng.integers(1, 5)),
-                                lo=r.c_l * 1.2, hi=r.c_h * 0.8, n_ambient=8)
+                                lo=r.c_l * 1.2, hi=r.c_h * 0.8)
             out = r.round(m)
             rel = gff_relation_eps(m, out, zero_tol=r.zero_tol)
             assert rel <= r.eps / 2 + 1e-9
 
     def test_out_of_range_raises(self):
         g, r = self.rounder()
-        big = SupportedMatrix(8, (1,), np.array([[r.c_h * 10.0]]))
+        big = SupportedMatrix((1,), np.array([[r.c_h * 10.0]]))
         with pytest.raises(OutOfGridRange):
             r.round(big)
-        small = SupportedMatrix(8, (1,), np.array([[r.c_l / 10.0]]))
+        small = SupportedMatrix((1,), np.array([[r.c_l / 10.0]]))
         with pytest.raises(OutOfGridRange):
             r.round(small)
 
     def test_net_membership(self):
         rng = np.random.default_rng(2)
         g, r = self.rounder(eps=0.05)
-        m = random_g_matrix(rng, 3, lo=r.c_l * 1.5, hi=r.c_h * 0.5, n_ambient=8)
+        m = random_g_matrix(rng, 3, lo=r.c_l * 1.5, hi=r.c_h * 0.5)
         out = r.round(m)
         grid = {0.0} | {r.c_l * math.exp(k * r.eps) for k in range(r.top_index + 1)}
         for i in range(3):
@@ -131,7 +131,7 @@ class TestGffOpsErrorPropagation:
         for i in range(k):
             rs_new = rs[i] * math.exp(float(rng.uniform(-eps, eps)))
             out[i, i] = rs_new + np.abs(out[i]).sum() - abs(out[i, i])
-        return SupportedMatrix(m.ambient_dim, m.support, out)
+        return SupportedMatrix(m.support, out)
 
     def test_obs_preserves_relation(self):
         rng = np.random.default_rng(3)
@@ -181,7 +181,7 @@ class TestSvdRound:
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))
         eigs = np.exp(rng.uniform(np.log(r.lam_lo), np.log(r.lam_hi), size=k))
         block = (q * eigs) @ q.T
-        return SupportedMatrix(6, tuple(range(1, k + 1)), 0.5 * (block + block.T))
+        return SupportedMatrix(tuple(range(1, k + 1)), 0.5 * (block + block.T))
 
     def test_sandwich_and_idempotence(self):
         rng = np.random.default_rng(6)
@@ -198,25 +198,25 @@ class TestSvdRound:
     def test_diagonal_grid_fixed_point(self):
         r = self.rounder(eps=0.1)
         d = np.diag([r.lam_lo * math.exp(2 * 0.05), r.lam_lo * math.exp(9 * 0.05)])
-        p = SupportedMatrix(4, (1, 2), d)
+        p = SupportedMatrix((1, 2), d)
         out = r.round(p)
         assert np.array_equal(out.block, p.block)
 
     def test_scalar(self):
         r = self.rounder(eps=0.2)
         v = 0.9
-        out = r.round(SupportedMatrix(3, (2,), np.array([[v]])))
+        out = r.round(SupportedMatrix((2,), np.array([[v]])))
         assert abs(math.log(out.block[0, 0] / v)) <= r.eps / 2 + 1e-12
 
     def test_out_of_range(self):
         r = self.rounder()
         with pytest.raises(EigenvalueOutOfRange):
-            r.round(SupportedMatrix(3, (1,), np.array([[r.lam_hi * 5.0]])))
+            r.round(SupportedMatrix((1,), np.array([[r.lam_hi * 5.0]])))
 
     def test_rank_deficient(self):
         r = self.rounder()
         with pytest.raises(RankDeficient):
-            r.round(SupportedMatrix(3, (1, 2), np.array([[1.0, 1.0], [1.0, 1.0]])))
+            r.round(SupportedMatrix((1, 2), np.array([[1.0, 1.0], [1.0, 1.0]])))
 
     def test_canonical_ray_idempotent(self):
         rng = np.random.default_rng(7)
@@ -246,7 +246,7 @@ def test_gff_round_matches_element_loop():
     rng = np.random.default_rng(31)
     r = GffRounder(c_l=1e-3, c_h=1e3, eps=0.05, range_factor=1.01)
     for _ in range(3000):
-        m = random_g_matrix(rng, int(rng.integers(1, 7)), lo=0.002, hi=500.0, n_ambient=9)
+        m = random_g_matrix(rng, int(rng.integers(1, 7)), lo=0.002, hi=500.0)
         out, ref = r.round(m), gff_round_reference(r, m)
         assert out.support == ref.support and out.block.tobytes() == ref.block.tobytes()
 
