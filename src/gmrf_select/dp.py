@@ -352,6 +352,8 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float,
         raise InvariantViolation(f"budget must be >= 0, got {b}")
     if state_cap < 0:
         raise InvariantViolation(f"state cap must be >= 0, got {state_cap}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvariantViolation(f"eps must be finite and > 0, got {eps}")
     mt = MessageTable(model, td, b, eps, state_cap)
     (root_neighbor,) = mt.children[td.root]
     zero_q = SupportedMatrix.zeros()

@@ -19,16 +19,17 @@ class SingularMatrix(GmrfSelectError):
     pass
 
 
+# --- model construction and queries ---
+
 class InvalidMatrix(GmrfSelectError, ValueError):
-    """A misshapen, non-finite or asymmetric block. ``row`` is the 0-based
-    block row holding the offending entry, or None when no row is at fault."""
+    """An outside matrix that is misshapen, non-finite, too large or
+    asymmetric. ``row`` is the 0-based row holding the offending entry, or
+    None when no row is at fault."""
 
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
 
-
-# --- model construction and queries ---
 
 class DisconnectedGraph(GmrfSelectError):
     pass

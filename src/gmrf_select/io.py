@@ -3,8 +3,8 @@
 Formats:
   GFF:   line `gff n m pin`, then m lines `u v r` (1-based, r > 0).
   GMRF:  line `gmrf` (precision) or `gmrf-cov` (covariance), then the matrix
-         and nothing else: a line `n k`, a line of the k ascending 1-based
-         support indices and k rows of k entries; a model's has k = n.
+         and nothing else: a line `n k` (n >= 1), the support line `1 ... n`
+         (so k = n) and n rows of n entries.
 Blank and `#` lines may stand before the header, between GFF edges and after
 a GMRF's matrix. Parse errors name the 1-based line of the file at fault.
 Reports serialize to JSON with a stable key order; numbers use 12 significant
@@ -18,8 +18,7 @@ import json
 
 import numpy as np
 
-from .errors import IndexOutOfSupport, InvalidMatrix, ParseError
-from .linalg import SupportedMatrix
+from .errors import InvalidMatrix, ParseError
 from .models import GffModel, GmrfModel, SelectionReport
 
 
@@ -30,8 +29,9 @@ def _no_data(raw: str) -> bool:
 
 
 def _parse_matrix(text: str, first_line: int):
-    """(n, checked block, number of lines used) of the matrix at the start of
-    ``text``, whose first line is line ``first_line`` of the file."""
+    """(block, number of lines used) of the matrix at the start of ``text``,
+    whose first line is line ``first_line`` of the file. Only the text is
+    checked here: the model checks the matrix."""
     lines = text.splitlines()
 
     def fail(offset, msg):
@@ -46,7 +46,7 @@ def _parse_matrix(text: str, first_line: int):
         n, k = int(head[0]), int(head[1])
     except ValueError:
         fail(0, f"non-integer matrix header {lines[0]!r}")
-    if n < 0 or k < 0 or k > n:
+    if n < 1 or k < 0 or k > n:
         fail(0, f"invalid dimensions n={n} k={k}")
     if len(lines) < 2 + k:
         fail(len(lines) - 1, f"expected support line and {k} rows")
@@ -66,14 +66,9 @@ def _parse_matrix(text: str, first_line: int):
             rows.append([float(t) for t in tokens])
         except ValueError:
             fail(2 + r, f"non-numeric entry in {lines[2 + r]!r}")
-    block = np.array(rows) if k else np.zeros((0, 0))
-    try:
-        block = SupportedMatrix.checked(n, support, block).block
-    except InvalidMatrix as exc:
-        fail(0 if exc.row is None else 2 + exc.row, str(exc))
-    except IndexOutOfSupport as exc:
-        fail(1, str(exc))
-    return n, block, 2 + k
+    if support != tuple(range(1, n + 1)):
+        fail(1, f"support {support} is not 1..{n}")
+    return np.array(rows), 2 + k
 
 
 def parse_model_text(text: str):
@@ -115,15 +110,15 @@ def parse_model_text(text: str):
         return GffModel(n, edges, pin=pin)
     if kind in ("gmrf", "gmrf-cov"):
         body = "\n".join(lines[first + 1:])
-        n, block, used = _parse_matrix(body, first + 2)
+        block, used = _parse_matrix(body, first + 2)
         for lineno, raw in enumerate(lines[first + 1 + used:], start=first + 2 + used):
             if not _no_data(raw):
                 raise ParseError(f"line {lineno}: unexpected text after the matrix {raw!r}")
-        if len(block) != n:
-            raise ParseError("GMRF matrices must have full support")
-        if kind == "gmrf":
-            return GmrfModel(block)
-        return GmrfModel.from_covariance(block)
+        build = GmrfModel if kind == "gmrf" else GmrfModel.from_covariance
+        try:
+            return build(block)
+        except InvalidMatrix as exc:   # row r of the matrix is line first + 4 + r
+            raise ParseError(f"line {first + 4 + exc.row}: {exc}") from exc
     raise ParseError(f"line {first + 1}: unknown model kind {kind!r}")
 
 

@@ -3,8 +3,8 @@
 A SupportedMatrix is a symmetric PSD matrix that is zero outside a support set
 V of (1-based) indices; only the V x V block is stored. These carry precision
 matrices, cluster factors and message arguments everywhere else in the
-package, whose models own the dimension n. The class holds data and its
-constructors; every operation on it is a function of this module, and all are
+package, whose models own the dimension n. The class holds data and the
+zero matrix; every operation on it is a function of this module, and all are
 pure: inputs are never mutated.
 """
 
@@ -15,15 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfSupport,
-    InvalidMatrix,
-    SingularComplement,
-    SingularMatrix,
-)
+from .errors import IndexOutOfSupport, SingularComplement, SingularMatrix
 
 RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
-HALF_MAX = np.finfo(float).max / 2  # larger entries overflow block + block.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +32,8 @@ class SupportedMatrix:
     The constructor trusts its caller, who built the block: the support must
     already be sorted, distinct and positive, and the block an exactly
     symmetric float |V| x |V| array in support order. It only freezes the
-    block, without a copy. Outside input (files, dense arrays) enters through
-    ``checked``, which validates and symmetrizes first.
+    block, without a copy. Outside matrices enter through the models, which
+    check and symmetrize them first.
     """
 
     support: tuple[int, ...]
@@ -47,42 +41,6 @@ class SupportedMatrix:
 
     def __post_init__(self):
         self.block.setflags(write=False)
-
-    @classmethod
-    def checked(cls, n: int, support, block) -> "SupportedMatrix":
-        """Validate outside input, then construct: the support must be
-        ascending, distinct and within 1..n, and the block k x k, finite, no
-        larger in magnitude than HALF_MAX, and symmetric (it is stored as
-        0.5 * (block + block.T)). A bad block raises InvalidMatrix naming the
-        first row with a non-finite or too large entry, or the row of the
-        first below-diagonal entry that disagrees with its mirror."""
-        support = tuple(support)
-        if any(i < 1 or i > n for i in support):
-            raise IndexOutOfSupport(f"support {support} not within 1..{n}")
-        if len(set(support)) != len(support):
-            raise IndexOutOfSupport(f"duplicate indices in support {support}")
-        if list(support) != sorted(support):
-            raise IndexOutOfSupport(f"support {support} not ascending")
-        block = np.asarray(block, dtype=float)
-        k = len(support)
-        if block.shape != (k, k):
-            raise InvalidMatrix(f"block shape {block.shape} != ({k}, {k})")
-        bad = ~np.isfinite(block)
-        if bad.any():
-            raise InvalidMatrix("block has non-finite entries",
-                                row=int(bad.any(axis=1).argmax()))
-        size = np.abs(block)
-        bad = size > HALF_MAX
-        if bad.any():
-            raise InvalidMatrix(f"block has entries above {HALF_MAX:.6g} in magnitude",
-                                row=int(bad.any(axis=1).argmax()))
-        if k:
-            bad = ~np.isclose(block, block.T, atol=1e-12 * (1.0 + size.max()))
-            if bad.any():
-                below = np.tril(bad | bad.T, -1)
-                raise InvalidMatrix("block is not symmetric",
-                                    row=int(below.any(axis=1).argmax()))
-        return cls(support, 0.5 * (block + block.T))
 
     @classmethod
     def zeros(cls) -> "SupportedMatrix":

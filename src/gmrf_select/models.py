@@ -23,6 +23,7 @@ from .errors import (
     DisconnectedGraph,
     IndependentPairPresent,
     InfeasibleParameters,
+    InvalidMatrix,
     InvariantViolation,
     SingularMatrix,
     SingularObservationBlock,
@@ -105,14 +106,13 @@ class GmrfModel(_Model):
     the nonzero pattern of the off-diagonal entries. Nothing is pinned."""
 
     def __init__(self, precision):
-        dense = np.asarray(precision, dtype=float)
-        self.n = len(dense)
-        mat = SupportedMatrix.checked(self.n, self.vertices, dense)
-        w = np.linalg.eigvalsh(mat.block)
+        lam = _checked(precision)
+        w = np.linalg.eigvalsh(lam)
         if w[0] <= 0:
             raise InvariantViolation(
                 f"precision not positive definite (lambda_min = {w[0]:.3e})")
-        self.precision_matrix = mat
+        self.n = len(lam)
+        self.precision_matrix = SupportedMatrix(tuple(self.vertices), lam)
 
     def graph_edges(self) -> list[tuple[int, int]]:
         lam = self.precision_matrix.block
@@ -126,12 +126,42 @@ class GmrfModel(_Model):
 
     @classmethod
     def from_covariance(cls, sigma) -> "GmrfModel":
-        sigma = np.asarray(sigma, dtype=float)
+        """The GMRF whose covariance is ``sigma``, checked as a precision is.
+        If the inverse fails that check, no row of ``sigma`` is at fault: the
+        covariance is too ill-conditioned, and SingularMatrix says so."""
+        sigma = _checked(sigma)
         try:
             lam = np.linalg.inv(sigma)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(f"covariance is singular: {exc}") from exc
-        return cls(0.5 * (lam + lam.T))
+        try:
+            return cls(0.5 * (lam + lam.T))
+        except InvalidMatrix as exc:
+            raise SingularMatrix(f"covariance is ill-conditioned (its inverse: {exc})") from exc
+
+
+def _checked(matrix) -> np.ndarray:
+    """An outside matrix, validated and returned as 0.5 * (a + a.T). It must be
+    n x n with n >= 1, finite, no larger in magnitude than half the largest
+    float (so a + a.T cannot overflow) and symmetric. InvalidMatrix names the
+    first row with a non-finite or too large entry, or the row of the first
+    below-diagonal entry that disagrees with its mirror."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise InvalidMatrix(f"block shape {a.shape} is not n x n with n >= 1")
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise InvalidMatrix("block has non-finite entries", row=int(bad.any(axis=1).argmax()))
+    size, half_max = np.abs(a), np.finfo(float).max / 2
+    bad = size > half_max
+    if bad.any():
+        raise InvalidMatrix(f"block has entries above {half_max:.6g} in magnitude",
+                            row=int(bad.any(axis=1).argmax()))
+    bad = ~np.isclose(a, a.T, atol=1e-12 * (1.0 + size.max()))
+    if bad.any():
+        below = np.tril(bad | bad.T, -1)
+        raise InvalidMatrix("block is not symmetric", row=int(below.any(axis=1).argmax()))
+    return 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ def test_data_type_attributes_are_pinned():
     def public(obj):
         return [name for name in dir(obj) if not name.startswith("_")]
 
-    assert public(gmrf_select.SupportedMatrix) == ["checked", "zeros"]
+    assert public(gmrf_select.SupportedMatrix) == ["zeros"]
     # the dimension n belongs to the model, not to its matrices
     fields = [f.name for f in dataclasses.fields(gmrf_select.SupportedMatrix)]
     assert fields == ["support", "block"]

@@ -107,8 +107,8 @@ class TestMatrixText:
             # block errors name the row holding the bad entry
             ("gmrf\n2 2\n1 2\n1 0\n0 inf", "line 5: block has non-finite entries"),
             ("gmrf\n3 3\n1 2 3\n1 0 0\n0 1 0.5\n0 0.7 1", "line 6: block is not symmetric"),
-            # a support index outside 1..n is reported at the support line
-            ("gmrf\n3 2\n1 5\n1 0\n0 1", "line 3: support (1, 5) not within 1..3"),
+            # any support line but 1..n is reported at that line
+            ("gmrf\n3 2\n1 5\n1 0\n0 1", "line 3: support (1, 5) is not 1..3"),
         ]
         for text, message in cases:
             with pytest.raises(ParseError) as info:
@@ -326,7 +326,7 @@ class TestCli:
         assert main(["eval", "--input", path, "--set", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: line 3: support (2, 1) not ascending\n"
+        assert captured.err == "error: line 3: support (2, 1) is not 1..2\n"
 
     @pytest.mark.parametrize("rows", ["inf 0\n0 1", "1 inf\ninf 1", "nan 0\n0 1"],
                              ids=["inf-diagonal", "inf-off-diagonal", "nan"])
@@ -342,15 +342,15 @@ class TestCli:
         assert main(["eval", "--input", path, "--set", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: line 3: support (1, 5) not within 1..3\n"
+        assert captured.err == "error: line 3: support (1, 5) is not 1..3\n"
 
     def test_overflowing_precision_exit_code(self, tmp_path, capsys):
-        # the file parses, but the inverse of the covariance overflows to inf
+        # the file parses, but the inverse of the covariance overflows to inf;
+        # no covariance line is at fault, so the message names none
         path = write(tmp_path, "tiny.gmrf", "gmrf-cov\n2 2\n1 2\n1e-310 0\n0 1\n")
         assert main(["eval", "--input", path, "--set", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert capsys.readouterr() == ("", "error: covariance is ill-conditioned "
+                                       "(its inverse: block has non-finite entries)\n")
 
     def test_singular_covariance_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "rank1.gmrf", "gmrf-cov\n2 2\n1 2\n1 1\n1 1\n")
@@ -633,7 +633,9 @@ BAD_FILES = {
     "gff-conflicting": ("gff 2 2 1\n1 2 1.0\n2 1 2.0\n", None,
                         "conflicting resistances on edge (1, 2)"),
     "gmrf-partial-support": ("gmrf\n3 2\n1 2\n1 0\n0 1\n", None,
-                             "GMRF matrices must have full support"),
+                             "line 3: support (1, 2) is not 1..3"),
+    # n = 0 with a blank support line, not a 0 x 0 model
+    "gmrf-empty": ("gmrf\n0 0\n\n\n", None, "line 2: invalid dimensions n=0 k=0"),
     "gmrf-not-definite": ("gmrf\n2 2\n1 2\n1 2\n2 1\n", None,
                           "precision not positive definite (lambda_min = -1.000e+00)"),
     "matrix-no-header": ("gmrf\n", None, "line 2: missing matrix header"),

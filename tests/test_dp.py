@@ -129,6 +129,15 @@ class TestRunDp:
             run_dp(g, td, 3, 1e-12, state_cap=25)
         assert "states" in str(info.value)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("rounding", ["gff", "svd"])
+    def test_eps_must_be_finite_and_positive(self, rounding, eps):
+        # the model picks the rounding: a GFF tree gets gff, a tree GMRF svd
+        g = unit_path(4) if rounding == "gff" else random_tree_gmrf(4, np.random.default_rng(0))
+        td = balance_for_tree(4, g.graph_edges())
+        with pytest.raises(InvariantViolation, match=r"^eps must be finite and > 0, got "):
+            run_dp(g, td, 2, eps)
+
     def test_extract_before_run_raises(self):
         g = unit_path(4)
         mt = MessageTable(g, balance_for_tree(4, g.graph_edges()), 1, 0.02, DEFAULT_STATE_CAP)

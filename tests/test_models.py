@@ -60,9 +60,46 @@ class TestLaplacian:
 
 
 def test_gmrf_precision_must_be_symmetric():
-    # every precision goes through SupportedMatrix.checked, files and library callers alike
+    # every precision goes through the model's one check, files and library callers alike
     with pytest.raises(InvalidMatrix, match="^block is not symmetric$"):
         GmrfModel(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
+# (matrix, message, row at fault) of each outside matrix a GMRF refuses
+BAD_MATRICES = {
+    "shape": (np.ones((2, 3)), r"^block shape \(2, 3\) is not n x n with n >= 1$", None),
+    "empty": (np.zeros((0, 0)), r"^block shape \(0, 0\) is not n x n", None),
+    "scalar": (np.float64(3.0), r"^block shape \(\) is not n x n", None),
+    "inf": (np.array([[1.0, np.inf], [np.inf, 1.0]]), "^block has non-finite entries$", 0),
+    "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^block has non-finite entries$", 0),
+    # twice the entry overflows, so it could not be averaged with its mirror
+    "too-large": (np.array([[1.0, 0.0], [0.0, -1e308]]),
+                  r"^block has entries above 8\.98847e\+307 in magnitude$", 1),
+    "asymmetric": (np.array([[1.0, 0.5], [0.2, 1.0]]), "^block is not symmetric$", 1),
+}
+
+
+class TestMatrixCheck:
+    @pytest.mark.parametrize("build", [GmrfModel, GmrfModel.from_covariance],
+                             ids=["precision", "covariance"])
+    @pytest.mark.parametrize("case", sorted(BAD_MATRICES))
+    def test_rejects(self, build, case):
+        # a covariance is checked before it is inverted
+        matrix, message, row = BAD_MATRICES[case]
+        with pytest.raises(InvalidMatrix, match=message) as info:
+            build(matrix)
+        assert info.value.row == row
+
+    def test_accepts_valid_input(self):
+        m = GmrfModel([[2.0, -1.0], [-1.0, 2.0]])
+        assert m.n == 2 and m.precision_matrix.support == (1, 2)
+        assert m.precision_matrix.block[1, 0] == -1.0
+        # a matrix symmetric to round-off is stored as the mean of it and its mirror
+        block = np.array([[2.0, -1.0], [-1.0 - 2.0 ** -51, 2.0]])
+        stored = GmrfModel(block).precision_matrix.block
+        assert stored is not block and not stored.flags.writeable
+        assert stored.tobytes() == (0.5 * (block + block.T)).tobytes()
+        assert stored[0, 1] == stored[1, 0] != -1.0
 
 
 class TestErr:
@@ -146,6 +183,10 @@ class TestPredictorWeights:
                      + w @ sigma[np.ix_(idx, idx)] @ w)
             assert abs(resid - conditional_variance(model, i, s)) < 1e-10
 
+    def test_observed_target_raises(self):
+        with pytest.raises(InvariantViolation, match="^target 2 is observed$"):
+            predictor_weights(unit_path(3), 2, {2})
+
 
 class TestEffectiveResistance:
     def test_single_edge(self):
@@ -157,6 +198,14 @@ class TestEffectiveResistance:
 
     def test_path_nearest_source(self):
         assert abs(effective_resistance(unit_path(3), 3, {1, 2}) - 1.0) < 1e-12
+
+    def test_empty_s_raises(self):
+        with pytest.raises(InvariantViolation, match="^S must be nonempty$"):
+            effective_resistance(unit_path(3), 2, set())
+
+    def test_vertex_in_s_raises(self):
+        with pytest.raises(InvariantViolation, match="^vertex 2 is in S$"):
+            effective_resistance(unit_path(3), 2, {1, 2})
 
     def test_disconnected_raises(self):
         broken = GffModel.__new__(GffModel)

@@ -10,13 +10,19 @@ and 3, and runs each distinct request once per side. It adds
 `validate --trials 30 --seed 0`, a `convert tree-gmrf-to-gff` and a `--format
 text` eval of a seed-1 tree GMRF, a `gen gmrf`, and each side's five demos.
 
+Apart from these program commands, it runs `eval --set 1` on each of a
+group of malformed GMRF files (MALFORMED), which both sides should refuse
+with exit 2; a change to the messages at the input boundary shows up there as
+a list of differences.
+
 Every command runs in a fresh `python3` process with PYTHONPATH set to the
 side's `src/` and bytecode writing off, so neither checkout changes. A command
 differs when its exit code, stdout or stderr differs; in stderr each side's
 checkout path is replaced by `<checkout>` first. The script prints each
-difference, the number of commands (and of those that exit nonzero on the
-parent, which should be 0), and the number of differences, and exits 1 if
-there is any difference.
+difference and, per group, the number of commands, of those that exit as not
+expected on either side (nonzero for a program command, other than 2 for a
+malformed file), and of differences. It exits 1 if a program command differs
+or a malformed file does not exit 2 on the change side.
 
 Standard library and numpy (which `benchmark/workloads.py` needs) only.
 """
@@ -66,6 +72,35 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+# (label, text) of GMRF files that the input boundary refuses
+MALFORMED = [
+    ("support out of range", "gmrf\n2 2\n1 3\n1 0\n0 1\n"),
+    ("support unsorted", "gmrf\n2 2\n2 1\n1 0\n0 1\n"),
+    ("partial support", "gmrf\n3 2\n1 2\n1 0\n0 1\n"),
+    ("empty matrix", "gmrf\n0 0\n\n\n"),
+    ("non-finite entry", "gmrf\n2 2\n1 2\n1 0\n0 nan\n"),
+    ("too-large entry", "gmrf\n2 2\n1 2\n1 0\n0 1e308\n"),
+    ("asymmetric precision", "gmrf\n2 2\n1 2\n1 0.5\n0.2 1\n"),
+    ("asymmetric covariance", "gmrf-cov\n2 2\n1 2\n1 0.5\n0.2 1\n"),
+    ("covariance 1e-310", "gmrf-cov\n2 2\n1 2\n1e-310 0\n0 1\n"),
+    ("singular covariance", "gmrf-cov\n2 2\n1 2\n1 1\n1 1\n"),
+    ("trailing text", "gmrf\n1 1\n1\n2\nextra\n"),
+]
+
+
+def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
+    """(label, arguments after `python3`) of an eval of each MALFORMED file,
+    written under ``input_root``."""
+    input_root.mkdir(parents=True)
+    out = []
+    for number, (label, text) in enumerate(MALFORMED):
+        path = input_root / f"bad{number}.gmrf"
+        path.write_text(text)
+        out.append((f"malformed {label}",
+                    ["-m", "gmrf_select.cli", "eval", "--set", "1", "--input", str(path)]))
+    return out
+
+
 def run(root: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, *(a.replace("{root}", str(root)) for a in args)]
@@ -83,19 +118,30 @@ def main(argv=None) -> int:
         if not (side / "src" / "gmrf_select" / "cli.py").is_file():
             sys.stderr.write(f"no program in {side}\n")
             return 2
-    differences = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = commands(Path(tmp) / "inputs")
-        for label, cmd in cmds:
-            parent, change = (run(side, cmd, Path(tmp)) for side in sides)
-            failed += parent[0] != 0
-            for what, p, c in zip(("exit code", "stdout", "stderr"), parent, change):
-                if p != c:
-                    differences += 1
-                    print(f"DIFFERS {label}: {what}\n  parent: {p!r:.300}\n  change: {c!r:.300}")
-    print(f"{len(cmds)} commands ({failed} exit nonzero on the parent), "
-          f"{differences} differences")
-    return 1 if differences else 0
+        differences, _ = compare(sides, commands(Path(tmp) / "inputs"), 0, Path(tmp),
+                                 "program commands")
+        _, refused = compare(sides, malformed(Path(tmp) / "malformed"), 2, Path(tmp),
+                             "malformed files")
+    return 1 if differences or refused else 0
+
+
+def compare(sides, cmds, expected: int, cwd: Path, group: str) -> tuple[int, int]:
+    """Run each command on both sides and print the differences and a count
+    line for the group; (differences, commands not exiting ``expected`` on
+    the change side)."""
+    differences = unexpected_parent = unexpected_change = 0
+    for label, cmd in cmds:
+        parent, change = (run(side, cmd, cwd) for side in sides)
+        unexpected_parent += parent[0] != expected
+        unexpected_change += change[0] != expected
+        for what, p, c in zip(("exit code", "stdout", "stderr"), parent, change):
+            if p != c:
+                differences += 1
+                print(f"DIFFERS {label}: {what}\n  parent: {p!r:.300}\n  change: {c!r:.300}")
+    print(f"{len(cmds)} {group} ({unexpected_parent} on the parent and {unexpected_change} "
+          f"on the change exit other than {expected}), {differences} differences")
+    return differences, unexpected_change
 
 
 if __name__ == "__main__":
