@@ -66,7 +66,7 @@ def _parse_matrix(text: str, first_line: int):
             rows.append([float(t) for t in tokens])
         except ValueError:
             fail(2 + r, f"non-numeric entry in {lines[2 + r]!r}")
-    if support != tuple(range(1, n + 1)):
+    if k != n or support != tuple(range(1, k + 1)):
         fail(1, f"support {support} is not 1..{n}")
     return np.array(rows), 2 + k
 

@@ -634,6 +634,9 @@ BAD_FILES = {
                         "conflicting resistances on edge (1, 2)"),
     "gmrf-partial-support": ("gmrf\n3 2\n1 2\n1 0\n0 1\n", None,
                              "line 3: support (1, 2) is not 1..3"),
+    # n far above the file's length: refused without building anything n-sized
+    "gmrf-huge-n": ("gmrf\n1000000000000 1\n1\n1\n", None,
+                    "line 3: support (1,) is not 1..1000000000000"),
     # n = 0 with a blank support line, not a 0 x 0 model
     "gmrf-empty": ("gmrf\n0 0\n\n\n", None, "line 2: invalid dimensions n=0 k=0"),
     "gmrf-not-definite": ("gmrf\n2 2\n1 2\n1 2\n2 1\n", None,

@@ -77,6 +77,7 @@ MALFORMED = [
     ("support out of range", "gmrf\n2 2\n1 3\n1 0\n0 1\n"),
     ("support unsorted", "gmrf\n2 2\n2 1\n1 0\n0 1\n"),
     ("partial support", "gmrf\n3 2\n1 2\n1 0\n0 1\n"),
+    ("huge n", "gmrf\n1000000000000 1\n1\n1\n"),
     ("empty matrix", "gmrf\n0 0\n\n\n"),
     ("non-finite entry", "gmrf\n2 2\n1 2\n1 0\n0 nan\n"),
     ("too-large entry", "gmrf\n2 2\n1 2\n1 0\n0 1e308\n"),
