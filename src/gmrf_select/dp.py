@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     StateSpaceExceeded,
 )
 from .linalg import SupportedMatrix, add, marginal, obs
-from .models import GffModel, Guarantee, SelectionReport, make_report
+from .models import GffModel, SelectionReport, make_report
 from .rounding import GffRounder, SvdRounder
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -364,8 +364,8 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float,
     return mt
 
 
-def extract_solution(mt: MessageTable) -> SelectionReport:
-    """Report the minimizing root entry's chosen set; recompute err fresh."""
+def extract_solution(mt: MessageTable, details=None) -> SelectionReport:
+    """Report the minimizing root entry's chosen set and err (fresh), plus ``details``."""
     started = time.perf_counter()
     table, model, b = mt.root_table, mt.model, mt.budget
     if not table:
@@ -376,7 +376,7 @@ def extract_solution(mt: MessageTable) -> SelectionReport:
             f"extracted {len(best.chosen)} observations with budget {b}")
     report = make_report(model, best.chosen | model.pinned, "dp", b, started=started,
                          details={"table_value": best.value,
-                                  "sizing": mt.sizing_report()})
+                                  "sizing": mt.sizing_report(), **(details or {})})
     table_err = best.value / model.n
     bound = _accumulated_factor(mt)
     if math.isfinite(bound):
@@ -425,8 +425,4 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
         eps = eps_prime / (4.0 * (2.0 * h + 1.0))
         details["eps_theoretical"] = eps
     details["eps_used"] = eps
-    mt = run_dp(model, td, b, eps, state_cap=state_cap)
-    report = extract_solution(mt)
-    return replace(report,
-                   guarantee=Guarantee(1.0 + eps_prime, "tree DP, target factor"),
-                   details={**report.details, **details})
+    return extract_solution(run_dp(model, td, b, eps, state_cap=state_cap), details)

@@ -7,7 +7,7 @@ downdate removes the winner (O(n^2), not O(n^3) per candidate). Gains within
 TIE_TOL of the best are re-scored by (err, index), so downdate noise never
 breaks a tie. If the winner's fresh gain differs from the engine's by DRIFT_TOL
 (relative to err) or more, Sigma is rebuilt from Lambda and the round redone.
-GFF runs carry a certificate; GMRF runs are an uncertified heuristic.
+On GFFs, ``models.make_report`` attaches BUDGET_FACTOR or cover_factor.
 """
 
 from __future__ import annotations
@@ -18,18 +18,10 @@ import time
 import numpy as np
 
 from .errors import InvariantViolation
-from .models import GffModel, Guarantee, SelectionReport, err, make_report
+from .models import BUDGET_FACTOR, SelectionReport, cover_factor, err, make_report  # noqa: F401
 
-BUDGET_FACTOR = 1.0 / (1.0 - 1.0 / math.e)
 TIE_TOL = 1e-9
 DRIFT_TOL = 1e-6
-
-
-def cover_factor(gff: GffModel) -> float:
-    """1 + ln((n-1)^2 R/r) with R the largest and r the smallest edge resistance."""
-    resistances = [r for _, _, r in gff.edges]
-    big, small = max(resistances), min(resistances)
-    return 1.0 + math.log((gff.n - 1) ** 2 * big / small)
 
 
 def _choose(model, selected, rows, sigma):
@@ -74,11 +66,7 @@ def greedy_budget(model, b: int) -> SelectionReport:
     started = time.perf_counter()
 
     selected = _greedy_rounds(model, lambda s, e: len(s - model.pinned) >= b)
-    guarantee = None
-    if isinstance(model, GffModel):
-        guarantee = Guarantee(BUDGET_FACTOR, "supermodular greedy, budget")
-    return make_report(model, selected, "greedy-budget", b,
-                       guarantee=guarantee, started=started)
+    return make_report(model, selected, "greedy-budget", b, started=started)
 
 
 def greedy_cover(model, alpha: float) -> SelectionReport:
@@ -88,8 +76,4 @@ def greedy_cover(model, alpha: float) -> SelectionReport:
     started = time.perf_counter()
 
     selected = _greedy_rounds(model, lambda s, e: e <= alpha)
-    guarantee = None
-    if isinstance(model, GffModel):
-        guarantee = Guarantee(cover_factor(model), "supermodular cover, log-ratio bound")
-    return make_report(model, selected, "greedy-cover", alpha,
-                       guarantee=guarantee, started=started)
+    return make_report(model, selected, "greedy-cover", alpha, started=started)

@@ -11,6 +11,7 @@ pin, nothing for a GMRF) is observed in every query.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -185,10 +186,29 @@ class SelectionReport:
     details: dict = field(default_factory=dict)
 
 
+BUDGET_FACTOR = 1.0 / (1.0 - 1.0 / math.e)
+
+
+def cover_factor(gff: GffModel) -> float:
+    """1 + ln((n-1)^2 R/r) with R the largest and r the smallest edge resistance."""
+    resistances = [r for _, _, r in gff.edges]
+    return 1.0 + math.log((gff.n - 1) ** 2 * max(resistances) / min(resistances))
+
+
 def make_report(model, selected, solver, budget_or_alpha,
-                guarantee=None, started=None, details=None) -> SelectionReport:
+                started=None, details=None) -> SelectionReport:
+    """Every report, and the one place its guarantee is decided: from the solver,
+    the model's class and the DP's target ``eps_prime`` in ``details``."""
     sel = tuple(sorted(set(selected)))
     wall = (time.perf_counter() - started) if started is not None else None
+    details = dict(details or {})
+    guarantee = None
+    if solver == "dp" and "eps_prime" in details:
+        guarantee = Guarantee(1.0 + details["eps_prime"], "tree DP, target factor")
+    elif solver == "greedy-budget" and isinstance(model, GffModel):
+        guarantee = Guarantee(BUDGET_FACTOR, "supermodular greedy, budget")
+    elif solver == "greedy-cover" and isinstance(model, GffModel):
+        guarantee = Guarantee(cover_factor(model), "supermodular cover, log-ratio bound")
     return SelectionReport(
         selected=sel,
         err_value=err(model, sel),
@@ -197,7 +217,7 @@ def make_report(model, selected, solver, budget_or_alpha,
         budget_or_alpha=budget_or_alpha,
         guarantee=guarantee,
         wall_time=wall,
-        details=dict(details or {}),
+        details=details,
     )
 
 

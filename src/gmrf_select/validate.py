@@ -23,7 +23,7 @@ from .decomposition import balance_for_tree
 from .dp import dp_select
 from .errors import InfeasibleParameters
 from .exact import exact_budget, exact_cover, thread_count
-from .greedy import BUDGET_FACTOR, greedy_budget, greedy_cover
+from .greedy import greedy_budget, greedy_cover
 from .models import err, err_batch, random_gff
 
 
@@ -100,7 +100,7 @@ def suite_greedy_vs_exact(seed, trials):
             findings.append(_finding(
                 "violation", "greedy-budget", "classical mixed bound violated",
                 n=n, b=b, greedy=gr.err_value, exact=ex.err_value, bound=classical))
-        if gr.err_value > BUDGET_FACTOR * ex.err_value + 1e-9:
+        if gr.err_value > gr.guarantee.factor * ex.err_value + 1e-9:
             findings.append(_finding(
                 "discrepancy", "greedy-budget",
                 "stated factor e/(e-1) exceeded (known-unproven certificate)",
