@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NumericFailure
 from .models import BUDGET_FACTOR, SelectionReport, cover_factor, err, make_report  # noqa: F401
 
 TIE_TOL = 1e-9
@@ -28,6 +28,8 @@ def _choose(model, selected, rows, sigma):
     """The round's winner: (fresh err of S + {x}, x, row of x, engine gain)."""
     gains = np.einsum("ij,ij->j", sigma, sigma) / np.diag(sigma) / model.n
     best = gains.max()
+    if not np.isfinite(best):   # an overflowing or NaN gain would leave `near` empty
+        raise NumericFailure(f"conditional covariance overflows: greedy's best gain is {best}")
     near = np.flatnonzero(gains >= best - TIE_TOL * best)
     fresh, chosen, k = min((err(model, selected | {rows[i]}), rows[i], i) for i in near)
     return fresh, chosen, k, float(gains[k])

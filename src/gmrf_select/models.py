@@ -49,7 +49,12 @@ class _Model:
         """Full n x n covariance, exactly symmetric, pinned rows zero; cached."""
         if self._covariance is None:
             rest = [v - 1 for v in self.vertices if v not in self.pinned]
-            inv = np.linalg.inv(self.precision_matrix.block[np.ix_(rest, rest)])
+            try:
+                inv = np.linalg.inv(self.precision_matrix.block[np.ix_(rest, rest)])
+                _bounded(inv)   # before inv + inv.T, which could overflow
+            except (np.linalg.LinAlgError, InvalidMatrix) as exc:
+                raise SingularMatrix(
+                    f"covariance is ill-conditioned (inverting the precision: {exc})") from exc
             cov = np.zeros((self.n, self.n))
             cov[np.ix_(rest, rest)] = 0.5 * (inv + inv.T)
             cov.setflags(write=False)
@@ -82,6 +87,8 @@ class GffModel(_Model):
             if key in seen and abs(seen[key] - r) > 1e-12 * r:
                 raise InvariantViolation(f"conflicting resistances on edge {key}")
             seen[key] = float(r)
+        if len(seen) < n - 1:   # before any walk over n vertices: n comes from a header
+            raise DisconnectedGraph(f"{n} vertices need {n - 1} edges, got {len(seen)}")
         self.n = n
         self.pin = pin
         self.edges = tuple((u, v, seen[(u, v)]) for (u, v) in sorted(seen))
@@ -136,6 +143,7 @@ class GmrfModel(_Model):
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(f"covariance is singular: {exc}") from exc
         try:
+            _bounded(lam)   # before lam + lam.T, which could overflow
             return cls(0.5 * (lam + lam.T))
         except InvalidMatrix as exc:
             raise SingularMatrix(f"covariance is ill-conditioned (its inverse: {exc})") from exc
@@ -150,6 +158,17 @@ def _checked(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise InvalidMatrix(f"block shape {a.shape} is not n x n with n >= 1")
+    size = _bounded(a)
+    bad = ~np.isclose(a, a.T, atol=1e-12 * (1.0 + size.max()))
+    if bad.any():
+        below = np.tril(bad | bad.T, -1)
+        raise InvalidMatrix("block is not symmetric", row=int(below.any(axis=1).argmax()))
+    return 0.5 * (a + a.T)
+
+
+def _bounded(a: np.ndarray) -> np.ndarray:
+    """|a|, once every entry is finite and at most half the largest float;
+    InvalidMatrix names the first row at fault."""
     bad = ~np.isfinite(a)
     if bad.any():
         raise InvalidMatrix("block has non-finite entries", row=int(bad.any(axis=1).argmax()))
@@ -158,11 +177,7 @@ def _checked(matrix) -> np.ndarray:
     if bad.any():
         raise InvalidMatrix(f"block has entries above {half_max:.6g} in magnitude",
                             row=int(bad.any(axis=1).argmax()))
-    bad = ~np.isclose(a, a.T, atol=1e-12 * (1.0 + size.max()))
-    if bad.any():
-        below = np.tril(bad | bad.T, -1)
-        raise InvalidMatrix("block is not symmetric", row=int(below.any(axis=1).argmax()))
-    return 0.5 * (a + a.T)
+    return size
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert '"err": 3.33333333333e-309,' in captured.out and captured.err == ""
 
+    # (model text, exact message) of GFFs whose conditional covariance overflows
+    GREEDY_OVERFLOWS = {
+        # the inverse holds 1e308, so inv + inv.T would overflow
+        "inverse-1e308": ("gff 8 7 1\n1 2 1.01652327565\n1 5 1e308\n2 3 0.610608350828\n"
+                          "2 6 1.57505825349\n2 7 1.07116993631\n3 4 1.86257548384\n"
+                          "3 8 0.519472119791\n",
+                          "covariance is ill-conditioned (inverting the precision: "
+                          "block has entries above 8.98847e+307 in magnitude)"),
+        # the covariance is finite, the gain ||Sigma[:, x]||^2 / Sigma[x, x] is not
+        "gain-inf": ("gff 3 2 1\n1 2 1e200\n2 3 1e200\n",
+                     "conditional covariance overflows: greedy's best gain is inf"),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit", [["--budget", "2"], ["--alpha", "0.1"]],
+                             ids=["budget", "alpha"])
+    @pytest.mark.parametrize("case", sorted(GREEDY_OVERFLOWS))
+    def test_greedy_overflow_exit_code(self, tmp_path, capsys, case, limit):
+        text, message = self.GREEDY_OVERFLOWS[case]
+        path = write(tmp_path, "m.gff", text)
+        assert main(["select", "greedy", "--input", path, *limit]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     # (model text, budget, exact message) of models and budgets the DP refuses
     DP_REFUSALS = {
         # the GFF grid's c_h / c_l overflows; at 1e-308 c_l underflows to 0 too
@@ -632,6 +655,10 @@ BAD_FILES = {
     "gff-edge-range": ("gff 2 1 1\n1 3 1.0\n", None, "edge (1,3) outside 1..2"),
     "gff-conflicting": ("gff 2 2 1\n1 2 1.0\n2 1 2.0\n", None,
                         "conflicting resistances on edge (1, 2)"),
+    # n far above the edge count: refused before any walk over n vertices,
+    # with a message whose size does not grow with n
+    "gff-huge-n": ("gff 200000 1 1\n1 2 1\n", None,
+                   "200000 vertices need 199999 edges, got 1"),
     "gmrf-partial-support": ("gmrf\n3 2\n1 2\n1 0\n0 1\n", None,
                              "line 3: support (1, 2) is not 1..3"),
     # n far above the file's length: refused without building anything n-sized
@@ -639,6 +666,10 @@ BAD_FILES = {
                     "line 3: support (1,) is not 1..1000000000000"),
     # n = 0 with a blank support line, not a 0 x 0 model
     "gmrf-empty": ("gmrf\n0 0\n\n\n", None, "line 2: invalid dimensions n=0 k=0"),
+    # the inverse holds 1e308: refused before inv + inv.T overflows (no warning)
+    "gmrf-cov-inverse-too-large": ("gmrf-cov\n2 2\n1 2\n1e-308 0\n0 1\n", None,
+                                   "covariance is ill-conditioned (its inverse: block has "
+                                   "entries above 8.98847e+307 in magnitude)"),
     "gmrf-not-definite": ("gmrf\n2 2\n1 2\n1 2\n2 1\n", None,
                           "precision not positive definite (lambda_min = -1.000e+00)"),
     "matrix-no-header": ("gmrf\n", None, "line 2: missing matrix header"),
