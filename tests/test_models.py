@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from gmrf_select.decomposition import balance_for_tree
+from gmrf_select.dp import dp_select, extract_solution, run_dp
 from gmrf_select.errors import (
     DisconnectedFromS,
     DisconnectedGraph,
@@ -9,15 +13,22 @@ from gmrf_select.errors import (
     InvalidMatrix,
     InvariantViolation,
     NotATree,
+    SingularMatrix,
 )
+from gmrf_select.exact import exact_budget, exact_cover
+from gmrf_select.greedy import greedy_budget, greedy_cover
 from gmrf_select.linalg import obs, trace_of_inverse
 from gmrf_select.models import (
+    BUDGET_FACTOR,
     GffModel,
     GmrfModel,
+    Guarantee,
     conditional_variance,
+    cover_factor,
     effective_resistance,
     err,
     laplacian,
+    make_report,
     predictor_weights,
     random_gff,
     random_gmrf,
@@ -57,6 +68,13 @@ class TestLaplacian:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             GffModel(4, [(1, 2, 1.0), (3, 4, 1.0)])
+
+    def test_too_few_edges_rejected_before_any_walk(self):
+        # n comes from a file header: the message stays short however large n is
+        with pytest.raises(DisconnectedGraph, match="^200000 vertices need 199999 edges"):
+            GffModel(200_000, [(1, 2, 1.0)])
+        with pytest.raises(DisconnectedGraph, match=r"^vertices \[4\] unreachable"):
+            GffModel(4, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
 
 
 def test_gmrf_precision_must_be_symmetric():
@@ -502,3 +520,55 @@ def test_invalid_gff_inputs():
     # no numpy overflow warning (pytest turns warnings into errors)
     with pytest.raises(InvariantViolation, match="total conductance at vertex 2 overflows"):
         GffModel(3, [(1, 2, 1e-308), (2, 3, 1e-308)])
+
+
+def test_singular_precision_block_gives_singular_matrix():
+    # 2^900 + 2^-1000 rounds to 2^900, so the block of vertices 2 and 3 is
+    # exactly singular; LAPACK's inverse fails and the covariance says why
+    g = GffModel(3, [(1, 2, 2.0 ** 1000), (2, 3, 2.0 ** -900)])
+    with pytest.raises(SingularMatrix, match="inverting the precision: Singular matrix"):
+        conditional_variance(g, 2, {1})
+
+
+def test_covariance_overflowing_its_average_is_refused():
+    # inverse entry 1e308 would overflow in inv + inv.T: refused before, no warning
+    g = GffModel(3, [(1, 2, 1.0), (1, 3, 1e308)])
+    with pytest.raises(SingularMatrix, match="inverting the precision: block has entries above"):
+        g.covariance()
+    with pytest.raises(SingularMatrix, match="its inverse: block has entries above"):
+        GmrfModel.from_covariance([[1e-308, 0.0], [0.0, 1.0]])
+
+
+GUARANTEE_MODELS = {"gff": lambda: random_gff(6, density=0.0, seed=1),
+                    "gmrf": lambda: random_gmrf(6, 1, seed=0)}   # both trees
+# (solver, model kind) -> (factor of the model, source); every other row promises nothing
+GUARANTEE_TABLE = {
+    ("greedy-budget", "gff"): (lambda m: BUDGET_FACTOR, "supermodular greedy, budget"),
+    ("greedy-cover", "gff"): (cover_factor, "supermodular cover, log-ratio bound"),
+    ("dp", "gff"): (lambda m: 1.0 + 0.2, "tree DP, target factor"),
+    ("dp", "gmrf"): (lambda m: 1.0 + 0.2, "tree DP, target factor"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GUARANTEE_MODELS))
+@pytest.mark.parametrize("solver", ["eval", "exact-budget", "exact-cover", "greedy-budget",
+                                    "greedy-cover", "dp", "extract-solution"])
+def test_guarantee_table(solver, kind):
+    """Every row of what a report promises, as make_report decides it."""
+    model = GUARANTEE_MODELS[kind]()
+    alpha = 0.5 * err(model, ())
+    td = balance_for_tree(model.n, model.graph_edges())
+    run = {
+        "eval": lambda: make_report(model, model.pinned, "eval", None),
+        "exact-budget": lambda: exact_budget(model, 2),
+        "exact-cover": lambda: exact_cover(model, alpha),
+        "greedy-budget": lambda: greedy_budget(model, 2),
+        "greedy-cover": lambda: greedy_cover(model, alpha),
+        "dp": lambda: dp_select(model, td, 2, 0.2),
+        "extract-solution": lambda: extract_solution(run_dp(model, td, 2, 0.05)),
+    }[solver]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the GFF DP's clamped eps
+        report = run()
+    row = GUARANTEE_TABLE.get((solver, kind))
+    assert report.guarantee == (row and Guarantee(row[0](model), row[1]))

@@ -8,10 +8,13 @@ script writes, into a temporary directory, the input files of every request
 of every workload in `benchmark/workloads.py` (this checkout's) at seeds 1, 2
 and 3, and runs each distinct request once per side. It adds
 `validate --trials 30 --seed 0`, a `convert tree-gmrf-to-gff` and a `--format
-text` eval of a seed-1 tree GMRF, a `gen gmrf`, and each side's five demos.
+text` eval of a seed-1 tree GMRF, a `gen gmrf`, a `select greedy --alpha` on a
+GMRF (whose report promises nothing), `--format text` runs (which print the
+guarantee's factor) of `select greedy` with a budget and with an alpha, `select
+dp` and `select exact` on seed-1 GFFs, and each side's five demos.
 
 Apart from these program commands, it runs `eval --set 1` on each of a
-group of malformed GMRF files (MALFORMED), which both sides should refuse
+group of malformed model files (MALFORMED), which both sides should refuse
 with exit 2; a change to the messages at the input boundary shows up there as
 a list of differences.
 
@@ -62,17 +65,28 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
                     seen.add(tuple(argv))
                     out.append((f"{name} seed {seed} {req.name}", argv))
     tree = str(input_root / "dp-tree-seed1" / "tree12.gmrf")
+    gff_tree = str(input_root / "dp-tree-seed1" / "tree16.gff")
+    small = input_root / "oracle-small-seed1"
+    gff, gmrf = str(small / "gff16.gff"), str(small / "gmrf16.gmrf")
+    text = ["--format", "text"]
     out += [("validate 30", ["validate", "--trials", "30", "--seed", "0"]),
             ("convert", ["convert", "tree-gmrf-to-gff", "--input", tree]),
             ("gen gmrf", ["gen", "gmrf", "--n", "8", "--width", "2", "--seed", "5"]),
-            ("eval text", ["eval", "--format", "text", "--set", "1,4", "--input", tree])]
+            ("eval text", ["eval", *text, "--set", "1,4", "--input", tree]),
+            ("greedy alpha gmrf", ["select", "greedy", "--alpha", "0.05", "--input", gmrf]),
+            ("greedy budget text", ["select", "greedy", "--budget", "3", *text, "--input", gff]),
+            ("greedy alpha text", ["select", "greedy", "--alpha", "0.05", *text,
+                                   "--input", gff]),
+            ("dp text", ["select", "dp", "--budget", "2", "--eps-prime", "0.1", *text,
+                         "--input", gff_tree]),
+            ("exact text", ["select", "exact", "--budget", "3", *text, "--input", gff])]
     out = [(label, ["-m", "gmrf_select.cli", *argv]) for label, argv in out]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out.append((f"demo {demo.stem}", [f"{{root}}/demos/{demo.name}"]))
     return out
 
 
-# (label, text) of GMRF files that the input boundary refuses
+# (label, text) of model files that the input boundary refuses
 MALFORMED = [
     ("support out of range", "gmrf\n2 2\n1 3\n1 0\n0 1\n"),
     ("support unsorted", "gmrf\n2 2\n2 1\n1 0\n0 1\n"),
@@ -86,6 +100,8 @@ MALFORMED = [
     ("covariance 1e-310", "gmrf-cov\n2 2\n1 2\n1e-310 0\n0 1\n"),
     ("singular covariance", "gmrf-cov\n2 2\n1 2\n1 1\n1 1\n"),
     ("trailing text", "gmrf\n1 1\n1\n2\nextra\n"),
+    ("covariance 1e-308", "gmrf-cov\n2 2\n1 2\n1e-308 0\n0 1\n"),
+    ("gff huge n", "gff 200000 1 1\n1 2 1\n"),
 ]
 
 
@@ -95,7 +111,7 @@ def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
     input_root.mkdir(parents=True)
     out = []
     for number, (label, text) in enumerate(MALFORMED):
-        path = input_root / f"bad{number}.gmrf"
+        path = input_root / f"bad{number}.txt"
         path.write_text(text)
         out.append((f"malformed {label}",
                     ["-m", "gmrf_select.cli", "eval", "--set", "1", "--input", str(path)]))
