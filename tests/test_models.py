@@ -68,12 +68,8 @@ class TestLaplacian:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             GffModel(4, [(1, 2, 1.0), (3, 4, 1.0)])
-
-    def test_too_few_edges_rejected_before_any_walk(self):
-        # n comes from a file header: the message stays short however large n is
-        with pytest.raises(DisconnectedGraph, match="^200000 vertices need 199999 edges"):
-            GffModel(200_000, [(1, 2, 1.0)])
-        with pytest.raises(DisconnectedGraph, match=r"^vertices \[4\] unreachable"):
+        # n - 1 edges, but one closes a cycle: found by the walk
+        with pytest.raises(DisconnectedGraph, match=r"^vertices \[4\] unreachable from 1$"):
             GffModel(4, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
 
 
@@ -528,15 +524,6 @@ def test_singular_precision_block_gives_singular_matrix():
     g = GffModel(3, [(1, 2, 2.0 ** 1000), (2, 3, 2.0 ** -900)])
     with pytest.raises(SingularMatrix, match="inverting the precision: Singular matrix"):
         conditional_variance(g, 2, {1})
-
-
-def test_covariance_overflowing_its_average_is_refused():
-    # inverse entry 1e308 would overflow in inv + inv.T: refused before, no warning
-    g = GffModel(3, [(1, 2, 1.0), (1, 3, 1e308)])
-    with pytest.raises(SingularMatrix, match="inverting the precision: block has entries above"):
-        g.covariance()
-    with pytest.raises(SingularMatrix, match="its inverse: block has entries above"):
-        GmrfModel.from_covariance([[1e-308, 0.0], [0.0, 1.0]])
 
 
 GUARANTEE_MODELS = {"gff": lambda: random_gff(6, density=0.0, seed=1),
