@@ -167,8 +167,7 @@ def _checked(matrix) -> np.ndarray:
 
 
 def _bounded(a: np.ndarray) -> np.ndarray:
-    """|a|, once every entry is finite and at most half the largest float;
-    InvalidMatrix names the first row at fault."""
+    """|a|, once every entry is finite and at most half the largest float."""
     bad = ~np.isfinite(a)
     if bad.any():
         raise InvalidMatrix("block has non-finite entries", row=int(bad.any(axis=1).argmax()))

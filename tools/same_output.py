@@ -111,7 +111,7 @@ def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
     input_root.mkdir(parents=True)
     out = []
     for number, (label, text) in enumerate(MALFORMED):
-        path = input_root / f"bad{number}.txt"
+        path = input_root / f"bad{number}.gmrf"
         path.write_text(text)
         out.append((f"malformed {label}",
                     ["-m", "gmrf_select.cli", "eval", "--set", "1", "--input", str(path)]))
