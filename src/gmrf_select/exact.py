@@ -2,9 +2,9 @@
 instances. This is the ground truth every approximation claim is tested
 against, so it stays deliberately simple: plain subset enumeration, no pruning,
 nothing shared with greedy. Subsets of one size are scored in chunks by
-``models.err_batch`` (one stacked Cholesky and one inverse per chunk); those
-whose score could decide the answer are scored again with ``models.err``,
-which alone ranks them.
+``models.err_batch`` (one stacked Cholesky and one inverse per chunk; err's
+numbers bit for bit), and those scores alone decide the answer. Only a chunk
+with a singular block is scored subset by subset with ``err``, which raises.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ DEFAULT_MAX_N = 20
 # Subsets per stacked scoring call. The name dates from the thread pool it
 # once sized; tests patch it under this name to put chunk edges inside ties.
 _THREAD_CHUNK = 4096
-_TIE_TOL = 1e-9  # stacked scores this close (relative) are re-scored with err
 
 
 def thread_count() -> int:
@@ -45,24 +44,19 @@ def _check_size(model, max_n):
             f"raise max_n explicitly to override")
 
 
-def _shortlist(model, combos, alpha=None):
-    """Yield, in enumeration order, the sorted selections whose stacked score
-    is within _TIE_TOL of ``alpha`` (of the chunk's best when None). A chunk
-    with a block that is not positive definite is yielded whole, so that err
-    raises at the same subset as a per-subset loop, after any earlier winner."""
+def _scored(model, combos):
+    """Yield (err, sorted selection) per combination, in enumeration order. A
+    chunk with a singular block is scored lazily with err, which raises at that
+    subset after every earlier one has been yielded."""
     pinned = model.pinned
     combos = iter(combos)
     while chunk := list(itertools.islice(combos, _THREAD_CHUNK)):
+        sels = [tuple(sorted(pinned | set(extra))) for extra in chunk]
         try:
             scores = err_batch(model, chunk)
         except SingularSubmatrix:
-            keep = itertools.repeat(True)
-        else:
-            cut = (min(scores) if alpha is None else alpha) * (1 + _TIE_TOL)
-            keep = (score <= cut for score in scores)
-        for extra, kept in zip(chunk, keep):
-            if kept:
-                yield tuple(sorted(pinned | set(extra)))
+            scores = (err(model, sel) for sel in sels)
+        yield from zip(scores, sels)
 
 
 def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
@@ -75,8 +69,8 @@ def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
     thread_count()
     started = time.perf_counter()
     candidates = [v for v in model.vertices if v not in model.pinned]
-    best = min((err(model, sel), sel) for k in range(0, min(b, len(candidates)) + 1)
-               for sel in _shortlist(model, itertools.combinations(candidates, k)))
+    best = min(scored for k in range(0, min(b, len(candidates)) + 1)
+               for scored in _scored(model, itertools.combinations(candidates, k)))
     return make_report(model, best[1], "exact", b, started=started)
 
 
@@ -90,7 +84,7 @@ def exact_cover(model, alpha: float, max_n: int = DEFAULT_MAX_N) -> SelectionRep
     started = time.perf_counter()
     candidates = [v for v in model.vertices if v not in model.pinned]
     for k in range(0, len(candidates) + 1):
-        for sel in _shortlist(model, itertools.combinations(candidates, k), alpha):
-            if err(model, sel) <= alpha:
+        for score, sel in _scored(model, itertools.combinations(candidates, k)):
+            if score <= alpha:
                 return make_report(model, sel, "exact", alpha, started=started)
     raise InvariantViolation("err of the full vertex set is 0; unreachable")

@@ -3,7 +3,9 @@
 One loop serves GFFs and GMRFs on Sigma = Lambda[Sbar, Sbar]^-1, taken from the
 model's cached covariance. Observing x lowers n * err by ||Sigma[:, x]||^2 /
 Sigma[x, x]: a round scores all candidates in one pass, then a rank-one Schur
-downdate removes the winner (O(n^2), not O(n^3) per candidate). Gains within
+downdate removes the winner (O(n^2), not O(n^3) per candidate). Sigma is held
+times a power of two near 1 / its largest entry: exact in binary, so gains rank
+and tie as before, but a huge covariance's squares do not overflow. Gains within
 TIE_TOL of the best are re-scored by (err, index), so downdate noise never
 breaks a tie. If the winner's fresh gain differs from the engine's by DRIFT_TOL
 (relative to err) or more, Sigma is rebuilt from Lambda and the round redone.
@@ -24,15 +26,23 @@ TIE_TOL = 1e-9
 DRIFT_TOL = 1e-6
 
 
-def _choose(model, selected, rows, sigma):
-    """The round's winner: (fresh err of S + {x}, x, row of x, engine gain)."""
+def _scaled(sigma):
+    """(sigma * 2^-e, 2^-e) with 2^e near sigma's largest entry: an exact
+    scaling, after which no square overflows."""
+    scale = math.ldexp(1.0, -math.frexp(np.abs(sigma).max())[1])
+    return sigma * scale, scale
+
+
+def _choose(model, selected, rows, sigma, scale):
+    """The round's winner on sigma = Sigma * scale: (fresh err of S + {x}, x,
+    row of x, engine gain of the unscaled Sigma)."""
     gains = np.einsum("ij,ij->j", sigma, sigma) / np.diag(sigma) / model.n
     best = gains.max()
-    if not np.isfinite(best):   # an overflowing or NaN gain would leave `near` empty
-        raise NumericFailure(f"conditional covariance overflows: greedy's best gain is {best}")
+    if not np.isfinite(best):   # an infinite or NaN gain would leave `near` empty
+        raise NumericFailure(f"conditional covariance is not finite: greedy's best gain is {best}")
     near = np.flatnonzero(gains >= best - TIE_TOL * best)
     fresh, chosen, k = min((err(model, selected | {rows[i]}), rows[i], i) for i in near)
-    return fresh, chosen, k, float(gains[k])
+    return fresh, chosen, k, float(gains[k]) / scale
 
 
 def _greedy_rounds(model, stop):
@@ -41,14 +51,14 @@ def _greedy_rounds(model, stop):
     current = err(model, selected)
     rows = [v for v in model.vertices if v not in selected]
     idx = [v - 1 for v in rows]
-    sigma = model.covariance()[np.ix_(idx, idx)]
+    sigma, scale = _scaled(model.covariance()[np.ix_(idx, idx)])
 
     while rows and not stop(selected, current):
-        fresh, chosen, k, engine = _choose(model, selected, rows, sigma)
+        fresh, chosen, k, engine = _choose(model, selected, rows, sigma, scale)
         if not abs(engine - (current - fresh)) < DRIFT_TOL * current:
             idx = [v - 1 for v in rows]
-            sigma = np.linalg.inv(model.precision_matrix.block[np.ix_(idx, idx)])
-            fresh, chosen, k, engine = _choose(model, selected, rows, sigma)
+            sigma, scale = _scaled(np.linalg.inv(model.precision_matrix.block[np.ix_(idx, idx)]))
+            fresh, chosen, k, engine = _choose(model, selected, rows, sigma, scale)
         if fresh - current > 1e-12 * max(current, 1.0):
             raise InvariantViolation(
                 f"greedy err increased by {fresh - current!r} adding {chosen}")

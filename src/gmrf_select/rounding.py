@@ -36,17 +36,10 @@ def log_grid_snap(value: float, base: float, step: float, top_index: int) -> flo
     return base * math.exp(k * step)
 
 
-def is_gff_class(block: np.ndarray, abs_tol: float = 0.0) -> bool:
-    """Diagonally dominant with non-positive off-diagonal entries (within
-    GFF_CLASS_TOL relative tolerance, or the absolute floor for
-    numerically-zero matrices)."""
-    if block.size == 0:
-        return True
-    return _in_gff_class(block, block.sum(axis=1), abs_tol)
-
-
 def _in_gff_class(block: np.ndarray, row_sums: np.ndarray, abs_tol: float) -> bool:
-    """is_gff_class on a nonempty block whose row sums are already known."""
+    """Is the nonempty ``block``, whose row sums are given, diagonally dominant
+    with non-positive off-diagonal entries? Within GFF_CLASS_TOL relative
+    tolerance, or the absolute floor for numerically-zero matrices."""
     cut = max(GFF_CLASS_TOL * np.abs(block).max(), abs_tol, 1e-300)
     off = block - np.diag(np.diag(block))
     return off.max(initial=0.0) <= cut and row_sums.min() >= -cut

@@ -2,10 +2,10 @@
 
 The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
-PSD sandwich, the element-wise rounding relation, the elimination-order
-check, report parsing, factor totals) live here, with the straightforward
-``np.ix_`` and element-loop forms of the DP kernels that the package computes
-on cached position maps.
+PSD sandwich, the GFF-class check on whole blocks, the element-wise rounding
+relation, the elimination-order check, report parsing, factor totals) live
+here, with the straightforward ``np.ix_`` and element-loop forms of the DP
+kernels that the package computes on cached position maps.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from gmrf_select.errors import (
 )
 from gmrf_select.linalg import SupportedMatrix
 from gmrf_select.models import GffModel, Guarantee, SelectionReport, _contracted_potentials
+from gmrf_select.rounding import _in_gff_class
 
 ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
 SANDWICH_TOL = 1e-10     # slack in PSD-order comparisons
@@ -204,6 +205,14 @@ def factor_total(factors, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rounding
 # ---------------------------------------------------------------------------
+
+def is_gff_class(block: np.ndarray, abs_tol: float = 0.0) -> bool:
+    """Diagonally dominant with non-positive off-diagonal entries, by the
+    package's own test (an empty block is in the class)."""
+    if block.size == 0:
+        return True
+    return _in_gff_class(block, block.sum(axis=1), abs_tol)
+
 
 def gff_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
     """``GffRounder.round`` one entry at a time: each off-diagonal magnitude,

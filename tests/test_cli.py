@@ -309,9 +309,6 @@ class TestCli:
                           "3 8 0.519472119791\n",
                           "covariance is ill-conditioned (inverting the precision: "
                           "block has entries above 8.98847e+307 in magnitude)"),
-        # the covariance is finite, the gain ||Sigma[:, x]||^2 / Sigma[x, x] is not
-        "gain-inf": ("gff 3 2 1\n1 2 1e200\n2 3 1e200\n",
-                     "conditional covariance overflows: greedy's best gain is inf"),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -323,6 +320,22 @@ class TestCli:
         path = write(tmp_path, "m.gff", text)
         assert main(["select", "greedy", "--input", path, *limit]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit", [["--budget", "1"], ["--alpha", "2e199"]],
+                             ids=["budget", "alpha"])
+    def test_greedy_scales_huge_covariances(self, tmp_path, capsys, limit):
+        # the covariance is finite but its squares are not: greedy scales it by
+        # a power of two and answers as exact does
+        path = write(tmp_path, "m.gff", "gff 3 2 1\n1 2 1e200\n2 3 1e200\n")
+        reports = []
+        for solver in ("greedy", "exact"):
+            assert main(["select", solver, "--input", path, *limit]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(json.loads(captured.out))
+        assert reports[0]["selected"] == reports[1]["selected"] == [1, 3]
+        assert reports[0]["err"] == reports[1]["err"] == 1.66666666667e+199
 
     # (model text, budget, exact message) of models and budgets the DP refuses
     DP_REFUSALS = {
@@ -832,10 +845,12 @@ class TestValidateSuite:
                              for x in lines)
         assert any(x.startswith("  [violation] three-path: ") for x in lines)
 
-    def _flag_first_check(self, monkeypatch):
-        """Make the batch flag the first supermodularity check of seed 0 by
-        lowering its err(A) score. Returns a dict that receives that check's
-        model and its four sets A, A+x, A+y, A+x+y."""
+    def _flag_first_check(self, monkeypatch, below):
+        """Lower the batch's err(A) score of the first supermodularity check of
+        seed 0 until lhs = err(A) - err(A + x) sits ``below`` under rhs =
+        err(A + y) - err(A + x + y), and make any call of err fail. Returns a
+        dict that receives that check's model, its four sets A, A+x, A+y,
+        A+x+y and their scores as the suite saw them."""
         import gmrf_select.validate as validate_mod
 
         true_batch, first = validate_mod.err_batch, {}
@@ -843,42 +858,36 @@ class TestValidateSuite:
         def flagging_batch(model, subsets):
             scores = true_batch(model, subsets)
             if not first:
-                first.update(model=model, sets=[frozenset(s) for s in subsets[:4]])
-                scores[0] = -1.0
+                scores[0] = scores[1] + scores[2] - scores[3] - below
+                first.update(model=model, sets=[frozenset(s) for s in subsets[:4]],
+                             scores=scores[:4])
             return scores
 
+        def no_err(model, subset):
+            raise AssertionError("the supermodularity suite called err")
+
         monkeypatch.setattr(validate_mod, "err_batch", flagging_batch)
+        monkeypatch.setattr(validate_mod, "err", no_err)
         return first
 
-    def test_unconfirmed_batch_flag_makes_no_finding(self, monkeypatch):
+    def test_break_within_tolerance_makes_no_finding(self, monkeypatch):
         import gmrf_select.validate as validate_mod
 
-        first = self._flag_first_check(monkeypatch)
-        rescored = []
-
-        def counting_err(model, subset):
-            rescored.append(frozenset(subset))
-            return err(model, subset)
-
-        monkeypatch.setattr(validate_mod, "err", counting_err)
+        self._flag_first_check(monkeypatch, 0.5e-9)
         assert validate_mod.suite_supermodularity(0, 10) == []
-        assert rescored == first["sets"]
 
     def test_confirmed_batch_flag_carries_errs_numbers(self, monkeypatch):
+        # the batch's numbers are err's, bit for bit, so the finding carries them
         import gmrf_select.validate as validate_mod
 
-        first = self._flag_first_check(monkeypatch)
-
-        def bumped_err(model, subset):   # err(A + x) up by 1, so err confirms the flag
-            return err(model, subset) + (1.0 if frozenset(subset) == first["sets"][1] else 0.0)
-
-        monkeypatch.setattr(validate_mod, "err", bumped_err)
+        first = self._flag_first_check(monkeypatch, 1.0)
         (finding,) = validate_mod.suite_supermodularity(0, 10)
         g, (a, ax, ay, axy) = first["model"], first["sets"]
+        e_a, e_ax, e_ay, e_axy = first["scores"]
         assert (finding["suite"], finding["n"]) == ("supermodularity", g.n)
         assert (set(finding["a"]), {finding["x"]}, {finding["y"]}) == (a, ax - a, ay - a)
-        assert finding["lhs"] == err(g, a) - (err(g, ax) + 1.0)
-        assert finding["rhs"] == err(g, ay) - err(g, axy)
+        assert (finding["lhs"], finding["rhs"]) == (e_a - e_ax, e_ay - e_axy)
+        assert (e_ax, e_ay, e_axy) == tuple(err(g, s) for s in (ax, ay, axy))
 
     def test_threaded_run_matches(self, monkeypatch):
         code_serial, payload_serial = validate_suite(seed=2, trials=6)

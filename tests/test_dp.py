@@ -29,10 +29,10 @@ from gmrf_select.errors import (
 from gmrf_select.exact import exact_budget
 from gmrf_select.linalg import SupportedMatrix
 from gmrf_select.models import GffModel, err, random_gff
-from gmrf_select.rounding import is_gff_class
 
 from conftest import random_tree_gmrf, triangle_chain_gmrf, unit_path
-from oracles import eig_extremes, factor_total, gff_relation_eps, psd_sandwich_check
+from oracles import (eig_extremes, factor_total, gff_relation_eps, is_gff_class,
+                     psd_sandwich_check)
 
 
 def quiet_dp_select(*args, **kwargs):

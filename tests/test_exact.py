@@ -228,12 +228,21 @@ def test_stacked_chunks_match_per_subset_loop(monkeypatch):
 
 
 def test_near_ties_are_ranked_by_err(monkeypatch):
-    # err is nudged by 1e-12 (relative), far inside the re-score window: the
-    # answer must follow err, not the stacked scores, which do not see it
+    # the batch scores are nudged by 1e-12 (relative): the answer must follow
+    # them, and exact must not score any subset again with err
     def nudged(model, sel):
         return err(model, sel) * (1 - 1e-12 * (sum(sel) % 5))
 
-    monkeypatch.setattr(exact_mod, "err", nudged)
+    def nudged_batch(model, chunk):
+        pin_sum = sum(model.pinned)
+        return [score * (1 - 1e-12 * ((pin_sum + sum(extra)) % 5))
+                for score, extra in zip(err_batch(model, chunk), chunk)]
+
+    def no_err(model, sel):
+        raise AssertionError("exact re-scored a subset with err")
+
+    monkeypatch.setattr(exact_mod, "err_batch", nudged_batch)
+    monkeypatch.setattr(exact_mod, "err", no_err)
     monkeypatch.setattr(exact_mod, "make_report", lambda m, sel, *a, **k: sel)
     for model in (unit_cycle(6), unit_cycle(8), unit_path(5)):
         for b in (1, 2, 3):
@@ -315,6 +324,42 @@ class TestErrBatch:
         assert err_batch(g, [tuple(g.vertices)] * 3) == [0.0] * 3
         with pytest.raises(InvariantViolation, match="outside 1..6"):
             err_batch(g, [(2,), (0, 3)])
+
+    def test_exacts_chunks(self, monkeypatch):
+        # every chunk of every subset size that the search scores, with chunk
+        # edges inside the tie classes of cycles and paths
+        monkeypatch.setattr(exact_mod, "_THREAD_CHUNK", 5)
+        batches = []
+
+        def recording_batch(model, chunk):
+            batches.append((model, chunk))
+            return err_batch(model, chunk)
+
+        monkeypatch.setattr(exact_mod, "err_batch", recording_batch)
+        models = _tie_and_random_instances()
+        for model in models:
+            exact_budget(model, model.n)
+        # every subset of the unpinned vertices went through a batch
+        assert sum(len(chunk) for _, chunk in batches) == sum(
+            2 ** (m.n - len(m.pinned)) for m in models)
+        for model, chunk in batches:
+            sels = [model.pinned | set(extra) for extra in chunk]
+            assert _hex(err_batch(model, chunk)) == _hex(err(model, s) for s in sels)
+
+    def test_supermodularity_suites_batches(self, monkeypatch):
+        import gmrf_select.validate as validate_mod
+
+        batches = []
+
+        def recording_batch(model, subsets):
+            batches.append((model, subsets))
+            return err_batch(model, subsets)
+
+        monkeypatch.setattr(validate_mod, "err_batch", recording_batch)
+        assert validate_mod.suite_supermodularity(0, 1000) == []
+        assert sum(len(subsets) for _, subsets in batches) == 4000
+        for model, subsets in batches:
+            assert _hex(err_batch(model, subsets)) == _hex(err(model, s) for s in subsets)
 
     def test_singular_stack_raises_errs_error_at_the_same_set(self, tmp_path):
         path = tmp_path / "mid.gmrf"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gmrf_select.errors import InvariantViolation
+from gmrf_select.errors import InvariantViolation, NumericFailure
 from gmrf_select.greedy import BUDGET_FACTOR, cover_factor, greedy_budget, greedy_cover
 from gmrf_select.models import GffModel, err, random_gff, random_gmrf
 
@@ -67,6 +67,14 @@ class TestGreedyBudget:
                             lambda *args: calls.append(args) or real_choose(*args))
         assert [greedy_budget(g, 8).selected for g in models] == expected
         assert len(calls) == 2 * 8 * len(models)
+
+    def test_non_finite_gain_is_refused(self, monkeypatch):
+        # the scaling keeps the gains of a finite covariance finite; a NaN one
+        # is still refused, not left without a winner
+        import gmrf_select.greedy as greedy_mod
+        monkeypatch.setattr(greedy_mod, "_scaled", lambda sigma: (sigma * np.nan, 1.0))
+        with pytest.raises(NumericFailure, match="greedy's best gain is nan"):
+            greedy_budget(unit_path(4), 1)
 
     def test_path5_vs_exact(self):
         from gmrf_select.exact import exact_budget

@@ -10,7 +10,6 @@ from gmrf_select.rounding import (
     GffRounder,
     SvdRounder,
     canonical_rays,
-    is_gff_class,
     log_grid_snap,
 )
 
@@ -18,6 +17,7 @@ from oracles import (
     canonical_ray_reference,
     gff_relation_eps,
     gff_round_reference,
+    is_gff_class,
     psd_sandwich_check,
 )
 

@@ -11,7 +11,15 @@ and 3, and runs each distinct request once per side. It adds
 text` eval of a seed-1 tree GMRF, a `gen gmrf`, a `select greedy --alpha` on a
 GMRF (whose report promises nothing), `--format text` runs (which print the
 guarantee's factor) of `select greedy` with a budget and with an alpha, `select
-dp` and `select exact` on seed-1 GFFs, and each side's five demos.
+dp` and `select exact` on seed-1 GFFs, and each side's five demos. On the
+small models in SMALL it runs `select exact --budget 2` and a `--alpha` cover
+at that budget's optimum on a unit 6-cycle and a unit 5-path, whose tie classes
+test exact's tie-breaking, and `select exact` and `select greedy` with
+`--budget 1` on a GFF with resistances of 1e200, whose covariance is finite
+but whose squares are not. That greedy command is the one expected difference
+against a parent from before greedy scaled its covariance by a power of two:
+there it exits 2 with `conditional covariance overflows`, here it answers
+[1, 3] as exact does.
 
 Apart from these program commands, it runs `eval --set 1` on each of a
 group of malformed model files (MALFORMED), which both sides should refuse
@@ -41,6 +49,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# file name -> text of the small models the tie-breaking and overflow commands use
+SMALL = {
+    "cycle6.gff": "gff 6 6 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n6 1 1\n",
+    "path5.gff": "gff 5 4 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n",
+    "huge.gff": "gff 3 2 1\n1 2 1e200\n2 3 1e200\n",
+}
 
 
 def commands(input_root: Path) -> list[tuple[str, list[str]]]:
@@ -80,6 +94,19 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
             ("dp text", ["select", "dp", "--budget", "2", "--eps-prime", "0.1", *text,
                          "--input", gff_tree]),
             ("exact text", ["select", "exact", "--budget", "3", *text, "--input", gff])]
+    (input_root / "small").mkdir()
+    for fname, model_text in SMALL.items():
+        (input_root / "small" / fname).write_text(model_text)
+    cycle, path, huge = (str(input_root / "small" / fname) for fname in SMALL)
+    # alpha is the budget-2 optimum's err exactly: exact's cover meets it on the dot
+    for label, model, alpha in (("cycle6", cycle, "0.24999999999999992"),
+                                ("path5", path, "0.19999999999999996")):
+        out += [(f"exact {label}", ["select", "exact", "--budget", "2", "--input", model]),
+                (f"exact cover {label}", ["select", "exact", "--alpha", alpha,
+                                          "--input", model])]
+    out += [("exact huge resistances", ["select", "exact", "--budget", "1", "--input", huge]),
+            ("greedy huge resistances", ["select", "greedy", "--budget", "1",
+                                         "--input", huge])]
     out = [(label, ["-m", "gmrf_select.cli", *argv]) for label, argv in out]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out.append((f"demo {demo.stem}", [f"{{root}}/demos/{demo.name}"]))
