@@ -2,8 +2,6 @@
 # rounding schemes, and the measured approximation quality against exhaustive
 # search.
 
-import warnings
-
 import numpy as np
 
 from gmrf_select import (
@@ -22,9 +20,7 @@ td = balance_for_tree(gff.n, gff.graph_edges())
 print(f"  balanced decomposition: {td.m} clusters, width {td.width}, "
       f"height {td.height}")
 for b in (1, 2, 3):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # clamped epsilon notice
-        sel = dp_select(gff, td, b, eps_prime=0.1)
+    sel = dp_select(gff, td, b, eps_prime=0.1)
     ex = exact_budget(gff, b)
     print(f"  b={b}: dp {sel.selected} err={sel.err_value:.5f}   "
           f"exact err={ex.err_value:.5f}   "

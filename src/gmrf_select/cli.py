@@ -8,6 +8,7 @@ file error, 3 infeasible (instance or state-space cap), 4 suite violations.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -63,9 +64,15 @@ def _write_output(text: str, path: str | None):
         sys.stdout.write(text)
 
 
+def _print_note(record: dict):
+    if "note" in record:
+        sys.stderr.write(f"note: {record['note']}\n")
+
+
 def _print_report(report, args):
     sys.stdout.write(io.emit_report(report, fmt=args.format,
                                     timing=getattr(args, "timing", False)))
+    _print_note(report.details)
 
 
 def cmd_eval(args):
@@ -140,6 +147,7 @@ def cmd_convert(args):
 def cmd_validate(args):
     code, payload = validate_suite(seed=args.seed, trials=args.trials,
                                    out_path=args.out)
+    _print_note(payload)
     n_viol = sum(1 for f in payload["findings"] if f["severity"] == "violation")
     n_disc = len(payload["findings"]) - n_viol
     sys.stdout.write(f"validate: {n_viol} violations, {n_disc} discrepancies "
@@ -228,8 +236,6 @@ def entry() -> int:
     script. The objects made by the imports live until exit, so they are frozen
     out of the collector, and no collection walks them again, the one at exit
     included. main() leaves the collector alone, since tests call it in-process."""
-    import gc
-
     gc.freeze()
     return main()
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -378,12 +377,11 @@ def extract_solution(mt: MessageTable, details=None) -> SelectionReport:
                          details={"table_value": best.value,
                                   "sizing": mt.sizing_report(), **(details or {})})
     table_err = best.value / model.n
-    bound = _accumulated_factor(mt)
-    if math.isfinite(bound):
-        if report.err_value > bound * table_err * (1 + 1e-9) + 1e-12:
-            raise InvariantViolation(
-                f"recomputed err {report.err_value!r} exceeds table value "
-                f"{table_err!r} by more than the factor {bound!r}")
+    bound = _accumulated_factor(mt)   # finite: every exponent is capped at 700
+    if report.err_value > bound * table_err * (1 + 1e-9) + 1e-12:
+        raise InvariantViolation(
+            f"recomputed err {report.err_value!r} exceeds table value "
+            f"{table_err!r} by more than the factor {bound!r}")
     return report
 
 
@@ -402,8 +400,8 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
     (1 + eps_prime) and the decomposition height, then run the DP and extract.
 
     The model picks the rounding: a GFF gets gff mode, which shrinks eps
-    exponentially in the width and height (clamped at machine precision, with
-    a warning); a GMRF gets svd mode, which shrinks it linearly in the height.
+    exponentially in the width and height (clamped at machine precision, noted
+    in details); a GMRF gets svd mode, which shrinks it linearly in the height.
     """
     if not 0.0 < eps_prime < 1.0:
         raise InvariantViolation(f"eps_prime must lie in (0, 1), got {eps_prime}")
@@ -418,9 +416,8 @@ def dp_select(model, td: TreeDecomposition, b: int, eps_prime: float,
         eps = max(eps_theory, EPS_CLAMP)
         if eps_theory < EPS_CLAMP:
             details["eps_clamped"] = True
-            warnings.warn(
-                f"theoretical rounding resolution {eps_theory:.3e} is below machine "
-                f"precision; clamped to {EPS_CLAMP:.0e}", RuntimeWarning, stacklevel=2)
+            details["note"] = (f"theoretical rounding resolution {eps_theory:.3e} is below "
+                               f"machine precision; clamped to {EPS_CLAMP:.0e}")
     else:
         eps = eps_prime / (4.0 * (2.0 * h + 1.0))
         details["eps_theoretical"] = eps

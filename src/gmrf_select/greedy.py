@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .errors import InvariantViolation, NumericFailure
-from .models import BUDGET_FACTOR, SelectionReport, cover_factor, err, make_report  # noqa: F401
+from .models import SelectionReport, err, make_report
 
 TIE_TOL = 1e-9
 DRIFT_TOL = 1e-6

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,8 +15,8 @@ from gmrf_select.cli import main
 from gmrf_select.decomposition import parse_and_normalize
 from gmrf_select.errors import GmrfSelectError, ParseError
 from gmrf_select.exact import exact_budget
-from gmrf_select.greedy import BUDGET_FACTOR
 from gmrf_select.models import (
+    BUDGET_FACTOR,
     GffModel,
     GmrfModel,
     Guarantee,
@@ -176,10 +175,8 @@ class TestCli:
         path = write(tmp_path, "p4.gff", gff_text)
         td = balance_for_tree(4, [(1, 2), (2, 3), (3, 4)])
         td_path = write(tmp_path, "p4.td", write_td_text(td))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["select", "dp", "--input", path, "--budget", "1",
-                         "--eps-prime", "0.1", "--td", td_path])
+        code = main(["select", "dp", "--input", path, "--budget", "1",
+                     "--eps-prime", "0.1", "--td", td_path])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["solver"] == "dp"
@@ -205,10 +202,8 @@ class TestCli:
     def test_dp_state_cap_exit_code(self, tmp_path):
         gff_text = "gff 6 5 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n"
         path = write(tmp_path, "p6.gff", gff_text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["select", "dp", "--input", path, "--budget", "2",
-                         "--state-cap", "10"])
+        code = main(["select", "dp", "--input", path, "--budget", "2",
+                     "--state-cap", "10"])
         assert code == 3
 
     def test_exact_cap_exit_code(self, tmp_path):
@@ -414,10 +409,8 @@ class TestCli:
         from conftest import random_tree_gmrf
         model = random_tree_gmrf(5, np.random.default_rng(4))
         path = write(tmp_path, "t5.gmrf", io.format_model(model))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # no clamp notice either
-            assert main(["select", "dp", "--input", path, "--budget", "1",
-                         "--rounding", "gff"]) == 2
+        assert main(["select", "dp", "--input", path, "--budget", "1",
+                     "--rounding", "gff"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gff factorization needs a GffModel\n"
@@ -444,11 +437,9 @@ class TestCli:
     def test_dp_negative_state_cap_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "p4.gff", "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n")
         argv = ["select", "dp", "--input", path, "--budget", "1", "--state-cap"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main([*argv, "-5"]) == 2
-            assert capsys.readouterr().err == "error: state cap must be >= 0, got -5\n"
-            assert main([*argv, "0"]) == 3   # a legal cap that nothing fits under
+        assert main([*argv, "-5"]) == 2
+        assert capsys.readouterr().err == "error: state cap must be >= 0, got -5\n"
+        assert main([*argv, "0"]) == 3   # a legal cap that nothing fits under
         assert capsys.readouterr().err.startswith("infeasible:")
 
     @pytest.mark.parametrize("mode", ["greedy", "exact", "dp"])
@@ -458,10 +449,8 @@ class TestCli:
         path = write(tmp_path, "t9.gff", io.format_model(g))
         lap = laplacian(g).block
         for pin in (4, 9):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert main(["select", mode, "--input", path, "--budget", "2",
-                             "--pin", str(pin)]) == 0
+            assert main(["select", mode, "--input", path, "--budget", "2",
+                         "--pin", str(pin)]) == 0
             payload = json.loads(capsys.readouterr().out)
             selected = payload["selected"]
             assert pin in selected and len(selected) == 3
@@ -484,31 +473,27 @@ class TestCli:
         assert main(["select", "greedy", "--input", path, "--budget", "1"]) == 0
         assert gc.get_freeze_count() == frozen
 
+    @pytest.mark.filterwarnings("error")
     def test_process_entry_matches_in_process_main(self, tmp_path, capsys):
         env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
                                                         os.pardir, "src"))
         path = write(tmp_path, "c4.gff", C4_TEXT)
         tree = write(tmp_path, "t12.gff", io.format_model(random_gff(12, density=0.0, seed=2)))
-
-        def to_stderr(message, category, filename, lineno, file=None, line=None):
-            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
         for argv, code in ((["select", "exact", "--input", path, "--budget", "2"], 0),
                            (["select", "greedy", "--input", path, "--budget", "2"], 0),
                            (["select", "dp", "--input", tree, "--budget", "1"], 0),
                            (["eval", "--input", str(tmp_path / "missing.gff"), "--set", "1"], 2),
                            (["validate", "--trials", "2"], 0)):
-            # the GFF DP's clamped-epsilon RuntimeWarning prints to stderr once,
-            # under the process's default filter; in any other request a
-            # RuntimeWarning is still an error
-            with warnings.catch_warnings():
-                warnings.simplefilter("default" if argv[1] == "dp" else "error",
-                                      RuntimeWarning)
-                warnings.showwarning = to_stderr
-                assert main(argv) == code
+            # a RuntimeWarning is an error on both sides; the GFF DP's clamped
+            # epsilon is one note line on stderr
+            assert main(argv) == code
             captured = capsys.readouterr()
             assert ("clamped to 1e-12" in captured.err) == (argv[1] == "dp")
-            proc = subprocess.run([sys.executable, "-m", "gmrf_select.cli", *argv],
+            if argv[1] == "dp":
+                assert re.fullmatch(r"note: theoretical rounding resolution \S+ is below "
+                                    r"machine precision; clamped to 1e-12\n", captured.err)
+            proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                                   "-m", "gmrf_select.cli", *argv],
                                   env=env, capture_output=True, text=True)
             assert (proc.stdout, proc.stderr, proc.returncode) == (
                 captured.out, captured.err, code)
@@ -751,13 +736,11 @@ class TestValidateSuite:
         assert code == 0
         assert all(f["severity"] != "violation" for f in payload["findings"])
 
+    @pytest.mark.filterwarnings("error")   # the note replaces the warning
     def test_zero_trials_warns(self):
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            code, payload = validate_suite(seed=0, trials=0)
+        code, payload = validate_suite(seed=0, trials=0)
         assert code == 0
-        assert payload["note"].startswith("vacuous")
-        assert any("trials" in str(w.message) for w in wlist)
+        assert payload["note"] == "vacuous pass: zero trials"
 
     def test_injected_fault_fails(self, monkeypatch):
         # harness self-test: flip a sign inside the conditional-variance path

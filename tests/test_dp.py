@@ -1,7 +1,6 @@
 import gc
 import math
 import sys
-import warnings
 import weakref
 
 import numpy as np
@@ -33,12 +32,6 @@ from gmrf_select.models import GffModel, err, random_gff
 from conftest import random_tree_gmrf, triangle_chain_gmrf, unit_path
 from oracles import (eig_extremes, factor_total, gff_relation_eps, is_gff_class,
                      psd_sandwich_check)
-
-
-def quiet_dp_select(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return dp_select(*args, **kwargs)
 
 
 class TestFactorize:
@@ -144,6 +137,13 @@ class TestRunDp:
         with pytest.raises(EmptyTable, match="^run_dp has not populated a finite root message$"):
             extract_solution(mt)
 
+    def test_recomputed_err_above_the_table_bound_is_refused(self, monkeypatch):
+        g = unit_path(4)
+        mt = run_dp(g, balance_for_tree(4, g.graph_edges()), 1, 0.02)
+        monkeypatch.setattr(dp_mod, "_accumulated_factor", lambda mt: 0.5)
+        with pytest.raises(InvariantViolation, match="exceeds table value"):
+            extract_solution(mt)
+
     def test_budget_soundness(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -214,15 +214,15 @@ class TestDpSelect:
             g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
             b = int(rng.integers(0, 4))
             td = balance_for_tree(n, g.graph_edges())
-            sel = quiet_dp_select(g, td, b, 0.1)
+            sel = dp_select(g, td, b, 0.1)
             ex = exact_budget(g, b)
             assert sel.err_value <= 1.1 * ex.err_value + 1e-9
 
     def test_coarser_eps_not_finer_state_count(self):
         g = random_gff(9, density=0.0, seed=8)
         td = balance_for_tree(9, g.graph_edges())
-        fine = quiet_dp_select(g, td, 2, 0.1)
-        coarse = quiet_dp_select(g, td, 2, 0.5)
+        fine = dp_select(g, td, 2, 0.1)
+        coarse = dp_select(g, td, 2, 0.5)
         ex = exact_budget(g, 2)
         assert fine.err_value <= 1.1 * ex.err_value + 1e-9
         assert coarse.err_value <= 1.5 * ex.err_value + 1e-9
@@ -253,27 +253,27 @@ class TestDpSelect:
             links = [(i, i + 1) for i in range(len(bags) - 1)]
             td = normalize(bags, links, n, plain)
             b = int(rng.integers(0, 3))
-            sel = quiet_dp_select(g, td, b, 0.1)
+            sel = dp_select(g, td, b, 0.1)
             ex = exact_budget(g, b)
             assert sel.err_value <= 1.1 * ex.err_value + 1e-9
 
     def test_single_edge_graph_exact(self):
         g = GffModel(2, [(1, 2, 1.3)])
         td = balance_for_tree(2, [(1, 2)])
-        sel = quiet_dp_select(g, td, 1, 0.3)
+        sel = dp_select(g, td, 1, 0.3)
         assert sel.selected == (1, 2)
         assert sel.err_value == 0.0
 
     def test_guarantee_and_details(self):
         g = unit_path(5)
         td = balance_for_tree(5, g.graph_edges())
-        with warnings.catch_warnings(record=True) as wlist:
-            warnings.simplefilter("always")
-            sel = dp_select(g, td, 1, 0.1)
+        sel = dp_select(g, td, 1, 0.1)
         assert sel.guarantee.factor == pytest.approx(1.1)
         assert sel.details["eps_clamped"] is True
         assert sel.details["eps_theoretical"] < 1e-12
-        assert any("clamped" in str(w.message) for w in wlist)
+        assert sel.details["note"] == (
+            f"theoretical rounding resolution {sel.details['eps_theoretical']:.3e} "
+            "is below machine precision; clamped to 1e-12")
 
     def test_eps_prime_out_of_range(self):
         g = unit_path(3)
@@ -296,7 +296,7 @@ class TestDpSelect:
         g = GffModel(5, edges, pin=3)
         td = balance_for_tree(5, g.graph_edges())
         for b in (0, 1, 2):
-            sel = quiet_dp_select(g, td, b, 0.1)
+            sel = dp_select(g, td, b, 0.1)
             ex = exact_budget(g, b)
             assert g.pin in sel.selected
             assert len([v for v in sel.selected if v != g.pin]) <= b
@@ -348,7 +348,7 @@ def counted_dp_select(monkeypatch, case):
         return true_marginal(m, delta)
 
     monkeypatch.setattr(dp_mod, "marginal", counting)
-    return quiet_dp_select(model, td, b, eps_prime), seen
+    return dp_select(model, td, b, eps_prime), seen
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
@@ -403,7 +403,7 @@ class TestSingularBlockDrop:
             return out
 
         monkeypatch.setattr(MessageTable, "_kernel", counting)
-        report = quiet_dp_select(*on_tree(g), 1, 0.1)
+        report = dp_select(*on_tree(g), 1, 0.1)
         assert "p" in dropped
         exact = exact_budget(g, 1).err_value
         assert abs(report.err_value - exact) <= 1e-13 * exact

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from gmrf_select.errors import InvariantViolation, NumericFailure
-from gmrf_select.greedy import BUDGET_FACTOR, cover_factor, greedy_budget, greedy_cover
-from gmrf_select.models import GffModel, err, random_gff, random_gmrf
+from gmrf_select.greedy import greedy_budget, greedy_cover
+from gmrf_select.models import (
+    BUDGET_FACTOR,
+    GffModel,
+    cover_factor,
+    err,
+    random_gff,
+    random_gmrf,
+)
 
 from conftest import unit_path
 
@@ -74,6 +81,15 @@ class TestGreedyBudget:
         import gmrf_select.greedy as greedy_mod
         monkeypatch.setattr(greedy_mod, "_scaled", lambda sigma: (sigma * np.nan, 1.0))
         with pytest.raises(NumericFailure, match="greedy's best gain is nan"):
+            greedy_budget(unit_path(4), 1)
+
+    def test_err_increase_is_refused(self, monkeypatch):
+        # an err that grows with the set's size breaks greedy's descent check
+        import gmrf_select.greedy as greedy_mod
+        true_err = greedy_mod.err
+        monkeypatch.setattr(greedy_mod, "err",
+                            lambda model, s: true_err(model, s) + 10.0 * len(s))
+        with pytest.raises(InvariantViolation, match="greedy err increased"):
             greedy_budget(unit_path(4), 1)
 
     def test_path5_vs_exact(self):

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -554,8 +552,6 @@ def test_guarantee_table(solver, kind):
         "dp": lambda: dp_select(model, td, 2, 0.2),
         "extract-solution": lambda: extract_solution(run_dp(model, td, 2, 0.05)),
     }[solver]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # the GFF DP's clamped eps
-        report = run()
+    report = run()
     row = GUARANTEE_TABLE.get((solver, kind))
     assert report.guarantee == (row and Guarantee(row[0](model), row[1]))

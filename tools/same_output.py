@@ -2,24 +2,30 @@
 
     python3 tools/same_output.py --parent DIR [--change DIR]
 
-DIR is a source checkout of the parent commit, for example made with
-`git archive <sha> | tar -x -C DIR`; --change defaults to this checkout. The
-script writes, into a temporary directory, the input files of every request
-of every workload in `benchmark/workloads.py` (this checkout's) at seeds 1, 2
-and 3, and runs each distinct request once per side. It adds
-`validate --trials 30 --seed 0`, a `convert tree-gmrf-to-gff` and a `--format
-text` eval of a seed-1 tree GMRF, a `gen gmrf`, a `select greedy --alpha` on a
-GMRF (whose report promises nothing), `--format text` runs (which print the
-guarantee's factor) of `select greedy` with a budget and with an alpha, `select
-dp` and `select exact` on seed-1 GFFs, and each side's five demos. On the
-small models in SMALL it runs `select exact --budget 2` and a `--alpha` cover
-at that budget's optimum on a unit 6-cycle and a unit 5-path, whose tie classes
-test exact's tie-breaking, and `select exact` and `select greedy` with
-`--budget 1` on a GFF with resistances of 1e200, whose covariance is finite
-but whose squares are not. That greedy command is the one expected difference
-against a parent from before greedy scaled its covariance by a power of two:
-there it exits 2 with `conditional covariance overflows`, here it answers
-[1, 3] as exact does.
+DIR is a source checkout of the parent commit, for example made with `git
+archive <sha> | tar -x -C DIR`; --change defaults to this checkout. The script
+writes, into a temporary directory, the input files of every request of every
+workload in `benchmark/workloads.py` (this checkout's) at seeds 1, 2 and 3,
+and runs each distinct request once per side. It adds `validate --trials 30
+--seed 0` and `validate --trials 0`, a `convert tree-gmrf-to-gff` and a
+`--format text` eval of a seed-1 tree GMRF, a `gen gmrf`, a `select greedy
+--alpha` on a GMRF (whose report promises nothing), `--format text` runs
+(which print the guarantee's factor) of `select greedy` with a budget and with
+an alpha, `select dp` and `select exact` on seed-1 GFFs, and each side's five
+demos. On the small models in SMALL it runs `select exact --budget 2` and a
+`--alpha` cover at that budget's optimum on a unit 6-cycle and a unit 5-path,
+whose tie classes test exact's tie-breaking, and `select exact` and `select
+greedy` with `--budget 1` on a GFF with resistances of 1e200, whose covariance
+is finite but whose squares are not, and `select dp --budget 1` on a unit
+4-path, whose epsilon is not clamped, so neither side prints anything on
+stderr.
+
+Expected differences against a parent from before greedy scaled its
+covariance by a power of two: that greedy command exits 2 there with
+`conditional covariance overflows` and answers [1, 3] here, as exact does.
+Against a parent from before the package stopped warning: the stderr of every
+`select dp` on a GFF whose epsilon is clamped, and of `validate --trials 0`,
+where a two-line RuntimeWarning became one `note:` line.
 
 Apart from these program commands, it runs `eval --set 1` on each of a
 group of malformed model files (MALFORMED), which both sides should refuse
@@ -54,6 +60,7 @@ SMALL = {
     "cycle6.gff": "gff 6 6 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 6 1\n6 1 1\n",
     "path5.gff": "gff 5 4 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n",
     "huge.gff": "gff 3 2 1\n1 2 1e200\n2 3 1e200\n",
+    "path4.gff": "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n",
 }
 
 
@@ -84,6 +91,7 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
     gff, gmrf = str(small / "gff16.gff"), str(small / "gmrf16.gmrf")
     text = ["--format", "text"]
     out += [("validate 30", ["validate", "--trials", "30", "--seed", "0"]),
+            ("validate 0", ["validate", "--trials", "0"]),
             ("convert", ["convert", "tree-gmrf-to-gff", "--input", tree]),
             ("gen gmrf", ["gen", "gmrf", "--n", "8", "--width", "2", "--seed", "5"]),
             ("eval text", ["eval", *text, "--set", "1,4", "--input", tree]),
@@ -97,7 +105,7 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
     (input_root / "small").mkdir()
     for fname, model_text in SMALL.items():
         (input_root / "small" / fname).write_text(model_text)
-    cycle, path, huge = (str(input_root / "small" / fname) for fname in SMALL)
+    cycle, path, huge, path4 = (str(input_root / "small" / fname) for fname in SMALL)
     # alpha is the budget-2 optimum's err exactly: exact's cover meets it on the dot
     for label, model, alpha in (("cycle6", cycle, "0.24999999999999992"),
                                 ("path5", path, "0.19999999999999996")):
@@ -106,7 +114,8 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
                                           "--input", model])]
     out += [("exact huge resistances", ["select", "exact", "--budget", "1", "--input", huge]),
             ("greedy huge resistances", ["select", "greedy", "--budget", "1",
-                                         "--input", huge])]
+                                         "--input", huge]),
+            ("dp path4", ["select", "dp", "--budget", "1", "--input", path4])]
     out = [(label, ["-m", "gmrf_select.cli", *argv]) for label, argv in out]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out.append((f"demo {demo.stem}", [f"{{root}}/demos/{demo.name}"]))
