@@ -262,9 +262,13 @@ def read_td_text(text: str):
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed edge line {raw!r}")
             try:
-                edges.append((int(parts[0]), int(parts[1])))
+                a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer edge {raw!r}")
+            if a == b or not (1 <= a <= header[0] and 1 <= b <= header[0]):
+                raise ParseError(f"line {lineno}: tree edge {raw!r} does not join "
+                                 f"two different bags of 1..{header[0]}")
+            edges.append((a, b))
     if header is None:
         raise ParseError("missing 's td' header")
     m, width_plus_1, n = header

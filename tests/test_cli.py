@@ -693,7 +693,13 @@ BAD_FILES = {
                           "line 4: malformed edge line '1 2 3'"),
     "td-edge-integer": (P4_TEXT, TD_TWO_BAGS + "1 x\n", "line 4: non-integer edge '1 x'"),
     "td-no-header": (P4_TEXT, "c a comment only\n", "missing 's td' header"),
-    "td-tree-edge": (P4_TEXT, TD_TWO_BAGS + "1 1\n", "bad tree edge (0, 0)"),
+    # an edge names two different bags of 1..m, in the file's own numbering
+    "td-tree-edge": (P4_TEXT, TD_TWO_BAGS + "1 1\n",
+                     "line 4: tree edge '1 1' does not join two different bags of 1..2"),
+    "td-tree-edge-range": (P4_TEXT, TD_TWO_BAGS + "1 5\n",
+                           "line 4: tree edge '1 5' does not join two different bags of 1..2"),
+    "td-tree-edge-zero": (P4_TEXT, TD_TWO_BAGS + "0 1\n",
+                          "line 4: tree edge '0 1' does not join two different bags of 1..2"),
     "td-edge-count": (P4_TEXT, TD_TWO_BAGS, "0 tree edges for 2 clusters; a tree needs 1"),
     "td-vertex-range": (P4_TEXT, "s td 2 3 4\nb 1 1 2 5\nb 2 2 3 4\n1 2\n",
                         "cluster vertices [5] outside 1..4"),

@@ -81,6 +81,14 @@ class TestNormalize:
         with pytest.raises(InvalidDecomposition):
             normalize([{1, 2}], [], 3, [(1, 2)])
 
+    @pytest.mark.parametrize("link", [(0, 0), (0, 2), (-1, 0)])
+    def test_bad_tree_edge_rejected(self, link):
+        # a Python caller's 0-based cluster indices; a PACE file's edges are
+        # checked in the file's own 1-based numbering before they get here
+        with pytest.raises(InvalidDecomposition,
+                           match=rf"^bad tree edge \({link[0]}, {link[1]}\)$"):
+            normalize([{1, 2}, {2, 3}], [link], 3, path_edges(3))
+
     def test_disconnected_cluster_tree_rejected(self):
         # m - 1 = 2 tree edges, but one is repeated, so cluster 2 is cut off
         with pytest.raises(InvalidDecomposition, match="cluster tree is disconnected"):
