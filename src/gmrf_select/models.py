@@ -79,9 +79,9 @@ class GffModel(_Model):
                 raise InvariantViolation(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InvariantViolation(f"edge ({u},{v}) outside 1..{n}")
-            if not (np.isfinite(r) and r > 0):
+            if not (math.isfinite(r) and r > 0):
                 raise InvariantViolation(f"resistance {r} on edge ({u},{v}) not in (0, inf)")
-            if not np.isfinite(1.0 / r):
+            if not math.isfinite(1.0 / r):
                 raise InvariantViolation(f"conductance 1/{r} on edge ({u},{v}) overflows")
             key = (min(u, v), max(u, v))
             if key in seen and abs(seen[key] - r) > 1e-12 * r:
@@ -269,24 +269,24 @@ def err(model, subset) -> float:
     (1/n) Tr(Lambda[Sbar, Sbar]^-1). The model's pinned vertices are always in
     the observed set; for a GFF Lambda is the full Laplacian."""
     s = _effective_observed(model, subset)
-    sbar = tuple(v for v in model.vertices if v not in s)
-    if not sbar:
+    if len(s) == model.n:
         return 0.0
-    sub = linalg.obs(model.precision_matrix, s)
+    return _block_err(linalg.obs(model.precision_matrix, s), model.n)
+
+
+def _block_err(sub: SupportedMatrix, n: int) -> float:
+    """(1/n) Tr(sub^-1) for the unobserved block ``sub`` of an n-vertex model."""
     try:
-        return linalg.trace_of_inverse(sub) / model.n
+        return linalg.trace_of_inverse(sub) / n
     except linalg.SingularMatrix as exc:
         raise SingularSubmatrix(
-            f"unobserved block on {sbar} is singular: {exc}") from exc
+            f"unobserved block on {sub.support} is singular: {exc}") from exc
 
 
 def err_batch(model, subsets) -> list[float]:
-    """``[err(model, s) for s in subsets]``, bit for bit. The unobserved
-    blocks of one size go through one stacked Cholesky and one stacked inverse
-    (LAPACK still factors each block alone, and each block's squares are summed
-    as err sums them). If a set is not a selection or a block is not positive
-    definite, the sets are scored one by one with err, which raises its own
-    error at the same set."""
+    """``[err(model, s) for s in subsets]``, bit for bit, through ``err_stack``.
+    If a set is not a selection, the sets are scored one by one with err, which
+    raises its own error at that set."""
     subsets = [tuple(s) for s in subsets]
     flat = [v for s in subsets for v in s]
     if not set(flat) <= set(model.vertices):
@@ -294,18 +294,38 @@ def err_batch(model, subsets) -> list[float]:
     free = np.ones((len(subsets), model.n), dtype=bool)
     free[:, [v - 1 for v in model.pinned]] = False
     free[[i for i, s in enumerate(subsets) for _ in s], np.array(flat, dtype=int) - 1] = False
-    sizes = free.sum(axis=1)
-    lam = model.precision_matrix.block
-    out = np.zeros(len(subsets))
+    return err_stack(model.precision_matrix.block[None], [model.n],
+                     np.zeros(len(subsets), dtype=np.intp), free).tolist()
+
+
+def err_stack(precisions, ns, owner, unobserved) -> np.ndarray:
+    """err of many sets drawn from many models, bit for bit. ``precisions``
+    stacks the models' precisions, each zero-padded to the stack's width, and
+    ``ns`` holds their n. Set i is scored on model ``owner[i]`` with vertex v
+    unobserved where ``unobserved[i, v - 1]`` (never past that model's n, nor
+    at a pinned vertex). The unobserved blocks of one size go through one
+    stacked Cholesky and one stacked inverse (LAPACK still factors each block
+    alone, and each block's squares are summed as err sums them). If a block
+    is not positive definite, the sets are scored one by one as err scores
+    them, which raises err's own error at the same set."""
+    ns = np.asarray(ns, dtype=float)
+    sizes = unobserved.sum(axis=1)
+    out = np.zeros(len(owner))
     try:
         for k in sorted(set(sizes.tolist()) - {0}):   # np.unique would import numpy.ma
             which = (sizes == k).nonzero()[0]
-            idx = free[which].nonzero()[1].reshape(len(which), k)
-            inv_l = np.linalg.inv(np.linalg.cholesky(lam[idx[:, :, None], idx[:, None, :]]))
-            out[which] = np.sum(inv_l * inv_l, axis=(1, 2)) / model.n
+            idx = unobserved[which].nonzero()[1].reshape(len(which), k)
+            inv_l = np.linalg.inv(np.linalg.cholesky(
+                precisions[owner[which, None, None], idx[:, :, None], idx[:, None, :]]))
+            # squared in place and freed before the next size: the call's largest arrays
+            inv_l *= inv_l
+            out[which] = inv_l.sum(axis=(1, 2)) / ns[owner[which]]
+            del inv_l
     except np.linalg.LinAlgError:
-        return [err(model, s) for s in subsets]
-    return out.tolist()
+        return np.array([_block_err(SupportedMatrix(tuple((row.nonzero()[0] + 1).tolist()),
+                                                    precisions[j][np.ix_(row, row)]), ns[j])
+                         for j, row in zip(owner, unobserved)])
+    return out
 
 
 def conditional_variance(model, i: int, subset) -> float:
@@ -464,9 +484,10 @@ def random_gff(n: int, density: float = 0.3,
     if seed < 0:
         raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
+    log_lo, log_hi = np.log(lo), np.log(hi)
 
     def draw_r():
-        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        return float(np.exp(rng.uniform(log_lo, log_hi)))
 
     edges = []
     present = set()

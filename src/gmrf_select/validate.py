@@ -7,8 +7,9 @@ unproven certificate: breaches of it are serialized as "discrepancy" findings
 (never silently absorbed) but do not fail the run, while the classical mixed
 bound (1/e) err(S0) + (1 - 1/e) OPT is enforced. See the README's
 "greedy certificate caveat". The supermodularity suite decides on the numbers
-of one ``models.err_batch`` call per model and never calls ``err``. A run of
-zero trials passes with a "note" in its payload; the module raises no warning.
+of one ``models.err_stack`` call per block of 100 models (err's, bit for bit)
+and never calls ``err``. A run of zero trials passes with a "note" in its
+payload; the module raises no warning.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dp import dp_select
 from .errors import InfeasibleParameters
 from .exact import exact_budget, exact_cover, thread_count
 from .greedy import greedy_budget, greedy_cover
-from .models import err, err_batch, random_gff
+from .models import err, err_stack, random_gff
 
 
 def _finding(severity, suite, detail, **data):
@@ -54,33 +55,57 @@ def suite_three_path(seed, trials):
     return findings
 
 
+def _draw_checks(rng, count):
+    """``count`` supermodularity checks (A, x, y), 10 per model (n 3-10, pin
+    1): x and y are two free vertices, and each other free vertex joins A with
+    probability 0.3, drawn in vertex order. Returns the models' precisions
+    zero-padded to 10 x 10 and their n, each check's model, x and y as
+    positions p among the free vertices (vertex p + 2), and the unobserved
+    vertices of A, A+x, A+y and A+x+y as four mask rows per check."""
+    models = -(-count // 10)
+    precisions, ns = np.zeros((models, 10, 10)), np.empty(models, dtype=np.intp)
+    owner, pick = np.arange(count) // 10, np.empty((count, 2), dtype=np.intp)
+    joins = np.zeros((count, 11), dtype=bool)   # column 2 + r: the r-th other vertex joins
+    for c in range(count):
+        if c % 10 == 0:
+            n = ns[c // 10] = int(rng.integers(3, 11))
+            g = random_gff(n, density=float(rng.uniform(0.1, 0.6)),
+                           seed=int(rng.integers(0, 1 << 30)))
+            precisions[c // 10, :n, :n] = g.precision_matrix.block
+        pick[c] = rng.choice(n - 1, size=2, replace=False)
+        joins[c, 2:n - 1] = rng.random(n - 3) < 0.3
+    pos, x, y = np.arange(9), pick[:, :1], pick[:, 1:]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    # position p is the p-th other vertex below lo, the (p - 1)-th up to hi, else the (p - 2)-th
+    in_a = np.where(pos < lo, joins[:, 2:], np.where(pos < hi, joins[:, 1:10], joins[:, :9]))
+    in_a &= (pos != x) & (pos != y)
+    unobserved = np.zeros((count, 4, 10), dtype=bool)
+    unobserved[:, :, 1:] = ((pos < ns[owner, None] - 1) & ~in_a)[:, None]
+    unobserved[:, 1::2, 1:] &= (pos != x)[:, None]   # A+x, A+x+y
+    unobserved[:, 2:, 1:] &= (pos != y)[:, None]     # A+y, A+x+y
+    return precisions, ns, owner, pick, unobserved.reshape(4 * count, 10)
+
+
 def suite_supermodularity(seed, trials):
-    """One model's checks are drawn, then scored in one err_batch call (err's
-    numbers, bit for bit). A check whose scores break diminishing returns by
-    more than 1e-9 is a finding, and it carries those scores."""
+    """The checks of ``_draw_checks`` in blocks of 1,000 (100 models): each
+    block's sets are scored in one ``err_stack`` call (err's numbers, bit for
+    bit). A check whose scores break diminishing returns by more than 1e-9 is
+    a finding, and it carries those scores."""
     findings = []
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < trials:
-        n = int(rng.integers(3, 11))
-        g = random_gff(n, density=float(rng.uniform(0.1, 0.6)),
-                       seed=int(rng.integers(0, 1 << 30)))
-        free = [v for v in g.vertices if v != g.pin]
-        checks = []
-        for _ in range(min(trials - done, 10)):
-            x, y = (int(v) for v in rng.choice(free, size=2, replace=False))
-            a = {g.pin} | {v for v in free if v not in (x, y) and rng.random() < 0.3}
-            checks.append((a, x, y))
-        done += len(checks)
-        scores = err_batch(g, [s for a, x, y in checks
-                               for s in (a, a | {x}, a | {y}, a | {x, y})])
-        for i, (a, x, y) in enumerate(checks):
-            e_a, e_ax, e_ay, e_axy = scores[4 * i:4 * i + 4]
-            lhs, rhs = e_a - e_ax, e_ay - e_axy
-            if lhs < rhs - 1e-9:
-                findings.append(_finding(
-                    "violation", "supermodularity", "diminishing returns violated",
-                    n=n, a=sorted(a), x=x, y=y, lhs=lhs, rhs=rhs))
+    for start in range(0, trials, 1000):
+        count = min(trials - start, 1000)
+        precisions, ns, owner, pick, unobserved = _draw_checks(rng, count)
+        scores = err_stack(precisions, ns, owner.repeat(4), unobserved)
+        e_a, e_ax, e_ay, e_axy = scores.reshape(count, 4).T
+        lhs, rhs = e_a - e_ax, e_ay - e_axy
+        for c in (lhs < rhs - 1e-9).nonzero()[0]:
+            n = int(ns[owner[c]])
+            findings.append(_finding(
+                "violation", "supermodularity", "diminishing returns violated",
+                n=n, a=((~unobserved[4 * c, :n]).nonzero()[0] + 1).tolist(),
+                x=int(pick[c, 0]) + 2, y=int(pick[c, 1]) + 2,
+                lhs=float(lhs[c]), rhs=float(rhs[c])))
     return findings
 
 

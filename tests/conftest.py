@@ -69,3 +69,44 @@ def random_pd_supported(rng, support, eig_range=(0.1, 10.0)):
     eigs = np.exp(rng.uniform(np.log(eig_range[0]), np.log(eig_range[1]), size=k))
     block = (q * eigs) @ q.T
     return SupportedMatrix(tuple(support), 0.5 * (block + block.T))
+
+
+def padded(models, width=10):
+    """The models' precisions zero-padded into one stack, and their n: the
+    first two arguments of ``models.err_stack``."""
+    stack = np.zeros((len(models), width, width))
+    for j, model in enumerate(models):
+        stack[j, :model.n, :model.n] = model.precision_matrix.block
+    return stack, [model.n for model in models]
+
+
+def recorded_stack_calls(monkeypatch, edit=None):
+    """A list that receives each ``err_stack`` call of validate's
+    supermodularity suite as (models, owner, unobserved, scores): the GFFs
+    ``random_gff`` drew for the call, in stack order, the call's owners and
+    mask, and the scores the suite saw, which ``edit(models, owner,
+    unobserved, scores)`` may change first. Each call's stack must hold its
+    models' precisions, zero-padded to 10 x 10."""
+    import gmrf_select.validate as validate_mod
+
+    true_gff, true_stack = validate_mod.random_gff, validate_mod.err_stack
+    drawn, calls = [], []
+
+    def drawing_gff(*args, **kwargs):
+        drawn.append(true_gff(*args, **kwargs))
+        return drawn[-1]
+
+    def recording_stack(precisions, ns, owner, unobserved):
+        models = drawn[:]
+        drawn.clear()
+        stack, sizes = padded(models)
+        assert precisions.tobytes() == stack.tobytes() and list(ns) == sizes
+        scores = true_stack(precisions, ns, owner, unobserved)
+        if edit is not None:
+            edit(models, owner, unobserved, scores)
+        calls.append((models, owner, unobserved, scores))
+        return scores
+
+    monkeypatch.setattr(validate_mod, "random_gff", drawing_gff)
+    monkeypatch.setattr(validate_mod, "err_stack", recording_stack)
+    return calls

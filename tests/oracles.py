@@ -26,7 +26,13 @@ from gmrf_select.errors import (
     SingularSubmatrix,
 )
 from gmrf_select.linalg import SupportedMatrix
-from gmrf_select.models import GffModel, Guarantee, SelectionReport, _contracted_potentials
+from gmrf_select.models import (
+    GffModel,
+    Guarantee,
+    SelectionReport,
+    _contracted_potentials,
+    random_gff,
+)
 from gmrf_select.rounding import _in_gff_class
 
 ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
@@ -107,6 +113,30 @@ def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
             f"tightness mismatch: independent={independent} but err={err_s!r}, "
             f"bound={bound!r}")
     return (bound, independent)
+
+
+def stacked_sets(models, owner, unobserved) -> list[tuple]:
+    """(model, observed vertices) of each set of an ``err_stack`` call."""
+    return [(models[j], tuple(v for v in models[j].vertices if not row[v - 1]))
+            for j, row in zip(owner, unobserved)]
+
+
+def supermodularity_checks_reference(seed: int, trials: int) -> list[tuple]:
+    """The supermodularity suite's checks (n, A, x, y), drawn as the suite drew
+    them one model at a time: x and y by ``rng.choice`` on the free vertices,
+    then one scalar ``rng.random()`` per other free vertex, in order."""
+    rng = np.random.default_rng(seed)
+    checks = []
+    while len(checks) < trials:
+        n = int(rng.integers(3, 11))
+        g = random_gff(n, density=float(rng.uniform(0.1, 0.6)),
+                       seed=int(rng.integers(0, 1 << 30)))
+        free = [v for v in g.vertices if v != g.pin]
+        for _ in range(min(trials - len(checks), 10)):
+            x, y = (int(v) for v in rng.choice(free, size=2, replace=False))
+            a = {g.pin} | {v for v in free if v not in (x, y) and rng.random() < 0.3}
+            checks.append((n, a, x, y))
+    return checks
 
 
 # ---------------------------------------------------------------------------

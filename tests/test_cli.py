@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,8 +28,13 @@ from gmrf_select.models import (
 )
 from gmrf_select.validate import validate_suite
 
-from conftest import COUNTEREXAMPLE_SIGMA, random_pd_supported, unit_cycle
-from oracles import parse_report
+from conftest import (
+    COUNTEREXAMPLE_SIGMA,
+    random_pd_supported,
+    recorded_stack_calls,
+    unit_cycle,
+)
+from oracles import parse_report, stacked_sets, supermodularity_checks_reference
 
 
 C4_TEXT = "gff 4 4 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 1 1.0\n"
@@ -835,27 +841,26 @@ class TestValidateSuite:
         assert any(x.startswith("  [violation] three-path: ") for x in lines)
 
     def _flag_first_check(self, monkeypatch, below):
-        """Lower the batch's err(A) score of the first supermodularity check of
+        """Lower the stacked err(A) score of the first supermodularity check of
         seed 0 until lhs = err(A) - err(A + x) sits ``below`` under rhs =
         err(A + y) - err(A + x + y), and make any call of err fail. Returns a
         dict that receives that check's model, its four sets A, A+x, A+y,
         A+x+y and their scores as the suite saw them."""
         import gmrf_select.validate as validate_mod
 
-        true_batch, first = validate_mod.err_batch, {}
+        first = {}
 
-        def flagging_batch(model, subsets):
-            scores = true_batch(model, subsets)
+        def flag(models, owner, unobserved, scores):
             if not first:
                 scores[0] = scores[1] + scores[2] - scores[3] - below
-                first.update(model=model, sets=[frozenset(s) for s in subsets[:4]],
-                             scores=scores[:4])
-            return scores
+                sets = stacked_sets(models, owner[:4], unobserved[:4])
+                first.update(model=sets[0][0], sets=[frozenset(s) for _, s in sets],
+                             scores=scores[:4].tolist())
 
         def no_err(model, subset):
             raise AssertionError("the supermodularity suite called err")
 
-        monkeypatch.setattr(validate_mod, "err_batch", flagging_batch)
+        recorded_stack_calls(monkeypatch, flag)
         monkeypatch.setattr(validate_mod, "err", no_err)
         return first
 
@@ -877,6 +882,47 @@ class TestValidateSuite:
         assert (set(finding["a"]), {finding["x"]}, {finding["y"]}) == (a, ax - a, ay - a)
         assert (finding["lhs"], finding["rhs"]) == (e_a - e_ax, e_ay - e_axy)
         assert (e_ax, e_ay, e_axy) == tuple(err(g, s) for s in (ax, ay, axy))
+
+    def test_supermodularity_draws_are_the_scalar_loops(self, monkeypatch):
+        import gmrf_select.validate as validate_mod
+
+        calls = recorded_stack_calls(monkeypatch)
+        for seed in range(8):
+            calls.clear()
+            validate_mod.suite_supermodularity(seed, 1000)
+            checks = []
+            for models, owner, unobserved, _ in calls:
+                sets = stacked_sets(models, owner, unobserved)
+                for c in range(0, len(sets), 4):
+                    a, ax, ay, axy = (set(s) for _, s in sets[c:c + 4])
+                    (x,), (y,) = ax - a, ay - a
+                    assert axy == a | {x, y}
+                    checks.append((sets[c][0].n, a, x, y))
+            assert checks == supermodularity_checks_reference(seed, 1000)
+
+    def test_supermodularity_memory_is_bounded_by_blocks(self, monkeypatch):
+        # 5,000 checks: five stacked calls of 100 models and 4,000 sets, and no
+        # more than 100 models alive at any call
+        import gmrf_select.validate as validate_mod
+
+        true_gff, true_stack = validate_mod.random_gff, validate_mod.err_stack
+        drawn, sizes = [], []
+
+        def drawing_gff(*args, **kwargs):
+            g = true_gff(*args, **kwargs)
+            drawn.append(weakref.ref(g))
+            return g
+
+        def recording_stack(precisions, ns, owner, unobserved):
+            alive = sum(ref() is not None for ref in drawn)
+            sizes.append((len(precisions), len(ns), len(owner), len(unobserved), alive <= 100))
+            return true_stack(precisions, ns, owner, unobserved)
+
+        monkeypatch.setattr(validate_mod, "random_gff", drawing_gff)
+        monkeypatch.setattr(validate_mod, "err_stack", recording_stack)
+        validate_mod.suite_supermodularity(0, 5000)
+        assert len(drawn) == 500
+        assert sizes == [(100, 100, 4000, 4000, True)] * 5
 
     def test_threaded_run_matches(self, monkeypatch):
         code_serial, payload_serial = validate_suite(seed=2, trials=6)

@@ -8,9 +8,18 @@ from gmrf_select.cli import main
 from gmrf_select.errors import InstanceTooLarge, InvariantViolation, SingularSubmatrix
 from gmrf_select.exact import exact_budget, exact_cover
 from gmrf_select.io import parse_model
-from gmrf_select.models import GffModel, GmrfModel, err, err_batch, random_gff, random_gmrf
+from gmrf_select.models import (
+    GffModel,
+    GmrfModel,
+    err,
+    err_batch,
+    err_stack,
+    random_gff,
+    random_gmrf,
+)
 
-from conftest import unit_cycle, unit_path
+from conftest import padded, recorded_stack_calls, unit_cycle, unit_path
+from oracles import stacked_sets
 
 
 def brute_budget(model, b, score=err):
@@ -349,17 +358,37 @@ class TestErrBatch:
     def test_supermodularity_suites_batches(self, monkeypatch):
         import gmrf_select.validate as validate_mod
 
-        batches = []
-
-        def recording_batch(model, subsets):
-            batches.append((model, subsets))
-            return err_batch(model, subsets)
-
-        monkeypatch.setattr(validate_mod, "err_batch", recording_batch)
+        calls = recorded_stack_calls(monkeypatch)
         assert validate_mod.suite_supermodularity(0, 1000) == []
-        assert sum(len(subsets) for _, subsets in batches) == 4000
-        for model, subsets in batches:
-            assert _hex(err_batch(model, subsets)) == _hex(err(model, s) for s in subsets)
+        assert sum(len(owner) for _, owner, _, _ in calls) == 4000
+        for models, owner, unobserved, scores in calls:
+            assert _hex(scores) == _hex(err(model, s) for model, s in
+                                        stacked_sets(models, owner, unobserved))
+
+    def test_cross_model_stack(self):
+        # GFFs of n = 3 and n = 10 and a GMRF in one stack: no padding column of
+        # the n = 10 stack reaches a smaller model's block, and a set with no
+        # unobserved vertex scores 0
+        rng = np.random.default_rng(73)
+        models = [random_gff(3, density=0.5, seed=1), random_gff(10, density=0.3, seed=2),
+                  random_gmrf(6, tree_width_hint=2, seed=3)]
+        owner, unobserved = [], []
+        for _ in range(120):
+            j = int(rng.integers(len(models)))
+            model = models[j]
+            row = np.zeros(10, dtype=bool)
+            row[:model.n] = rng.random(model.n) < 0.6
+            row[[v - 1 for v in model.pinned]] = False
+            owner.append(j)
+            unobserved.append(row)
+        owner.append(1)
+        unobserved.append(np.zeros(10, dtype=bool))   # every vertex observed
+        owner, unobserved = np.array(owner), np.array(unobserved)
+        scores = err_stack(*padded(models), owner, unobserved)
+        assert scores[-1] == 0.0
+        assert _hex(scores) == _hex(err(model, s) for model, s in
+                                    stacked_sets(models, owner, unobserved))
+        assert set(owner.tolist()) == {0, 1, 2}
 
     def test_singular_stack_raises_errs_error_at_the_same_set(self, tmp_path):
         path = tmp_path / "mid.gmrf"
@@ -376,3 +405,15 @@ class TestErrBatch:
         assert "unobserved block on (1, 3, 4)" in str(got.value)
         assert _hex(err_batch(model, [(), (1,), (1, 3)])) == _hex(
             [err(model, ()), err(model, (1,)), err(model, (1, 3))])
+        # the same singular set in the middle of a stack of three models
+        g3, g10 = random_gff(3, seed=1), random_gff(10, seed=2)
+        models = [g3, model, g10]
+        sets = [(1,), (1, 2), (), (1,), (2,), (3,), (1, 5), (1, 2, 3)]
+        owner = np.array([0, 2, 1, 1, 1, 1, 2, 0])
+        unobserved = np.zeros((len(sets), 10), dtype=bool)
+        for i, (j, s) in enumerate(zip(owner, sets)):
+            observed = models[j].pinned | set(s)
+            unobserved[i, [v - 1 for v in models[j].vertices if v not in observed]] = True
+        with pytest.raises(SingularSubmatrix) as got:
+            err_stack(*padded(models), owner, unobserved)
+        assert str(got.value) == str(want.value)

@@ -13,19 +13,22 @@ spread beside every run, and each median is printed with its spread:
 - layer: the five seed-1 dp-tree models of `benchmark/workloads.py`,
   `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1 and
   `random_gmrf(32, tree_width_hint=1, seed=3)` with b=3, eps'=0.5, each run
-  with `dp_select` on `balance_for_tree`, and `validate.suite_supermodularity(0,
-  1000)`. Then the solvers' other layers: one `models.err` on
-  `random_gff(200, density=0.02, seed=3)` observing every tenth vertex; one
-  greedy round, `greedy_budget(random_gff(400, density=0.01, seed=3), 1)` on
-  the model's already cached covariance (the round's err calls and the
-  report's err included); and one exact chunk, `models.err_batch` on the first
-  4,096 six-vertex subsets of `random_gff(16, density=0.3, seed=3)`. Every
-  repeat is one fresh process per side, the sides alternating which goes
-  first; after one untimed call of each numpy routine the cases use, each case
-  runs once and records its wall and CPU time and its result (a DP's sizing,
-  selection, `err.hex()` and `table_value.hex()`; the suite's findings; the
-  err's hex, the greedy selection and err's hex, a hash of the chunk's
-  scores in hex), so both sides are checked to give identical results.
+  with `dp_select` on `balance_for_tree`, `validate.suite_supermodularity(0,
+  1000)` and `validate.validate_suite(seed=0, trials=10)` (every suite of an
+  oracle-small `validate` request). Then the solvers' other layers: one
+  `models.err` on `random_gff(200, density=0.02, seed=3)` observing every
+  tenth vertex; one greedy round, `greedy_budget(random_gff(400,
+  density=0.01, seed=3), 1)` on the model's already cached covariance (the
+  round's err calls and the report's err included); and one exact chunk,
+  `models.err_batch` on the first 4,096 six-vertex subsets of
+  `random_gff(16, density=0.3, seed=3)`. Every repeat is one fresh process
+  per side, the sides alternating which goes first; after one untimed call
+  of each numpy routine the cases use, each case runs once and records its
+  wall and CPU time and its result (a DP's sizing, selection, `err.hex()` and
+  `table_value.hex()`; the suite's findings; validate's exit code and
+  payload; the err's hex, the greedy selection and err's hex, a hash of the
+  chunk's scores in hex), so both sides are checked to give identical
+  results.
 - exit: the first `select greedy`, `select dp`, `select exact` and `validate`
   request of the seed-1 workloads, each run `--repeats` times per side as
   `python3 -m gmrf_select.cli` would run it, sides alternating; records the
@@ -117,7 +120,7 @@ def run_layer(root: Path) -> dict:
     sys.path.insert(0, str(root / "src"))
     from gmrf_select.decomposition import balance_for_tree
     from gmrf_select.dp import dp_select
-    from gmrf_select.validate import suite_supermodularity
+    from gmrf_select.validate import suite_supermodularity, validate_suite
 
     warm_up()
     out = {}
@@ -132,6 +135,9 @@ def run_layer(root: Path) -> dict:
     elapsed, cpu, findings = timed(suite_supermodularity, 0, 1000)
     out["supermodularity-1000"] = {"time_s": elapsed, "cpu_s": cpu,
                                    "result": {"findings": findings}}
+    elapsed, cpu, (code, payload) = timed(validate_suite, 0, 10)
+    out["validate-10"] = {"time_s": elapsed, "cpu_s": cpu,
+                          "result": {"code": code, "payload": payload}}
     for name, fn, args, result in solver_cases():
         elapsed, cpu, value = timed(fn, *args)
         out[name] = {"time_s": elapsed, "cpu_s": cpu, "result": result(value)}

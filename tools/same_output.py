@@ -7,8 +7,11 @@ archive <sha> | tar -x -C DIR`; --change defaults to this checkout. The script
 writes, into a temporary directory, the input files of every request of every
 workload in `benchmark/workloads.py` (this checkout's) at seeds 1, 2 and 3,
 and runs each distinct request once per side. It adds `validate --trials 30
---seed 0` and `validate --trials 0`, a `convert tree-gmrf-to-gff` and a
-`--format text` eval of a seed-1 tree GMRF, a `gen gmrf`, a `select greedy
+--seed 0`, `validate --trials 0` and `validate --trials 100 --seed 0 --out
+FILE` (at seed 0 its findings file holds two greedy-budget discrepancies with
+their numbers, and each side's file is compared byte for byte), a `convert
+tree-gmrf-to-gff` and a `--format text` eval of a seed-1 tree GMRF, a `gen
+gmrf`, a `select greedy
 --alpha` on a GMRF (whose report promises nothing), `--format text` runs
 (which print the guarantee's factor) of `select greedy` with a budget and with
 an alpha, `select dp` and `select exact` on seed-1 GFFs, and each side's five
@@ -34,8 +37,9 @@ a list of differences.
 
 Every command runs in a fresh `python3` process with PYTHONPATH set to the
 side's `src/` and bytecode writing off, so neither checkout changes. A command
-differs when its exit code, stdout or stderr differs; in stderr each side's
-checkout path is replaced by `<checkout>` first. The script prints each
+differs when its exit code, stdout, stderr or the file it writes in place of
+`{out}` differs; in stderr each side's checkout path is replaced by
+`<checkout>` first. The script prints each
 difference and, per group, the number of commands, of those that exit as not
 expected on either side (nonzero for a program command, other than 2 for a
 malformed file), and of differences. It exits 1 if a program command differs
@@ -92,6 +96,8 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
     text = ["--format", "text"]
     out += [("validate 30", ["validate", "--trials", "30", "--seed", "0"]),
             ("validate 0", ["validate", "--trials", "0"]),
+            ("validate 100 findings", ["validate", "--trials", "100", "--seed", "0",
+                                       "--out", "{out}"]),
             ("convert", ["convert", "tree-gmrf-to-gff", "--input", tree]),
             ("gen gmrf", ["gen", "gmrf", "--n", "8", "--width", "2", "--seed", "5"]),
             ("eval text", ["eval", *text, "--set", "1,4", "--input", tree]),
@@ -154,11 +160,18 @@ def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
-def run(root: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
+def run(root: Path, args: list[str], cwd: Path) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout, stderr (checkout path replaced) and the bytes of the
+    file written in place of `{out}` (None if the command writes none)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, *(a.replace("{root}", str(root)) for a in args)]
+    out = cwd / "out.json"
+    argv = [sys.executable, *(a.replace("{root}", str(root)).replace("{out}", str(out))
+                              for a in args)]
     proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr.replace(str(root), "<checkout>")
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return (proc.returncode, proc.stdout, proc.stderr.replace(str(root), "<checkout>"),
+            written)
 
 
 def main(argv=None) -> int:
@@ -188,7 +201,8 @@ def compare(sides, cmds, expected: int, cwd: Path, group: str) -> tuple[int, int
         parent, change = (run(side, cmd, cwd) for side in sides)
         unexpected_parent += parent[0] != expected
         unexpected_change += change[0] != expected
-        for what, p, c in zip(("exit code", "stdout", "stderr"), parent, change):
+        for what, p, c in zip(("exit code", "stdout", "stderr", "written file"),
+                              parent, change):
             if p != c:
                 differences += 1
                 print(f"DIFFERS {label}: {what}\n  parent: {p!r:.300}\n  change: {c!r:.300}")
