@@ -141,6 +141,7 @@ class MessageTable:
     ``rounding_audit`` keeps the first roundings computed; memoized repeats add none."""
 
     def __init__(self, model, td, b, eps, state_cap):
+        self.started = time.perf_counter()   # the solve's clock, read by extract_solution
         self.model = model
         self.td = td
         self.mode = "gff" if isinstance(model, GffModel) else "svd"
@@ -164,8 +165,8 @@ class MessageTable:
         if self.mode == "gff":
             self.rounder = GffRounder.for_model(model, eps, range_factor=drift)
         else:
-            self.rounder = SvdRounder.for_system(float(w[0]), float(w[-1]), td.m, eps,
-                                                 range_factor=drift)
+            self.rounder = SvdRounder(lam_lo=float(w[0]) / td.m, lam_hi=float(w[-1]), eps=eps,
+                                      range_factor=drift)
 
         adj = adjacency(range(td.m), td.tree_edges)
         parent = search(adj, [td.root])
@@ -365,7 +366,6 @@ def run_dp(model, td: TreeDecomposition, b: int, eps: float,
 
 def extract_solution(mt: MessageTable, details=None) -> SelectionReport:
     """Report the minimizing root entry's chosen set and err (fresh), plus ``details``."""
-    started = time.perf_counter()
     table, model, b = mt.root_table, mt.model, mt.budget
     if not table:
         raise EmptyTable("run_dp has not populated a finite root message")
@@ -373,7 +373,7 @@ def extract_solution(mt: MessageTable, details=None) -> SelectionReport:
     if len(best.chosen) > b:
         raise InvariantViolation(
             f"extracted {len(best.chosen)} observations with budget {b}")
-    report = make_report(model, best.chosen | model.pinned, "dp", b, started=started,
+    report = make_report(model, best.chosen | model.pinned, "dp", b, started=mt.started,
                          details={"table_value": best.value,
                                   "sizing": mt.sizing_report(), **(details or {})})
     table_err = best.value / model.n

@@ -1,6 +1,6 @@
 """Gaussian MRF and Gaussian free field models, the average prediction-error
-objective and its evaluation paths, effective resistance, and the tree-GMRF to
-GFF reduction.
+objective (one scorer, ``err_stack``, behind ``err`` and ``err_batch``) and its
+cross-checks, effective resistance, and the tree-GMRF to GFF reduction.
 
 Vertices are labeled 1..n throughout, matching the file formats, and vertex v
 is row v - 1 of a model's precision and covariance. Models are immutable after
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .decomposition import adjacency, search, tree_adjacency
 from .errors import (
     DisconnectedFromS,
@@ -236,7 +235,7 @@ def make_report(model, selected, solver, budget_or_alpha,
 
 
 # ---------------------------------------------------------------------------
-# the objective and its evaluation paths
+# the objective and its cross-checks
 # ---------------------------------------------------------------------------
 
 def laplacian(gff: GffModel) -> SupportedMatrix:
@@ -267,65 +266,65 @@ def _effective_observed(model, subset) -> frozenset:
 def err(model, subset) -> float:
     """Average expected squared prediction error of the unobserved variables:
     (1/n) Tr(Lambda[Sbar, Sbar]^-1). The model's pinned vertices are always in
-    the observed set; for a GFF Lambda is the full Laplacian."""
-    s = _effective_observed(model, subset)
-    if len(s) == model.n:
-        return 0.0
-    return _block_err(linalg.obs(model.precision_matrix, s), model.n)
-
-
-def _block_err(sub: SupportedMatrix, n: int) -> float:
-    """(1/n) Tr(sub^-1) for the unobserved block ``sub`` of an n-vertex model."""
-    try:
-        return linalg.trace_of_inverse(sub) / n
-    except linalg.SingularMatrix as exc:
-        raise SingularSubmatrix(
-            f"unobserved block on {sub.support} is singular: {exc}") from exc
+    the observed set; for a GFF Lambda is the full Laplacian. The one-set case
+    of ``err_batch``."""
+    return err_batch(model, (subset,))[0]
 
 
 def err_batch(model, subsets) -> list[float]:
-    """``[err(model, s) for s in subsets]``, bit for bit, through ``err_stack``.
-    If a set is not a selection, the sets are scored one by one with err, which
-    raises its own error at that set."""
+    """err of each set, through one ``err_stack`` call. If a set is not a
+    selection, err's InvariantViolation is raised at the first such set."""
     subsets = [tuple(s) for s in subsets]
     flat = [v for s in subsets for v in s]
     if not set(flat) <= set(model.vertices):
-        return [err(model, s) for s in subsets]
+        for s in subsets:
+            _effective_observed(model, s)   # raises at the first set that is not a selection
     free = np.ones((len(subsets), model.n), dtype=bool)
-    free[:, [v - 1 for v in model.pinned]] = False
-    free[[i for i, s in enumerate(subsets) for _ in s], np.array(flat, dtype=int) - 1] = False
+    for v in model.pinned:
+        free[:, v - 1] = False
+    rows = np.arange(len(subsets)).repeat([len(s) for s in subsets])
+    free[rows, np.array(flat, dtype=int) - 1] = False
     return err_stack(model.precision_matrix.block[None], [model.n],
                      np.zeros(len(subsets), dtype=np.intp), free).tolist()
 
 
 def err_stack(precisions, ns, owner, unobserved) -> np.ndarray:
-    """err of many sets drawn from many models, bit for bit. ``precisions``
-    stacks the models' precisions, each zero-padded to the stack's width, and
-    ``ns`` holds their n. Set i is scored on model ``owner[i]`` with vertex v
+    """err of many sets drawn from many models. ``precisions`` stacks the
+    models' precisions, each zero-padded to the stack's width, and ``ns``
+    holds their n. Set i is scored on model ``owner[i]`` with vertex v
     unobserved where ``unobserved[i, v - 1]`` (never past that model's n, nor
     at a pinned vertex). The unobserved blocks of one size go through one
-    stacked Cholesky and one stacked inverse (LAPACK still factors each block
-    alone, and each block's squares are summed as err sums them). If a block
-    is not positive definite, the sets are scored one by one as err scores
-    them, which raises err's own error at the same set."""
+    stacked Cholesky and one stacked inverse: Tr(A^-1) = ||L^-1||_F^2 for
+    A = L L^t, and LAPACK still factors each block alone. If a block is not
+    positive definite, SingularSubmatrix names the first such set in set order."""
     ns = np.asarray(ns, dtype=float)
     sizes = unobserved.sum(axis=1)
     out = np.zeros(len(owner))
     try:
         for k in sorted(set(sizes.tolist()) - {0}):   # np.unique would import numpy.ma
             which = (sizes == k).nonzero()[0]
-            idx = unobserved[which].nonzero()[1].reshape(len(which), k)
+            own, idx = owner[which], unobserved[which].nonzero()[1].reshape(len(which), k)
             inv_l = np.linalg.inv(np.linalg.cholesky(
-                precisions[owner[which, None, None], idx[:, :, None], idx[:, None, :]]))
+                precisions[own[:, None, None], idx[:, :, None], idx[:, None, :]]))
             # squared in place and freed before the next size: the call's largest arrays
             inv_l *= inv_l
-            out[which] = inv_l.sum(axis=(1, 2)) / ns[owner[which]]
+            out[which] = inv_l.sum(axis=(1, 2)) / ns[own]
             del inv_l
     except np.linalg.LinAlgError:
-        return np.array([_block_err(SupportedMatrix(tuple((row.nonzero()[0] + 1).tolist()),
-                                                    precisions[j][np.ix_(row, row)]), ns[j])
-                         for j, row in zip(owner, unobserved)])
+        row, exc = next((row, exc) for j, row in zip(owner, unobserved)
+                        if (exc := _cholesky_error(precisions[j][np.ix_(row, row)])))
+        raise SingularSubmatrix(
+            f"unobserved block on {tuple((row.nonzero()[0] + 1).tolist())} is singular: "
+            f"support block not positive definite: {exc}") from exc
     return out
+
+
+def _cholesky_error(block: np.ndarray):
+    """The LinAlgError that factoring ``block`` alone raises, or None."""
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError as exc:
+        return exc
 
 
 def conditional_variance(model, i: int, subset) -> float:

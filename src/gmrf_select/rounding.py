@@ -165,12 +165,6 @@ class SvdRounder:
     eps: float
     range_factor: float = 1.0
 
-    @classmethod
-    def for_system(cls, lam_min: float, lam_max: float, m: int, eps: float,
-                   range_factor: float = 1.0) -> "SvdRounder":
-        return cls(lam_lo=lam_min / m, lam_hi=lam_max, eps=eps,
-                   range_factor=range_factor)
-
     @cached_property
     def top_index(self) -> int:
         return int(math.floor(math.log(self.lam_hi / self.lam_lo) / (self.eps / 2.0)))

@@ -7,8 +7,8 @@ unproven certificate: breaches of it are serialized as "discrepancy" findings
 (never silently absorbed) but do not fail the run, while the classical mixed
 bound (1/e) err(S0) + (1 - 1/e) OPT is enforced. See the README's
 "greedy certificate caveat". The supermodularity suite decides on the numbers
-of one ``models.err_stack`` call per block of 100 models (err's, bit for bit)
-and never calls ``err``. A run of zero trials passes with a "note" in its
+of one ``models.err_stack`` call per block of 100 models (the scorer behind
+``err``) and never calls ``err``. A run of zero trials passes with a "note" in its
 payload; the module raises no warning.
 """
 
@@ -88,8 +88,8 @@ def _draw_checks(rng, count):
 
 def suite_supermodularity(seed, trials):
     """The checks of ``_draw_checks`` in blocks of 1,000 (100 models): each
-    block's sets are scored in one ``err_stack`` call (err's numbers, bit for
-    bit). A check whose scores break diminishing returns by more than 1e-9 is
+    block's sets are scored in one ``err_stack`` call, the scorer behind err.
+    A check whose scores break diminishing returns by more than 1e-9 is
     a finding, and it carries those scores."""
     findings = []
     rng = np.random.default_rng(seed)

@@ -3,9 +3,10 @@
 The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
 PSD sandwich, the GFF-class check on whole blocks, the element-wise rounding
-relation, the elimination-order check, report parsing, factor totals) live
-here, with the straightforward ``np.ix_`` and element-loop forms of the DP
-kernels that the package computes on cached position maps.
+relation, the elimination-order check, report parsing, factor totals, err
+on the support-matrix path) live here, with the straightforward ``np.ix_``
+and element-loop forms of the DP kernels that the package computes on cached
+position maps.
 """
 
 from __future__ import annotations
@@ -113,6 +114,15 @@ def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
             f"tightness mismatch: independent={independent} but err={err_s!r}, "
             f"bound={bound!r}")
     return (bound, independent)
+
+
+def err_reference(model, subset) -> float:
+    """err on the support-matrix path: Tr(obs(precision, pinned + S)^-1) / n
+    through ``linalg.trace_of_inverse``, or 0.0 when every vertex is observed."""
+    s = frozenset(subset) | model.pinned
+    if len(s) == model.n:
+        return 0.0
+    return linalg.trace_of_inverse(linalg.obs(model.precision_matrix, s)) / model.n
 
 
 def stacked_sets(models, owner, unobserved) -> list[tuple]:

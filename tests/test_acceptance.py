@@ -221,7 +221,7 @@ def test_criterion_07_dp_approximation():
 def test_criterion_08_rounding_contracts():
     rng = np.random.default_rng(108)
     # svd mode: sandwich + idempotence on 100 in-range PD matrices
-    sr = SvdRounder.for_system(0.4, 9.0, 12, eps=0.1)
+    sr = SvdRounder(lam_lo=0.4 / 12, lam_hi=9.0, eps=0.1)
     for _ in range(100):
         k = int(rng.integers(1, 5))
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))

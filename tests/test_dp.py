@@ -218,6 +218,23 @@ class TestDpSelect:
             ex = exact_budget(g, b)
             assert sel.err_value <= 1.1 * ex.err_value + 1e-9
 
+    def test_wall_time_covers_the_whole_solve(self, monkeypatch):
+        # a clock that advances one second per message evaluation: the report
+        # times the table build and every evaluation, not only the lookup
+        import time
+        clock = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+        true_evaluate = MessageTable.evaluate
+
+        def ticking(mt, *args):
+            clock[0] += 1.0
+            return true_evaluate(mt, *args)
+
+        monkeypatch.setattr(MessageTable, "evaluate", ticking)
+        g = random_gff(8, density=0.0, seed=3)
+        report = dp_select(g, balance_for_tree(8, g.graph_edges()), 2, 0.1)
+        assert report.wall_time == clock[0] > 1.0
+
     def test_coarser_eps_not_finer_state_count(self):
         g = random_gff(9, density=0.0, seed=8)
         td = balance_for_tree(9, g.graph_edges())

@@ -19,7 +19,7 @@ from gmrf_select.models import (
 )
 
 from conftest import padded, recorded_stack_calls, unit_cycle, unit_path
-from oracles import stacked_sets
+from oracles import err_reference, stacked_sets
 
 
 def brute_budget(model, b, score=err):
@@ -303,8 +303,9 @@ def _random_selections(model, rng, count):
 
 
 class TestErrBatch:
-    """models.err_batch, the stacked scorer behind the exhaustive search and the
-    supermodularity suite, against a per-set err loop, bit for bit."""
+    """models.err_batch and err_stack, the one scorer behind err, the exhaustive
+    search and the supermodularity suite, against ``err_reference`` (the
+    support-matrix path through linalg.obs and trace_of_inverse), bit for bit."""
 
     def test_random_gffs(self):
         rng = np.random.default_rng(71)
@@ -315,7 +316,9 @@ class TestErrBatch:
             subsets = _random_selections(g, rng, 40)
             unpinned = tuple(v for v in g.vertices if v != g.pin)
             subsets += [(), (g.pin,), tuple(g.vertices), unpinned]
-            assert _hex(err_batch(g, subsets)) == _hex(err(g, s) for s in subsets)
+            want = _hex(err_reference(g, s) for s in subsets)
+            assert _hex(err_batch(g, subsets)) == want
+            assert _hex(err(g, s) for s in subsets) == want
 
     def test_random_gmrfs(self):
         rng = np.random.default_rng(72)
@@ -324,12 +327,15 @@ class TestErrBatch:
             m = random_gmrf(n, tree_width_hint=int(rng.integers(1, 4)),
                             seed=int(rng.integers(1 << 30)))
             subsets = _random_selections(m, rng, 40) + [(), tuple(m.vertices)]
-            assert _hex(err_batch(m, subsets)) == _hex(err(m, s) for s in subsets)
+            want = _hex(err_reference(m, s) for s in subsets)
+            assert _hex(err_batch(m, subsets)) == want
+            assert _hex(err(m, s) for s in subsets) == want
 
     def test_edge_selections(self):
         g = random_gff(6, density=0.3, seed=4)
         assert err_batch(g, []) == []
-        assert _hex(err_batch(g, [(), (1,)])) == _hex([err(g, ()), err(g, (1,))])
+        assert _hex(err_batch(g, [(), (1,)])) == _hex([err_reference(g, ()),
+                                                        err_reference(g, (1,))])
         assert err_batch(g, [tuple(g.vertices)] * 3) == [0.0] * 3
         with pytest.raises(InvariantViolation, match="outside 1..6"):
             err_batch(g, [(2,), (0, 3)])
@@ -353,7 +359,7 @@ class TestErrBatch:
             2 ** (m.n - len(m.pinned)) for m in models)
         for model, chunk in batches:
             sels = [model.pinned | set(extra) for extra in chunk]
-            assert _hex(err_batch(model, chunk)) == _hex(err(model, s) for s in sels)
+            assert _hex(err_batch(model, chunk)) == _hex(err_reference(model, s) for s in sels)
 
     def test_supermodularity_suites_batches(self, monkeypatch):
         import gmrf_select.validate as validate_mod
@@ -362,7 +368,7 @@ class TestErrBatch:
         assert validate_mod.suite_supermodularity(0, 1000) == []
         assert sum(len(owner) for _, owner, _, _ in calls) == 4000
         for models, owner, unobserved, scores in calls:
-            assert _hex(scores) == _hex(err(model, s) for model, s in
+            assert _hex(scores) == _hex(err_reference(model, s) for model, s in
                                         stacked_sets(models, owner, unobserved))
 
     def test_cross_model_stack(self):
@@ -386,7 +392,7 @@ class TestErrBatch:
         owner, unobserved = np.array(owner), np.array(unobserved)
         scores = err_stack(*padded(models), owner, unobserved)
         assert scores[-1] == 0.0
-        assert _hex(scores) == _hex(err(model, s) for model, s in
+        assert _hex(scores) == _hex(err_reference(model, s) for model, s in
                                     stacked_sets(models, owner, unobserved))
         assert set(owner.tolist()) == {0, 1, 2}
 
@@ -396,15 +402,18 @@ class TestErrBatch:
         model = parse_model(str(path))
         # {2} is the only singular set; {4} shares its stack, () and {1, 3} do not
         subsets = [(), (1,), (1, 3), (4,), (2,), (3,)]
-        with pytest.raises(SingularSubmatrix) as want:
-            for s in subsets:
-                err(model, s)
-        with pytest.raises(SingularSubmatrix) as got:
-            err_batch(model, subsets)
-        assert str(got.value) == str(want.value)
-        assert "unobserved block on (1, 3, 4)" in str(got.value)
+        message = ("unobserved block on (1, 3, 4) is singular: support block not "
+                   "positive definite: Matrix is not positive definite")
+        for score in (lambda: err(model, (2,)), lambda: err_batch(model, subsets)):
+            with pytest.raises(SingularSubmatrix) as got:
+                score()
+            assert str(got.value) == message
         assert _hex(err_batch(model, [(), (1,), (1, 3)])) == _hex(
-            [err(model, ()), err(model, (1,)), err(model, (1, 3))])
+            [err_reference(model, ()), err_reference(model, (1,)),
+             err_reference(model, (1, 3))])
+        # a non-selection later in the batch is refused before any set is scored
+        with pytest.raises(InvariantViolation, match=r"selection \[0, 2\] outside 1..4"):
+            err_batch(model, [(2,), (0, 2)])
         # the same singular set in the middle of a stack of three models
         g3, g10 = random_gff(3, seed=1), random_gff(10, seed=2)
         models = [g3, model, g10]
@@ -416,4 +425,21 @@ class TestErrBatch:
             unobserved[i, [v - 1 for v in models[j].vertices if v not in observed]] = True
         with pytest.raises(SingularSubmatrix) as got:
             err_stack(*padded(models), owner, unobserved)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
+
+    def test_singular_stack_names_the_first_singular_set_in_set_order(self, tmp_path):
+        # the rank-3 model's empty selection (a 4 x 4 block) and the mid-chunk
+        # model's {2} (3 x 3) are both singular; the 3 x 3 stack is factored
+        # first, but the error names whichever set comes first
+        path = tmp_path / "mid.gmrf"
+        path.write_text(MID_CHUNK_SINGULAR)
+        models = [GmrfModel(RANK3_PRECISION), parse_model(str(path))]
+        empty = np.zeros(10, dtype=bool)
+        empty[:4] = True            # the rank-3 model with nothing observed
+        two = empty.copy()
+        two[1] = False              # the mid-chunk model with {2} observed
+        for owner, rows, support in (([0, 1], [empty, two], "(1, 2, 3, 4)"),
+                                     ([1, 0], [two, empty], "(1, 3, 4)")):
+            with pytest.raises(SingularSubmatrix) as got:
+                err_stack(*padded(models), np.array(owner), np.array(rows))
+            assert str(got.value).startswith(f"unobserved block on {support} is singular")

@@ -175,7 +175,7 @@ class TestGffOpsErrorPropagation:
 
 class TestSvdRound:
     def rounder(self, eps=0.1, lam_min=0.5, lam_max=8.0, m=10):
-        return SvdRounder.for_system(lam_min, lam_max, m, eps)
+        return SvdRounder(lam_lo=lam_min / m, lam_hi=lam_max, eps=eps)
 
     def random_in_range(self, rng, k, r):
         q, _ = np.linalg.qr(rng.normal(size=(k, k)))

@@ -66,7 +66,6 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,9 +125,7 @@ def run_layer(root: Path) -> dict:
     out = {}
     for name, model, budget, eps_prime in dp_cases(root):
         td = balance_for_tree(model.n, model.graph_edges())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            elapsed, cpu, report = timed(dp_select, model, td, budget, eps_prime)
+        elapsed, cpu, report = timed(dp_select, model, td, budget, eps_prime)
         out[name] = {"time_s": elapsed, "cpu_s": cpu, "result": {
             "sizing": report.details["sizing"], "selected": list(report.selected),
             "err": report.err_value.hex(), "table_value": report.details["table_value"].hex()}}
