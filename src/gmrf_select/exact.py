@@ -2,8 +2,8 @@
 instances. This is the ground truth every approximation claim is tested
 against, so it stays deliberately simple: plain subset enumeration, no pruning,
 nothing shared with greedy. Subsets of one size are scored in chunks by
-``models.err_batch`` (one stacked Cholesky and one inverse per chunk; err is
-its one-set case), and those scores alone decide the answer. Only a chunk
+``models.err_batch`` (one stacked Cholesky and one inverse per chunk, in the
+scorer behind err), and those scores alone decide the answer. Only a chunk
 with a singular block is scored subset by subset with ``err``, which raises.
 """
 

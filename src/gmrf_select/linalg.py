@@ -18,6 +18,7 @@ import numpy as np
 from .errors import IndexOutOfSupport, SingularComplement, SingularMatrix
 
 RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
+NOT_POSITIVE_DEFINITE = "support block not positive definite: {}"  # also models.err_stack's wording
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +168,7 @@ def trace_of_inverse(m: SupportedMatrix) -> float:
     try:
         chol = np.linalg.cholesky(m.block)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"support block not positive definite: {exc}") from exc
+        raise SingularMatrix(NOT_POSITIVE_DEFINITE.format(exc)) from exc
     inv_l = np.linalg.inv(chol)
     return float(np.sum(inv_l * inv_l))
 
@@ -181,7 +182,7 @@ def diag_of_inverse(m: SupportedMatrix, subset) -> float:
     try:
         chol = np.linalg.cholesky(m.block)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"support block not positive definite: {exc}") from exc
+        raise SingularMatrix(NOT_POSITIVE_DEFINITE.format(exc)) from exc
     half = np.linalg.solve(chol, rhs)
     return float(np.sum(half * half))
 

@@ -29,7 +29,7 @@ from .errors import (
     SingularObservationBlock,
     SingularSubmatrix,
 )
-from .linalg import SupportedMatrix
+from .linalg import NOT_POSITIVE_DEFINITE, SupportedMatrix
 
 INDEPENDENCE_TOL = 1e-12  # |Sigma_ij| below this (relative) counts as independent
 
@@ -267,8 +267,11 @@ def err(model, subset) -> float:
     """Average expected squared prediction error of the unobserved variables:
     (1/n) Tr(Lambda[Sbar, Sbar]^-1). The model's pinned vertices are always in
     the observed set; for a GFF Lambda is the full Laplacian. The one-set case
-    of ``err_batch``."""
-    return err_batch(model, (subset,))[0]
+    of ``err_stack``."""
+    free = np.ones((1, model.n), dtype=bool)
+    free[0, [v - 1 for v in _effective_observed(model, subset)]] = False
+    return float(err_stack(model.precision_matrix.block[None], [model.n],
+                           np.zeros(1, dtype=np.intp), free)[0])
 
 
 def err_batch(model, subsets) -> list[float]:
@@ -311,20 +314,15 @@ def err_stack(precisions, ns, owner, unobserved) -> np.ndarray:
             out[which] = inv_l.sum(axis=(1, 2)) / ns[own]
             del inv_l
     except np.linalg.LinAlgError:
-        row, exc = next((row, exc) for j, row in zip(owner, unobserved)
-                        if (exc := _cholesky_error(precisions[j][np.ix_(row, row)])))
-        raise SingularSubmatrix(
-            f"unobserved block on {tuple((row.nonzero()[0] + 1).tolist())} is singular: "
-            f"support block not positive definite: {exc}") from exc
+        for j, row in zip(owner, unobserved):   # each block factored alone, in set order
+            try:
+                np.linalg.cholesky(precisions[j][np.ix_(row, row)])
+            except np.linalg.LinAlgError as exc:
+                raise SingularSubmatrix(
+                    f"unobserved block on {tuple((row.nonzero()[0] + 1).tolist())} is singular: "
+                    + NOT_POSITIVE_DEFINITE.format(exc)) from exc
+        raise
     return out
-
-
-def _cholesky_error(block: np.ndarray):
-    """The LinAlgError that factoring ``block`` alone raises, or None."""
-    try:
-        np.linalg.cholesky(block)
-    except np.linalg.LinAlgError as exc:
-        return exc
 
 
 def conditional_variance(model, i: int, subset) -> float:

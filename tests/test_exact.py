@@ -443,3 +443,16 @@ class TestErrBatch:
             with pytest.raises(SingularSubmatrix) as got:
                 err_stack(*padded(models), np.array(owner), np.array(rows))
             assert str(got.value).startswith(f"unobserved block on {support} is singular")
+
+    def test_stack_failure_no_block_reproduces_propagates_as_is(self, monkeypatch):
+        # a LinAlgError that no block's own Cholesky reproduces (here from the
+        # stacked inverse) is raised unchanged, also through a generator caller
+        def failing_inv(a):
+            raise np.linalg.LinAlgError("stacked inverse failed")
+
+        monkeypatch.setattr(np.linalg, "inv", failing_inv)
+        g = random_gff(6, seed=1)
+        with pytest.raises(np.linalg.LinAlgError, match="^stacked inverse failed$"):
+            err_batch(g, [(1,), (1, 2)])
+        with pytest.raises(np.linalg.LinAlgError, match="^stacked inverse failed$"):
+            min(err(g, s) for s in [(1,), (1, 2)])
