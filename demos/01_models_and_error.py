@@ -18,7 +18,7 @@ gff = GffModel(6, edges, pin=1)
 
 lap = laplacian(gff)
 print("Laplacian (rows sum to 0):")
-print(np.array_str(lap.block, precision=3, suppress_small=True))
+print(np.array_str(lap, precision=3, suppress_small=True))
 
 S = {1, 4}
 print(f"\nobserving S = {sorted(S)} (the pin is always included)")

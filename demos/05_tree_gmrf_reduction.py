@@ -27,7 +27,7 @@ for u, v, r in gff.edges:
 
 # the conditional law of the GFF's first 5 variables given the tail must match
 # (w_1 X_1, ..., w_5 X_5)
-lap = laplacian(gff).block
+lap = laplacian(gff)
 cond_cov = np.linalg.inv(lap[:5, :5])
 scaled_cov = np.diag(w) @ model.covariance() @ np.diag(w)
 gap = np.abs(cond_cov - scaled_cov).max()

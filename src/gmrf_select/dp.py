@@ -78,15 +78,14 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
             blocks[home][pv, pu] -= c
         return tuple(SupportedMatrix(s, b) for s, b in zip(supports, blocks))
 
-    lam = model.precision_matrix   # full support: GmrfModel refuses anything else
-    w = np.linalg.eigvalsh(lam.block)
+    w = np.linalg.eigvalsh(model.precision_matrix)
     lam_min = float(w[0])
     if lam_min <= linalg.RANK_TOL * max(float(w[-1]), 0.0):
         raise InvariantViolation("general factorization needs positive definite Lambda")
 
     order = td.elimination_order
     perm = np.array([v - 1 for v in order])
-    a_perm = lam.block[np.ix_(perm, perm)]
+    a_perm = model.precision_matrix[np.ix_(perm, perm)]
     chol = None
     for backoff in (1e-9, 1e-7, 1e-5):
         shift = lam_min * (1.0 - backoff)
@@ -156,7 +155,8 @@ class MessageTable:
             obs(f, model.pinned & set(f.support)) for f in factorize(model, td))
         self.sys_clusters = [frozenset(c) - model.pinned for c in td.clusters]
 
-        w = np.linalg.eigvalsh(obs(model.precision_matrix, model.pinned).block)
+        rest = [v - 1 for v in model.vertices if v not in model.pinned]
+        w = np.linalg.eigvalsh(model.precision_matrix[np.ix_(rest, rest)])
         self.key_quantum = max(float(w[-1]), 1e-12) * KEY_QUANTUM_REL
 
         # allow for drift accumulated over the tree height in the runtime

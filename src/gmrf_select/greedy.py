@@ -9,7 +9,9 @@ and tie as before, but a huge covariance's squares do not overflow. Gains within
 TIE_TOL of the best are re-scored by (err, index), so downdate noise never
 breaks a tie. If the winner's fresh gain differs from the engine's by DRIFT_TOL
 (relative to err) or more, Sigma is rebuilt from Lambda and the round redone.
-On GFFs, ``models.make_report`` attaches BUDGET_FACTOR or cover_factor.
+A round whose Sigma holds a variance <= 0, the round-off of an ill-conditioned
+inverse, is refused with NumericFailure before any gain is formed. On GFFs,
+``models.make_report`` attaches BUDGET_FACTOR or cover_factor.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ def _scaled(sigma):
 def _choose(model, selected, rows, sigma, scale):
     """The round's winner on sigma = Sigma * scale: (fresh err of S + {x}, x,
     row of x, engine gain of the unscaled Sigma)."""
-    gains = np.einsum("ij,ij->j", sigma, sigma) / np.diag(sigma) / model.n
+    variances = np.diag(sigma)
+    bad = np.flatnonzero(variances <= 0)
+    if bad.size:
+        raise NumericFailure(
+            f"conditional covariance is not positive definite: vertex {rows[bad[0]]} "
+            f"has variance {variances[bad[0]] / scale:.6g}")
+    gains = np.einsum("ij,ij->j", sigma, sigma) / variances / model.n
     best = gains.max()
     if not np.isfinite(best):   # an infinite or NaN gain would leave `near` empty
         raise NumericFailure(f"conditional covariance is not finite: greedy's best gain is {best}")
@@ -57,7 +65,7 @@ def _greedy_rounds(model, stop):
         fresh, chosen, k, engine = _choose(model, selected, rows, sigma, scale)
         if not abs(engine - (current - fresh)) < DRIFT_TOL * current:
             idx = [v - 1 for v in rows]
-            sigma, scale = _scaled(np.linalg.inv(model.precision_matrix.block[np.ix_(idx, idx)]))
+            sigma, scale = _scaled(np.linalg.inv(model.precision_matrix[np.ix_(idx, idx)]))
             fresh, chosen, k, engine = _choose(model, selected, rows, sigma, scale)
         if fresh - current > 1e-12 * max(current, 1.0):
             raise InvariantViolation(

@@ -142,7 +142,7 @@ def format_model(model) -> str:
             lines.append(f"{u} {v} {r:.12g}")
     else:
         lines = ["gmrf", f"{model.n} {model.n}", " ".join(str(v) for v in model.vertices)]
-        lines += [" ".join(f"{x:.12g}" for x in row) for row in model.precision_matrix.block]
+        lines += [" ".join(f"{x:.12g}" for x in row) for row in model.precision_matrix]
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,11 @@
 """Dense symmetric linear algebra over support-indexed matrices.
 
 A SupportedMatrix is a symmetric PSD matrix that is zero outside a support set
-V of (1-based) indices; only the V x V block is stored. These carry precision
-matrices, cluster factors and message arguments everywhere else in the
-package, whose models own the dimension n. The class holds data and the
-zero matrix; every operation on it is a function of this module, and all are
-pure: inputs are never mutated.
+V of (1-based) indices; only the V x V block is stored. These carry the tree
+DP's cluster factors and message arguments; a model's precision is its own
+plain n x n array, and the model owns the dimension n. The class holds data
+and the zero matrix; every operation on it is a function of this module, and
+all are pure: inputs are never mutated.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -29,13 +30,13 @@ from .errors import (
     SingularObservationBlock,
     SingularSubmatrix,
 )
-from .linalg import NOT_POSITIVE_DEFINITE, SupportedMatrix
+from .linalg import NOT_POSITIVE_DEFINITE
 
 INDEPENDENCE_TOL = 1e-12  # |Sigma_ij| below this (relative) counts as independent
 
 
 class _Model:
-    """What GFFs and GMRFs share once built: n, ``precision_matrix``, ``pinned``."""
+    """What GFFs and GMRFs share: n, ``pinned`` and the read-only n x n ``precision_matrix``."""
 
     pinned = frozenset()
     _covariance = None
@@ -49,7 +50,7 @@ class _Model:
         if self._covariance is None:
             rest = [v - 1 for v in self.vertices if v not in self.pinned]
             try:
-                inv = np.linalg.inv(self.precision_matrix.block[np.ix_(rest, rest)])
+                inv = np.linalg.inv(self.precision_matrix[np.ix_(rest, rest)])
                 _bounded(inv)   # before inv + inv.T, which could overflow
             except (np.linalg.LinAlgError, InvalidMatrix) as exc:
                 raise SingularMatrix(
@@ -119,17 +120,13 @@ class GmrfModel(_Model):
             raise InvariantViolation(
                 f"precision not positive definite (lambda_min = {w[0]:.3e})")
         self.n = len(lam)
-        self.precision_matrix = SupportedMatrix(tuple(self.vertices), lam)
+        lam.setflags(write=False)
+        self.precision_matrix = lam
 
     def graph_edges(self) -> list[tuple[int, int]]:
-        lam = self.precision_matrix.block
-        scale = np.abs(lam).max()
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if abs(lam[i, j]) > 1e-14 * scale:
-                    out.append((i + 1, j + 1))
-        return out
+        size = np.abs(self.precision_matrix)
+        rows, cols = np.nonzero(np.triu(size > 1e-14 * size.max(), 1))   # row-major
+        return list(zip((rows + 1).tolist(), (cols + 1).tolist()))
 
     @classmethod
     def from_covariance(cls, sigma) -> "GmrfModel":
@@ -238,9 +235,10 @@ def make_report(model, selected, solver, budget_or_alpha,
 # the objective and its cross-checks
 # ---------------------------------------------------------------------------
 
-def laplacian(gff: GffModel) -> SupportedMatrix:
-    """Graph Laplacian: off-diagonal -1/r_ij, diagonal the row's conductance sum.
-    The model validated its edges, so the block goes to the constructor as is."""
+def laplacian(gff: GffModel) -> np.ndarray:
+    """Graph Laplacian as a read-only n x n array, vertex v in row v - 1:
+    off-diagonal -1/r_ij, diagonal the row's conductance sum. The model
+    validated its edges, so it is built as is, exactly symmetric."""
     lam = np.zeros((gff.n, gff.n))
     total = [0.0] * gff.n   # Python floats: an overflow gives inf, not a numpy warning
     for u, v, r in gff.edges:
@@ -253,7 +251,8 @@ def laplacian(gff: GffModel) -> SupportedMatrix:
         if not np.isfinite(t):
             raise InvariantViolation(f"total conductance at vertex {v} overflows")
     lam[np.diag_indices(gff.n)] = total
-    return SupportedMatrix(tuple(gff.vertices), lam)
+    lam.setflags(write=False)
+    return lam
 
 
 def _effective_observed(model, subset) -> frozenset:
@@ -270,7 +269,7 @@ def err(model, subset) -> float:
     of ``err_stack``."""
     free = np.ones((1, model.n), dtype=bool)
     free[0, [v - 1 for v in _effective_observed(model, subset)]] = False
-    return float(err_stack(model.precision_matrix.block[None], [model.n],
+    return float(err_stack(model.precision_matrix[None], [model.n],
                            np.zeros(1, dtype=np.intp), free)[0])
 
 
@@ -287,7 +286,7 @@ def err_batch(model, subsets) -> list[float]:
         free[:, v - 1] = False
     rows = np.arange(len(subsets)).repeat([len(s) for s in subsets])
     free[rows, np.array(flat, dtype=int) - 1] = False
-    return err_stack(model.precision_matrix.block[None], [model.n],
+    return err_stack(model.precision_matrix[None], [model.n],
                      np.zeros(len(subsets), dtype=np.intp), free).tolist()
 
 
@@ -352,7 +351,7 @@ def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarra
     if i in s:
         raise InvariantViolation(f"target {i} is observed")
     order = tuple(sorted(s))
-    lam = model.precision_matrix.block
+    lam = model.precision_matrix
     sbar = tuple(v for v in model.vertices if v not in s)
     bi, si = [v - 1 for v in sbar], [v - 1 for v in order]
     try:
@@ -418,13 +417,12 @@ def tree_gmrf_to_gff(model: GmrfModel):
 
     sigma = model.covariance()
     diag = np.sqrt(np.diag(sigma))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(sigma[i, j]) <= INDEPENDENCE_TOL * diag[i] * diag[j]:
-                raise IndependentPairPresent(
-                    f"variables {i + 1} and {j + 1} are independent")
+    independent = np.triu(np.abs(sigma) <= np.outer(INDEPENDENCE_TOL * diag, diag), 1)
+    if independent.any():
+        i, j = divmod(int(independent.argmax()), n)   # the first pair in row order
+        raise IndependentPairPresent(f"variables {i + 1} and {j + 1} are independent")
 
-    lam = model.precision_matrix.block
+    lam = model.precision_matrix
     # root-to-leaf sign pass: make every scaled off-diagonal non-positive
     sign = np.zeros(n)
     for v, p in parent.items():
@@ -451,16 +449,13 @@ def tree_gmrf_to_gff(model: GmrfModel):
         if c <= 0:
             raise InvariantViolation(f"scaled edge ({u},{v}) lost its coupling")
         gff_edges.append((u, v, 1.0 / c))
-    tail = []
-    for v in model.vertices:
-        if rs[v - 1] > rs_tol:
-            aux = n + len(tail) + 1
-            tail.append(aux)
-            gff_edges.append((v, aux, 1.0 / rs[v - 1]))
-    if not tail:
+    dominant = np.flatnonzero(rs > rs_tol)   # one auxiliary vertex per strictly dominant row
+    if not dominant.size:
         raise InvariantViolation("no strictly dominant row; precision not PD?")
+    tail = tuple(range(n + 1, n + 1 + dominant.size))
+    gff_edges += [(int(i) + 1, aux, 1.0 / rs[i]) for i, aux in zip(dominant, tail)]
     gff = GffModel(n + len(tail), gff_edges, pin=tail[0])
-    return w, gff, tuple(tail)
+    return w, gff, tail
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +508,8 @@ def random_gmrf(n: int, tree_width_hint: int = 2,
         raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
     w = min(tree_width_hint, n - 1)
     rng = np.random.default_rng(seed)
-    cliques = [tuple(range(1, w + 2))] if n > w else [tuple(range(1, n + 1))]
-    edge_set = set()
-    for c in cliques:
-        for a in c:
-            for b in c:
-                if a < b:
-                    edge_set.add((a, b))
+    cliques = [tuple(range(1, w + 2))]   # w <= n - 1
+    edge_set = set(combinations(cliques[0], 2))
     for v in range(w + 2, n + 1):
         base = cliques[int(rng.integers(0, len(cliques)))]
         keep = sorted(rng.choice(len(base), size=min(w, len(base)), replace=False))

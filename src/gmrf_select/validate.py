@@ -71,7 +71,7 @@ def _draw_checks(rng, count):
             n = ns[c // 10] = int(rng.integers(3, 11))
             g = random_gff(n, density=float(rng.uniform(0.1, 0.6)),
                            seed=int(rng.integers(0, 1 << 30)))
-            precisions[c // 10, :n, :n] = g.precision_matrix.block
+            precisions[c // 10, :n, :n] = g.precision_matrix
         pick[c] = rng.choice(n - 1, size=2, replace=False)
         joins[c, 2:n - 1] = rng.random(n - 3) < 0.3
     pos, x, y = np.arange(9), pick[:, :1], pick[:, 1:]

@@ -31,6 +31,24 @@ def k5_gff():
     return GffModel(5, edges, pin=1)
 
 
+# Two 8-vertex GFF trees whose edge 1-4 has resistance 1e308. Inverting their
+# Laplacians leaves the variances of 4, 6 and 7 at rounding noise of about
+# 4.5e15 in magnitude: negative on "wide7", positive on "wide173".
+WIDE_EDGES = ((1, 2), (1, 3), (1, 8), (2, 5), (4, 6), (6, 7))
+WIDE_RESISTANCES = {
+    "wide7": (1.184870027179727, 0.9541201029564199, 1.002457100475345,
+              1.4512469168043132, 0.8544418341800417, 1.2108684302174382),
+    "wide173": (1.3658351070497277, 1.0470089269388356, 0.686686094577753,
+                0.8193390533684932, 0.7315870100824629, 0.9500090726268005),
+}
+
+
+def wide_gff_text(name):
+    """The GFF file of one of the WIDE_RESISTANCES trees."""
+    lines = [f"{u} {v} {r!r}" for (u, v), r in zip(WIDE_EDGES, WIDE_RESISTANCES[name])]
+    return "\n".join(["gff 8 7 1", *lines, "1 4 1e308"]) + "\n"
+
+
 def random_tree_gmrf(n, rng, mixed_signs=True):
     """Tree-structured PD precision with random couplings."""
     lam = np.zeros((n, n))
@@ -76,7 +94,7 @@ def padded(models, width=10):
     first two arguments of ``models.err_stack``."""
     stack = np.zeros((len(models), width, width))
     for j, model in enumerate(models):
-        stack[j, :model.n, :model.n] = model.precision_matrix.block
+        stack[j, :model.n, :model.n] = model.precision_matrix
     return stack, [model.n for model in models]
 
 

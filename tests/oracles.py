@@ -49,6 +49,12 @@ class NotUnitRegular(GmrfSelectError):
 # models
 # ---------------------------------------------------------------------------
 
+def supported(model) -> SupportedMatrix:
+    """The model's precision as a SupportedMatrix on 1..n, for the linalg
+    functions."""
+    return SupportedMatrix(tuple(model.vertices), model.precision_matrix)
+
+
 def reduced_covariance(gff: GffModel) -> np.ndarray:
     """Covariance of the non-pin variables, indexed by sorted(V \\ {pin})."""
     rest = [v - 1 for v in gff.vertices if v != gff.pin]
@@ -105,7 +111,7 @@ def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
         return (0.0, True)
     if not s:
         raise SingularSubmatrix("S empty: err is undefined on the full Laplacian")
-    err_s = linalg.trace_of_inverse(linalg.obs(gff.precision_matrix, s)) / gff.n
+    err_s = linalg.trace_of_inverse(linalg.obs(supported(gff), s)) / gff.n
     sbar_set = set(sbar)
     independent = not any(u in sbar_set and v in sbar_set for u, v, _ in gff.edges)
     attained = abs(err_s - bound) <= 1e-9
@@ -122,7 +128,7 @@ def err_reference(model, subset) -> float:
     s = frozenset(subset) | model.pinned
     if len(s) == model.n:
         return 0.0
-    return linalg.trace_of_inverse(linalg.obs(model.precision_matrix, s)) / model.n
+    return linalg.trace_of_inverse(linalg.obs(supported(model), s)) / model.n
 
 
 def stacked_sets(models, owner, unobserved) -> list[tuple]:

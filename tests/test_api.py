@@ -1,5 +1,7 @@
 import dataclasses
 
+import numpy as np
+
 import gmrf_select
 
 PUBLIC = [
@@ -63,3 +65,22 @@ def test_data_type_attributes_are_pinned():
                            "precision_matrix", "vertices"]
     assert public(gmrf) == ["covariance", "from_covariance", "graph_edges", "n", "pinned",
                             "precision_matrix", "vertices"]
+
+
+def test_precision_is_a_read_only_array():
+    # a model's precision is its own dense n x n float array, row v - 1 for
+    # vertex v; only the DP wraps it in a SupportedMatrix
+    gff = gmrf_select.GffModel(3, [(1, 2, 1.0), (2, 3, 2.0)])
+    given = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    gmrf = gmrf_select.GmrfModel(given)
+    for model in (gff, gmrf):
+        lam = model.precision_matrix
+        assert type(lam) is np.ndarray
+        assert lam.dtype == np.float64 and lam.shape == (model.n, model.n)
+        assert not lam.flags.writeable
+    lap = gmrf_select.laplacian(gff)
+    assert type(lap) is np.ndarray and lap.dtype == np.float64 and lap.shape == (3, 3)
+    assert lap.tobytes() == gff.precision_matrix.tobytes()
+    assert not np.shares_memory(gmrf.precision_matrix, given)
+    given[0, 0] = 5.0
+    assert gmrf.precision_matrix[0, 0] == 2.0

@@ -33,6 +33,7 @@ from conftest import (
     random_pd_supported,
     recorded_stack_calls,
     unit_cycle,
+    wide_gff_text,
 )
 from oracles import parse_report, stacked_sets, supermodularity_checks_reference
 
@@ -76,7 +77,7 @@ class TestParseModel:
         m = io.parse_model_text("# a comment\n\ngff 2 1 1\n  # between edges\n1 2 2.0\n# end\n")
         assert m.edges == ((1, 2, 2.0),)
         g = io.parse_model_text("# precision\ngmrf\n2 2\n1 2\n2 1\n1 2\n\n# end\n")
-        assert g.precision_matrix.block.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+        assert g.precision_matrix.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
     def test_text_after_gmrf_matrix_rejected(self):
         # blank and '#' lines after the matrix are skipped, the next is not
@@ -89,8 +90,8 @@ class TestParseModel:
         assert again.edges == m.edges and again.pin == m.pin
         gm = GmrfModel.from_covariance(COUNTEREXAMPLE_SIGMA)
         back = io.parse_model_text(io.format_model(gm))
-        assert np.allclose(back.precision_matrix.block,
-                           gm.precision_matrix.block, rtol=1e-10)
+        assert np.allclose(back.precision_matrix,
+                           gm.precision_matrix, rtol=1e-10)
 
 
 class TestMatrixText:
@@ -101,7 +102,7 @@ class TestMatrixText:
         assert text.splitlines()[:3] == ["gmrf", "3 3", "1 2 3"]
         back = io.parse_model_text(text)
         assert back.n == 3
-        assert np.allclose(back.precision_matrix.block, model.precision_matrix.block,
+        assert np.allclose(back.precision_matrix, model.precision_matrix,
                            rtol=1e-11)
 
     def test_parse_errors_carry_line_numbers(self):
@@ -234,6 +235,16 @@ class TestCli:
         back = io.parse_model_text(capsys.readouterr().out)
         assert isinstance(back, GffModel)
 
+    def test_convert_independent_pair_exit_code(self, tmp_path, capsys):
+        # couplings of -1e-5 leave Cov(X1, X4) near 1e-15, under the tolerance
+        text = ("gmrf\n4 4\n1 2 3 4\n1 -1e-5 0 0\n-1e-5 1 -1e-5 0\n"
+                "0 -1e-5 1 -1e-5\n0 0 -1e-5 1\n")
+        path = write(tmp_path, "weak.gmrf", text)
+        assert main(["convert", "tree-gmrf-to-gff", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variables 1 and 4 are independent\n"
+
     def test_converted_file_reads_back(self, tmp_path, capsys):
         # the '#' lines convert writes before the model do not stop a reader
         gmrf_path, gff_path = str(tmp_path / "t5.gmrf"), str(tmp_path / "t5.gff")
@@ -276,6 +287,28 @@ class TestCli:
         assert main(["select", "greedy", "--input", path, "--budget", "1"]) == 2
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, limit", [
+        ("wide7", ["--alpha", "0.1"]), ("wide7", ["--budget", "1"]),
+        ("wide7", ["--budget", "2"]), ("wide173", ["--alpha", "0.1"]),
+        ("wide173", ["--budget", "2"])])
+    def test_non_positive_variance_exit_code(self, tmp_path, capsys, name, limit):
+        # a round whose covariance holds a variance <= 0 is refused with one
+        # line, before a gain is formed: no traceback, no warning, no answer
+        path = write(tmp_path, f"{name}.gff", wide_gff_text(name))
+        assert main(["select", "greedy", *limit, "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: conditional covariance is not positive definite: "
+                            r"vertex \d has variance \S+\n", captured.err)
+
+    def test_positive_variances_round_answers(self, tmp_path, capsys):
+        path = write(tmp_path, "wide173.gff", wide_gff_text("wide173"))
+        assert main(["select", "greedy", "--budget", "1", "--input", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert (payload["selected"], payload["err"]) == ([1, 6], 0.870787546462)
+
     def test_overflowing_total_conductance_exit_code(self, tmp_path, capsys):
         # each conductance is finite, but their sum at vertex 2 is not
         path = write(tmp_path, "huge.gff", "gff 3 2 1\n1 2 1e-308\n2 3 1e-308\n")
@@ -290,7 +323,7 @@ class TestCli:
         # is exactly symmetric must be stored as built, not averaged with its
         # transpose
         g = GffModel(3, [(1, 2, 1e-308), (2, 3, 1.0)])
-        assert np.isfinite(g.precision_matrix.block).all()
+        assert np.isfinite(g.precision_matrix).all()
         for s in ({1}, {1, 2}, {1, 3}):
             rest = [v for v in g.vertices if v not in s]
             by_resistance = sum(effective_resistance(g, i, s) for i in rest) / g.n
@@ -453,7 +486,7 @@ class TestCli:
         # a tree, so dp needs no decomposition file; the pin is free
         g = random_gff(9, density=0.0, seed=5)
         path = write(tmp_path, "t9.gff", io.format_model(g))
-        lap = laplacian(g).block
+        lap = laplacian(g)
         for pin in (4, 9):
             assert main(["select", mode, "--input", path, "--budget", "2",
                          "--pin", str(pin)]) == 0

@@ -39,13 +39,13 @@ class TestFactorize:
         m, edges, bags, links = triangle_chain_gmrf(3, np.random.default_rng(0))
         td = normalize([{1, 2, 3}], [], 3, edges)
         cf = factorize(m, td)
-        assert np.allclose(factor_total(cf, 3), m.precision_matrix.block, atol=1e-10)
+        assert np.allclose(factor_total(cf, 3), m.precision_matrix, atol=1e-10)
 
     def test_gff_edge_assignment_sums_to_laplacian(self):
         g = unit_path(3)
         td = normalize([{1, 2}, {2, 3}], [(0, 1)], 3, g.graph_edges())
         cf = factorize(g, td)
-        assert np.allclose(factor_total(cf, 3), g.precision_matrix.block, atol=1e-12)
+        assert np.allclose(factor_total(cf, 3), g.precision_matrix, atol=1e-12)
         for f in cf:
             assert is_gff_class(f.block, abs_tol=1e-12)
 
@@ -56,7 +56,7 @@ class TestFactorize:
             m, edges, bags, links = triangle_chain_gmrf(n, rng)
             td = normalize(bags, links, n, edges)
             cf = factorize(m, td)
-            lam = m.precision_matrix.block
+            lam = m.precision_matrix
             assert np.allclose(factor_total(cf, n), lam,
                                atol=1e-10 * np.abs(lam).max())
             w = np.linalg.eigvalsh(lam)
@@ -75,7 +75,7 @@ class TestFactorize:
             g = random_gff(n, density=0.0, seed=int(rng.integers(1 << 30)))
             td = balance_for_tree(n, g.graph_edges())
             cf = factorize(g, td)
-            lap = g.precision_matrix.block
+            lap = g.precision_matrix
             assert np.allclose(factor_total(cf, n), lap, atol=1e-10 * np.abs(lap).max())
             for f in cf:
                 assert is_gff_class(f.block, abs_tol=1e-12)
@@ -196,7 +196,7 @@ class TestTableInvariants:
         td = normalize(bags, links, 6, edges)
         mt = run_dp(m, td, 2, 0.05)
         assert mt.rounding_audit
-        w = np.linalg.eigvalsh(m.precision_matrix.block)
+        w = np.linalg.eigvalsh(m.precision_matrix)
         for pre, post in mt.rounding_audit:
             if not pre.support:
                 continue

@@ -5,6 +5,7 @@ import pytest
 
 from gmrf_select.errors import InvariantViolation, NumericFailure
 from gmrf_select.greedy import greedy_budget, greedy_cover
+from gmrf_select.io import parse_model_text
 from gmrf_select.models import (
     BUDGET_FACTOR,
     GffModel,
@@ -14,7 +15,7 @@ from gmrf_select.models import (
     random_gmrf,
 )
 
-from conftest import unit_path
+from conftest import unit_path, wide_gff_text
 
 
 def naive_greedy(model, b):
@@ -82,6 +83,26 @@ class TestGreedyBudget:
         monkeypatch.setattr(greedy_mod, "_scaled", lambda sigma: (sigma * np.nan, 1.0))
         with pytest.raises(NumericFailure, match="greedy's best gain is nan"):
             greedy_budget(unit_path(4), 1)
+
+    def test_negative_variance_is_refused(self):
+        # the inverted Laplacian's variances at 4, 6 and 7 are about -4.5e15:
+        # no gain ranks the round, so it is refused before any gain is formed
+        model = parse_model_text(wide_gff_text("wide7"))
+        with pytest.raises(NumericFailure, match="vertex 4 has variance -4.5"):
+            greedy_budget(model, 1)
+        with pytest.raises(NumericFailure, match="vertex 4 has variance -4.5"):
+            greedy_cover(model, 0.1)
+
+    def test_zero_variance_after_downdate_is_refused(self):
+        # the first round answers as exact does; its downdate leaves a zero
+        # variance, which the second round refuses before dividing by it
+        model = parse_model_text(wide_gff_text("wide173"))
+        report = greedy_budget(model, 1)
+        assert report.selected == (1, 6)
+        assert f"{report.err_value:.12g}" == "0.870787546462"
+        for solve in (lambda: greedy_budget(model, 2), lambda: greedy_cover(model, 0.1)):
+            with pytest.raises(NumericFailure, match="has variance 0"):
+                solve()
 
     def test_err_increase_is_refused(self, monkeypatch):
         # an err that grows with the set's size breaks greedy's descent check

@@ -40,28 +40,34 @@ from conftest import (
     unit_cycle,
     unit_path,
 )
-from oracles import NotUnitRegular, electrical_flow, flow_energy, regular_tightness
+from oracles import (
+    NotUnitRegular,
+    electrical_flow,
+    flow_energy,
+    regular_tightness,
+    supported,
+)
 
 
 class TestLaplacian:
     def test_single_edge(self):
         g = GffModel(2, [(1, 2, 2.0)])
-        assert np.allclose(laplacian(g).block, [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(laplacian(g), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_unit_path(self):
-        lap = laplacian(unit_path(3)).block
+        lap = laplacian(unit_path(3))
         assert np.allclose(np.diag(lap), [1.0, 2.0, 1.0])
         assert lap[0, 1] == -1.0 and lap[1, 2] == -1.0 and lap[0, 2] == 0.0
 
     def test_k5(self):
-        lap = laplacian(k5_gff()).block
+        lap = laplacian(k5_gff())
         assert np.allclose(np.diag(lap), 1.6)
         off = lap - np.diag(np.diag(lap))
         assert np.allclose(off[off != 0], -0.4)
 
     def test_rows_sum_to_zero(self):
         g = random_gff(9, density=0.4, seed=3)
-        assert np.allclose(laplacian(g).block.sum(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(laplacian(g).sum(axis=1), 0.0, atol=1e-12)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
@@ -104,11 +110,11 @@ class TestMatrixCheck:
 
     def test_accepts_valid_input(self):
         m = GmrfModel([[2.0, -1.0], [-1.0, 2.0]])
-        assert m.n == 2 and m.precision_matrix.support == (1, 2)
-        assert m.precision_matrix.block[1, 0] == -1.0
+        assert m.n == 2 and m.precision_matrix.shape == (2, 2)
+        assert m.precision_matrix[1, 0] == -1.0
         # a matrix symmetric to round-off is stored as the mean of it and its mirror
         block = np.array([[2.0, -1.0], [-1.0 - 2.0 ** -51, 2.0]])
-        stored = GmrfModel(block).precision_matrix.block
+        stored = GmrfModel(block).precision_matrix
         assert stored is not block and not stored.flags.writeable
         assert stored.tobytes() == (0.5 * (block + block.T)).tobytes()
         assert stored[0, 1] == stored[1, 0] != -1.0
@@ -284,7 +290,7 @@ class TestRegularTightness:
     def test_c4_not_tight(self):
         # oracle: err({1,2}) from the explicit 2x2 complement block
         g = unit_cycle(4)
-        block = obs(laplacian(g), {1, 2})
+        block = obs(supported(g), {1, 2})
         oracle = trace_of_inverse(block) / 4
         assert abs(oracle - 1.0 / 3.0) < 1e-12
         bound, tight = regular_tightness(g, {1, 2})
@@ -406,12 +412,12 @@ class TestTreeGmrfToGff:
             n = int(rng.integers(2, 9))
             m = random_tree_gmrf(n, rng)
             w, gff, tail = tree_gmrf_to_gff(m)
-            lap = laplacian(gff).block
+            lap = laplacian(gff)
             cond_cov = np.linalg.inv(lap[:n, :n])
             d = np.diag(w)
             assert np.allclose(d @ m.covariance() @ d, cond_cov, atol=1e-8)
             # scaled precision is dd with non-positive off-diagonals
-            lam_s = np.diag(1 / w) @ m.precision_matrix.block @ np.diag(1 / w)
+            lam_s = np.diag(1 / w) @ m.precision_matrix @ np.diag(1 / w)
             off = lam_s - np.diag(np.diag(lam_s))
             assert off.max() <= 1e-9
             assert lam_s.sum(axis=1).min() >= -1e-9
@@ -423,7 +429,7 @@ class TestTreeGmrfToGff:
                         [0.0, -0.7, 1.0]])
         m = GmrfModel(lam)
         w, gff, tail = tree_gmrf_to_gff(m)
-        lap = laplacian(gff).block
+        lap = laplacian(gff)
         d = np.diag(w)
         assert np.allclose(d @ m.covariance() @ d,
                            np.linalg.inv(lap[:3, :3]), atol=1e-8)
@@ -447,6 +453,15 @@ class TestTreeGmrfToGff:
         with pytest.raises((IndependentPairPresent, NotATree)):
             tree_gmrf_to_gff(GmrfModel.from_covariance(sigma))
 
+    def test_weakly_coupled_pair_named(self):
+        # a connected tree whose path couplings of -1e-5 leave Cov(X1, X4)
+        # near 1e-15: the first pair under the tolerance, in row order
+        lam = np.eye(4)
+        for i in range(3):
+            lam[i, i + 1] = lam[i + 1, i] = -1e-5
+        with pytest.raises(IndependentPairPresent, match="^variables 1 and 4 are independent$"):
+            tree_gmrf_to_gff(GmrfModel(lam))
+
 
 class TestGenerators:
     def test_determinism(self):
@@ -455,7 +470,7 @@ class TestGenerators:
         assert a.edges == b.edges
         c = random_gmrf(8, 2, seed=7)
         d = random_gmrf(8, 2, seed=7)
-        assert np.array_equal(c.precision_matrix.block, d.precision_matrix.block)
+        assert np.array_equal(c.precision_matrix, d.precision_matrix)
 
     def test_two_vertices(self):
         g = random_gff(2, density=0.0, seed=1)
@@ -468,15 +483,15 @@ class TestGenerators:
 
     def test_condition_cap(self):
         m = random_gmrf(12, 3, condition_cap=50.0, seed=3)
-        eig = np.linalg.eigvalsh(m.precision_matrix.block)
+        eig = np.linalg.eigvalsh(m.precision_matrix)
         assert eig[-1] / eig[0] <= 50.0 * (1 + 1e-9)
 
     def test_condition_cap_shift(self):
         # at cap 10 these instances need the diagonal shift
         for seed in range(4):
-            kappa = np.linalg.cond(random_gmrf(30, 3, seed=seed).precision_matrix.block)
+            kappa = np.linalg.cond(random_gmrf(30, 3, seed=seed).precision_matrix)
             eig = np.linalg.eigvalsh(random_gmrf(30, 3, condition_cap=10.0, seed=seed)
-                                     .precision_matrix.block)
+                                     .precision_matrix)
             assert kappa > 10.0 and eig[-1] / eig[0] <= 10.0 * (1 + 1e-9)
 
     def test_infeasible(self):
@@ -498,7 +513,7 @@ class TestGenerators:
 
 def test_gmrf_graph_matches_pattern():
     m = random_gmrf(8, 2, seed=11)
-    lam = m.precision_matrix.block
+    lam = m.precision_matrix
     edges = set(m.graph_edges())
     for i in range(1, 9):
         for j in range(i + 1, 9):

@@ -21,10 +21,19 @@ whose tie classes test exact's tie-breaking, and `select exact` and `select
 greedy` with `--budget 1` on a GFF with resistances of 1e200, whose covariance
 is finite but whose squares are not, and `select dp --budget 1` on a unit
 4-path, whose epsilon is not clamped, so neither side prints anything on
-stderr.
+stderr. On two 8-vertex GFF trees with a resistance of 1e308 on edge 1-4,
+"wide7" and "wide173", it runs `select greedy` with `--alpha 0.1`, `--budget
+1` and `--budget 2`: their inverted Laplacians hold variances of about
+-4.5e15 (wide7) and 4.5e15 (wide173), rounding noise.
 
-Expected differences against a parent from before greedy scaled its
-covariance by a power of two: that greedy command exits 2 there with
+Expected differences against a parent from before greedy refused a variance
+<= 0: five of the six wide-tree commands. There, wide7 `--alpha 0.1` exits 1
+with a traceback, wide7's budgets exit 0 with a wrong answer, and wide173's
+`--alpha 0.1` and `--budget 2` print a RuntimeWarning; here each exits 2 with
+one `error:` line naming the variance. wide173 `--budget 1` is the same on
+both sides. Against a parent from before greedy scaled its
+covariance by a power of two: the greedy command on the 1e200 resistances
+exits 2 there with
 `conditional covariance overflows` and answers [1, 3] here, as exact does.
 Against a parent from before the package stopped warning: the stderr of every
 `select dp` on a GFF whose epsilon is clamped, and of `validate --trials 0`,
@@ -65,6 +74,12 @@ SMALL = {
     "path5.gff": "gff 5 4 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n",
     "huge.gff": "gff 3 2 1\n1 2 1e200\n2 3 1e200\n",
     "path4.gff": "gff 4 3 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n",
+    "wide7.gff": "gff 8 7 1\n1 2 1.184870027179727\n1 3 0.9541201029564199\n"
+                 "1 8 1.002457100475345\n2 5 1.4512469168043132\n4 6 0.8544418341800417\n"
+                 "6 7 1.2108684302174382\n1 4 1e308\n",
+    "wide173.gff": "gff 8 7 1\n1 2 1.3658351070497277\n1 3 1.0470089269388356\n"
+                   "1 8 0.686686094577753\n2 5 0.8193390533684932\n4 6 0.7315870100824629\n"
+                   "6 7 0.9500090726268005\n1 4 1e308\n",
 }
 
 
@@ -111,7 +126,7 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
     (input_root / "small").mkdir()
     for fname, model_text in SMALL.items():
         (input_root / "small" / fname).write_text(model_text)
-    cycle, path, huge, path4 = (str(input_root / "small" / fname) for fname in SMALL)
+    cycle, path, huge, path4, *wide = (str(input_root / "small" / fname) for fname in SMALL)
     # alpha is the budget-2 optimum's err exactly: exact's cover meets it on the dot
     for label, model, alpha in (("cycle6", cycle, "0.24999999999999992"),
                                 ("path5", path, "0.19999999999999996")):
@@ -122,6 +137,10 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
             ("greedy huge resistances", ["select", "greedy", "--budget", "1",
                                          "--input", huge]),
             ("dp path4", ["select", "dp", "--budget", "1", "--input", path4])]
+    for label, model in zip(("wide7", "wide173"), wide):
+        for limit in (["--alpha", "0.1"], ["--budget", "1"], ["--budget", "2"]):
+            out.append((f"greedy {label} {' '.join(limit)}",
+                        ["select", "greedy", *limit, "--input", model]))
     out = [(label, ["-m", "gmrf_select.cli", *argv]) for label, argv in out]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out.append((f"demo {demo.stem}", [f"{{root}}/demos/{demo.name}"]))
