@@ -1,7 +1,7 @@
 """Greedy supermodular minimization: the budget and cover problems.
 
-One loop serves GFFs and GMRFs on Sigma = Lambda[Sbar, Sbar]^-1, taken from the
-model's cached covariance. Observing x lowers n * err by ||Sigma[:, x]||^2 /
+One loop serves GFFs and GMRFs on Sigma = Lambda[Sbar, Sbar]^-1, inverted by
+``models.inverse``. Observing x lowers n * err by ||Sigma[:, x]||^2 /
 Sigma[x, x]: a round scores all candidates in one pass, then a rank-one Schur
 downdate removes the winner (O(n^2), not O(n^3) per candidate). Sigma is held
 times a power of two near 1 / its largest entry: exact in binary, so gains rank
@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .errors import InvariantViolation, NumericFailure
-from .models import SelectionReport, err, make_report
+from .models import SelectionReport, err, inverse, make_report
 
 TIE_TOL = 1e-9
 DRIFT_TOL = 1e-6
@@ -58,14 +58,16 @@ def _greedy_rounds(model, stop):
     selected = set(model.pinned)
     current = err(model, selected)
     rows = [v for v in model.vertices if v not in selected]
-    idx = [v - 1 for v in rows]
-    sigma, scale = _scaled(model.covariance()[np.ix_(idx, idx)])
+    def scaled_sigma():   # on the current rows: at the start and after drift
+        idx = [v - 1 for v in rows]
+        return _scaled(inverse(model.precision_matrix[np.ix_(idx, idx)],
+                               "inverting the precision"))
+    sigma, scale = scaled_sigma()
 
     while rows and not stop(selected, current):
         fresh, chosen, k, engine = _choose(model, selected, rows, sigma, scale)
         if not abs(engine - (current - fresh)) < DRIFT_TOL * current:
-            idx = [v - 1 for v in rows]
-            sigma, scale = _scaled(np.linalg.inv(model.precision_matrix[np.ix_(idx, idx)]))
+            sigma, scale = scaled_sigma()
             fresh, chosen, k, engine = _choose(model, selected, rows, sigma, scale)
         if fresh - current > 1e-12 * max(current, 1.0):
             raise InvariantViolation(

@@ -49,14 +49,9 @@ class _Model:
         """Full n x n covariance, exactly symmetric, pinned rows zero; cached."""
         if self._covariance is None:
             rest = [v - 1 for v in self.vertices if v not in self.pinned]
-            try:
-                inv = np.linalg.inv(self.precision_matrix[np.ix_(rest, rest)])
-                _bounded(inv)   # before inv + inv.T, which could overflow
-            except (np.linalg.LinAlgError, InvalidMatrix) as exc:
-                raise SingularMatrix(
-                    f"covariance is ill-conditioned (inverting the precision: {exc})") from exc
             cov = np.zeros((self.n, self.n))
-            cov[np.ix_(rest, rest)] = 0.5 * (inv + inv.T)
+            cov[np.ix_(rest, rest)] = inverse(self.precision_matrix[np.ix_(rest, rest)],
+                                              "inverting the precision")
             cov.setflags(write=False)
             self._covariance = cov
         return self._covariance
@@ -130,19 +125,9 @@ class GmrfModel(_Model):
 
     @classmethod
     def from_covariance(cls, sigma) -> "GmrfModel":
-        """The GMRF whose covariance is ``sigma``, checked as a precision is.
-        If the inverse fails that check, no row of ``sigma`` is at fault: the
-        covariance is too ill-conditioned, and SingularMatrix says so."""
-        sigma = _checked(sigma)
-        try:
-            lam = np.linalg.inv(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(f"covariance is singular: {exc}") from exc
-        try:
-            _bounded(lam)   # before lam + lam.T, which could overflow
-            return cls(0.5 * (lam + lam.T))
-        except InvalidMatrix as exc:
-            raise SingularMatrix(f"covariance is ill-conditioned (its inverse: {exc})") from exc
+        """The GMRF whose covariance is ``sigma``, checked as a precision is;
+        ``inverse`` refuses a singular or too ill-conditioned ``sigma``."""
+        return cls(inverse(_checked(sigma), "its inverse"))
 
 
 def _checked(matrix) -> np.ndarray:
@@ -160,6 +145,20 @@ def _checked(matrix) -> np.ndarray:
         below = np.tril(bad | bad.T, -1)
         raise InvalidMatrix("block is not symmetric", row=int(below.any(axis=1).argmax()))
     return 0.5 * (a + a.T)
+
+
+def inverse(block: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of a symmetric block, as 0.5 * (inv + inv.T). SingularMatrix
+    refuses a block LAPACK cannot invert, or whose inverse fails ``_bounded``;
+    ``what`` names the inversion in its message."""
+    try:
+        inv = np.linalg.inv(block)
+        _bounded(inv)   # before inv + inv.T, which could overflow
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"covariance is singular ({what}: {exc})") from exc
+    except InvalidMatrix as exc:
+        raise SingularMatrix(f"covariance is ill-conditioned ({what}: {exc})") from exc
+    return 0.5 * (inv + inv.T)
 
 
 def _bounded(a: np.ndarray) -> np.ndarray:
@@ -266,16 +265,13 @@ def err(model, subset) -> float:
     """Average expected squared prediction error of the unobserved variables:
     (1/n) Tr(Lambda[Sbar, Sbar]^-1). The model's pinned vertices are always in
     the observed set; for a GFF Lambda is the full Laplacian. The one-set case
-    of ``err_stack``."""
-    free = np.ones((1, model.n), dtype=bool)
-    free[0, [v - 1 for v in _effective_observed(model, subset)]] = False
-    return float(err_stack(model.precision_matrix[None], [model.n],
-                           np.zeros(1, dtype=np.intp), free)[0])
+    of ``err_batch``."""
+    return err_batch(model, [subset])[0]
 
 
 def err_batch(model, subsets) -> list[float]:
-    """err of each set, through one ``err_stack`` call. If a set is not a
-    selection, err's InvariantViolation is raised at the first such set."""
+    """err of each set, through one ``err_stack`` call. InvariantViolation
+    names the first set that is not a selection."""
     subsets = [tuple(s) for s in subsets]
     flat = [v for s in subsets for v in s]
     if not set(flat) <= set(model.vertices):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import gmrf_select.dp as dp_mod
-from gmrf_select import linalg, models
+from gmrf_select import io, linalg, models
+from gmrf_select.cli import main
 from gmrf_select.decomposition import balance_for_tree, normalize
 from gmrf_select.dp import (
     DEFAULT_STATE_CAP,
@@ -21,6 +22,7 @@ from gmrf_select.errors import (
     EliminationOrderBroken,
     EmptyTable,
     InvariantViolation,
+    NumericFailure,
     SingularComplement,
     SingularMatrix,
     StateSpaceExceeded,
@@ -136,6 +138,24 @@ class TestRunDp:
         mt = MessageTable(g, balance_for_tree(4, g.graph_edges()), 1, 0.02, DEFAULT_STATE_CAP)
         with pytest.raises(EmptyTable, match="^run_dp has not populated a finite root message$"):
             extract_solution(mt)
+
+    def test_every_prior_singular_empties_the_root(self, monkeypatch, tmp_path, capsys):
+        # cluster 0 holds only the pin, so every root configuration needs a
+        # child prior; with none computable no root message is finite
+        def singular(*args):
+            raise SingularComplement("forced singular block")
+
+        monkeypatch.setattr(dp_mod, "marginal", singular)
+        g = random_gff(12, density=0.0, seed=2)
+        td = balance_for_tree(12, g.graph_edges())
+        message = "no finite root message; every configuration hit a singular block"
+        with pytest.raises(NumericFailure) as info:
+            run_dp(g, td, 3, 1e-12)
+        assert str(info.value) == message
+        path = tmp_path / "tree12.gff"
+        path.write_text(io.format_model(g))
+        assert main(["select", "dp", "--input", str(path), "--budget", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_recomputed_err_above_the_table_bound_is_refused(self, monkeypatch):
         g = unit_path(4)

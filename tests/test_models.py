@@ -501,6 +501,8 @@ class TestGenerators:
             random_gff(4, resistance_range=(2.0, 1.0), seed=0)
         with pytest.raises(InfeasibleParameters):
             random_gmrf(5, 2, condition_cap=0.5, seed=0)
+        with pytest.raises(InfeasibleParameters, match=r"^n must be >= 2, got 1$"):
+            random_gmrf(1)
         for density in (float("nan"), -0.1, 1.5):
             with pytest.raises(InfeasibleParameters, match="density"):
                 random_gff(6, density=density, seed=0)
@@ -535,8 +537,9 @@ def test_singular_precision_block_gives_singular_matrix():
     # 2^900 + 2^-1000 rounds to 2^900, so the block of vertices 2 and 3 is
     # exactly singular; LAPACK's inverse fails and the covariance says why
     g = GffModel(3, [(1, 2, 2.0 ** 1000), (2, 3, 2.0 ** -900)])
-    with pytest.raises(SingularMatrix, match="inverting the precision: Singular matrix"):
+    with pytest.raises(SingularMatrix) as info:
         conditional_variance(g, 2, {1})
+    assert str(info.value) == "covariance is singular (inverting the precision: Singular matrix)"
 
 
 GUARANTEE_MODELS = {"gff": lambda: random_gff(6, density=0.0, seed=1),

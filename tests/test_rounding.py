@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gmrf_select.errors import EigenvalueOutOfRange, OutOfGridRange, RankDeficient
+from gmrf_select.errors import (EigenvalueOutOfRange, InvariantViolation, OutOfGridRange,
+                                RankDeficient)
 from gmrf_select.linalg import SupportedMatrix, marginal, obs, trace_of_inverse
 from gmrf_select.models import random_gff
 from gmrf_select.rounding import (
@@ -103,6 +104,13 @@ class TestGffRound:
         small = SupportedMatrix((1,), np.array([[r.c_l / 10.0]]))
         with pytest.raises(OutOfGridRange):
             r.round(small)
+
+    def test_outside_the_class_raises(self):
+        # a positive off-diagonal: refused before any entry is snapped
+        r = GffRounder(c_l=0.1, c_h=10.0, eps=0.1)
+        with pytest.raises(InvariantViolation) as info:
+            r.round(SupportedMatrix((1, 2), np.array([[1.0, 0.5], [0.5, 1.0]])))
+        assert str(info.value) == "matrix outside the diagonally-dominant M-matrix class"
 
     def test_net_membership(self):
         rng = np.random.default_rng(2)

@@ -18,8 +18,8 @@ spread beside every run, and each median is printed with its spread:
   oracle-small `validate` request). Then the solvers' other layers: one
   `models.err` on `random_gff(200, density=0.02, seed=3)` observing every
   tenth vertex; one greedy round, `greedy_budget(random_gff(400,
-  density=0.01, seed=3), 1)` on the model's already cached covariance (the
-  round's err calls and the report's err included); and one exact chunk,
+  density=0.01, seed=3), 1)` (the inverse of the unpinned 399 x 399 block,
+  the round's err calls and the report's err included); and one exact chunk,
   `models.err_batch` on the first 4,096 six-vertex subsets of
   `random_gff(16, density=0.3, seed=3)`. Every repeat is one fresh process
   per side, the sides alternating which goes first; after one untimed call
@@ -152,7 +152,6 @@ def solver_cases():
     g200 = random_gff(200, density=0.02, seed=3)
     yield "err-n200", err, (g200, range(2, 201, 10)), float.hex
     g400 = random_gff(400, density=0.01, seed=3)
-    g400.covariance()   # the round starts from the cached covariance, as in a run
     yield "greedy-round-n400", greedy_budget, (g400, 1), lambda report: {
         "selected": list(report.selected), "err": report.err_value.hex()}
     chunk = list(islice(combinations(range(2, 17), 6), 4096))

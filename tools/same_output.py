@@ -42,7 +42,10 @@ where a two-line RuntimeWarning became one `note:` line.
 Apart from these program commands, it runs `eval --set 1` on each of a
 group of malformed model files (MALFORMED), which both sides should refuse
 with exit 2; a change to the messages at the input boundary shows up there as
-a list of differences.
+a list of differences. Against a parent from before every covariance was
+inverted by `models.inverse`, one is expected: the `singular covariance`
+file's stderr, `error: covariance is singular: Singular matrix` there and
+`error: covariance is singular (its inverse: Singular matrix)` here.
 
 Every command runs in a fresh `python3` process with PYTHONPATH set to the
 side's `src/` and bytecode writing off, so neither checkout changes. A command
