@@ -21,7 +21,6 @@ from .errors import (
     InvariantViolation,
     NotATree,
     ParseError,
-    StateSpaceExceeded,
 )
 from .exact import DEFAULT_MAX_N, exact_budget, exact_cover
 from .greedy import greedy_budget, greedy_cover
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (StateSpaceExceeded, InstanceTooLarge) as exc:
+    except InstanceTooLarge as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return 3
     except (GmrfSelectError, OSError) as exc:

@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidDecomposition,
-    InvariantViolation,
-    NotATree,
-    ParseError,
-    WidthMismatch,
-)
+from .errors import InvalidDecomposition, InvariantViolation, NotATree, ParseError
 
 
 def adjacency(vertices, edges) -> dict:
@@ -276,7 +270,7 @@ def read_td_text(text: str):
         raise ParseError(f"bag indices {sorted(bags)} != 1..{m}")
     actual = max((len(b) for b in bags.values()), default=0)
     if actual > width_plus_1:
-        raise WidthMismatch(
+        raise ParseError(
             f"declared width+1 = {width_plus_1} but a bag has {actual} vertices")
     clusters = [bags[i] for i in range(1, m + 1)]
     zero_edges = [(a - 1, b - 1) for a, b in edges]

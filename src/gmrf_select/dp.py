@@ -30,13 +30,11 @@ import numpy as np
 from . import linalg
 from .decomposition import TreeDecomposition, adjacency, search
 from .errors import (
-    EliminationOrderBroken,
-    EmptyTable,
+    InstanceTooLarge,
+    InvalidDecomposition,
     InvariantViolation,
     NumericFailure,
-    SingularComplement,
     SingularMatrix,
-    StateSpaceExceeded,
 )
 from .linalg import SupportedMatrix, add, marginal, obs
 from .models import GffModel, SelectionReport, make_report
@@ -104,7 +102,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
         verts = [order[r] for r in rows]
         home = next((t for t, c in enumerate(td.clusters) if set(verts) <= c), None)
         if home is None:
-            raise EliminationOrderBroken(
+            raise InvalidDecomposition(
                 f"Cholesky column for vertex {order[col]} has support {sorted(verts)}, "
                 f"inside no cluster")
         idx = [pos[home][v] for v in verts]
@@ -187,7 +185,7 @@ class MessageTable:
         else:
             self.states += 1
         if self.contexts + self.states > self.state_cap:
-            raise StateSpaceExceeded(self.sizing_report())
+            raise InstanceTooLarge(self.sizing_report())
 
     def key_of(self, m: SupportedMatrix) -> tuple:
         ints = np.rint(m.block / self.key_quantum).astype(np.int64)
@@ -230,7 +228,7 @@ class MessageTable:
             else:
                 out = linalg.diag_of_inverse(
                     block, tuple(v for v in block.support if v in keep))
-        except (SingularComplement, SingularMatrix, np.linalg.LinAlgError):
+        except (SingularMatrix, np.linalg.LinAlgError):
             out = None
         self._kernels[key] = out
         return out
@@ -368,7 +366,7 @@ def extract_solution(mt: MessageTable, details=None) -> SelectionReport:
     """Report the minimizing root entry's chosen set and err (fresh), plus ``details``."""
     table, model, b = mt.root_table, mt.model, mt.budget
     if not table:
-        raise EmptyTable("run_dp has not populated a finite root message")
+        raise NumericFailure("run_dp has not populated a finite root message")
     best = table[min(table, key=lambda k: (table[k].value, table[k].tiebreak, k))]
     if len(best.chosen) > b:
         raise InvariantViolation(

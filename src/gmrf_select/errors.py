@@ -1,4 +1,13 @@
-"""Exception hierarchy. Every error raised by this package derives from GmrfSelectError."""
+"""Exception hierarchy. Every error raised by this package derives from
+GmrfSelectError.
+
+One class per failure: a new raise site reuses the class that already names
+its failure, and the message says where it happened. So SingularMatrix is
+every block that must be positive definite and is not, wherever it sits, and
+the DP's kernel drops exactly that (and numpy's LinAlgError). RankDeficient
+stays apart: the SVD rounding refuses a rank-deficient block on purpose, and
+folding it into SingularMatrix would make the kernel drop such blocks instead.
+"""
 
 
 class GmrfSelectError(Exception):
@@ -8,10 +17,6 @@ class GmrfSelectError(Exception):
 # --- supported-matrix operations ---
 
 class IndexOutOfSupport(GmrfSelectError):
-    pass
-
-
-class SingularComplement(GmrfSelectError):
     pass
 
 
@@ -35,18 +40,6 @@ class DisconnectedGraph(GmrfSelectError):
     pass
 
 
-class SingularSubmatrix(GmrfSelectError):
-    pass
-
-
-class SingularObservationBlock(GmrfSelectError):
-    pass
-
-
-class DisconnectedFromS(GmrfSelectError):
-    pass
-
-
 class NotATree(GmrfSelectError):
     pass
 
@@ -63,7 +56,7 @@ class InvariantViolation(GmrfSelectError):
     pass
 
 
-# --- exact search ---
+# --- size caps: the exhaustive search's n and the DP's state space ---
 
 class InstanceTooLarge(GmrfSelectError):
     pass
@@ -75,19 +68,7 @@ class InvalidDecomposition(GmrfSelectError):
     pass
 
 
-class WidthMismatch(GmrfSelectError):
-    pass
-
-
-class EliminationOrderBroken(GmrfSelectError):
-    pass
-
-
 class OutOfGridRange(GmrfSelectError):
-    pass
-
-
-class EigenvalueOutOfRange(GmrfSelectError):
     pass
 
 
@@ -95,15 +76,7 @@ class RankDeficient(GmrfSelectError):
     pass
 
 
-class StateSpaceExceeded(GmrfSelectError):
-    pass
-
-
 class NumericFailure(GmrfSelectError):
-    pass
-
-
-class EmptyTable(GmrfSelectError):
     pass
 
 

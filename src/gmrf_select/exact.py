@@ -14,12 +14,7 @@ import math
 import os
 import time
 
-from .errors import (
-    InfeasibleParameters,
-    InstanceTooLarge,
-    InvariantViolation,
-    SingularSubmatrix,
-)
+from .errors import InfeasibleParameters, InstanceTooLarge, InvariantViolation, SingularMatrix
 from .models import SelectionReport, err, err_batch, make_report
 
 DEFAULT_MAX_N = 20
@@ -54,7 +49,7 @@ def _scored(model, combos):
         sels = [tuple(sorted(pinned | set(extra))) for extra in chunk]
         try:
             scores = err_batch(model, chunk)
-        except SingularSubmatrix:
+        except SingularMatrix:
             scores = (err(model, sel) for sel in sels)
         yield from zip(scores, sels)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfSupport, SingularComplement, SingularMatrix
+from .errors import IndexOutOfSupport, SingularMatrix
 
 RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
 NOT_POSITIVE_DEFINITE = "support block not positive definite: {}"  # also models.err_stack's wording
@@ -147,7 +147,7 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
     e_block = flat.take(ee).reshape(len(elim), len(elim))
     w = np.linalg.eigvalsh(e_block)
     if w[0] <= RANK_TOL * max(w[-1], 0.0):
-        raise SingularComplement(
+        raise SingularMatrix(
             f"eliminated block on {elim} is rank-deficient "
             f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")
     if not keep:

@@ -20,15 +20,12 @@ import numpy as np
 
 from .decomposition import adjacency, search, tree_adjacency
 from .errors import (
-    DisconnectedFromS,
     DisconnectedGraph,
     IndependentPairPresent,
     InfeasibleParameters,
     InvalidMatrix,
     InvariantViolation,
     SingularMatrix,
-    SingularObservationBlock,
-    SingularSubmatrix,
 )
 from .linalg import NOT_POSITIVE_DEFINITE
 
@@ -261,6 +258,16 @@ def _effective_observed(model, subset) -> frozenset:
     return s
 
 
+def _queried(model, i: int, subset) -> frozenset:
+    """frozenset(subset), after checking that vertex i and each vertex of the
+    subset lie in 1..n: the range rule of every per-vertex query."""
+    s = frozenset(subset)
+    for v in (i, *sorted(s)):
+        if v not in model.vertices:
+            raise InvariantViolation(f"vertex {v} outside 1..{model.n}")
+    return s
+
+
 def err(model, subset) -> float:
     """Average expected squared prediction error of the unobserved variables:
     (1/n) Tr(Lambda[Sbar, Sbar]^-1). The model's pinned vertices are always in
@@ -294,7 +301,7 @@ def err_stack(precisions, ns, owner, unobserved) -> np.ndarray:
     at a pinned vertex). The unobserved blocks of one size go through one
     stacked Cholesky and one stacked inverse: Tr(A^-1) = ||L^-1||_F^2 for
     A = L L^t, and LAPACK still factors each block alone. If a block is not
-    positive definite, SingularSubmatrix names the first such set in set order."""
+    positive definite, SingularMatrix names the first such set in set order."""
     ns = np.asarray(ns, dtype=float)
     sizes = unobserved.sum(axis=1)
     out = np.zeros(len(owner))
@@ -313,7 +320,7 @@ def err_stack(precisions, ns, owner, unobserved) -> np.ndarray:
             try:
                 np.linalg.cholesky(precisions[j][np.ix_(row, row)])
             except np.linalg.LinAlgError as exc:
-                raise SingularSubmatrix(
+                raise SingularMatrix(
                     f"unobserved block on {tuple((row.nonzero()[0] + 1).tolist())} is singular: "
                     + NOT_POSITIVE_DEFINITE.format(exc)) from exc
         raise
@@ -322,7 +329,7 @@ def err_stack(precisions, ns, owner, unobserved) -> np.ndarray:
 
 def conditional_variance(model, i: int, subset) -> float:
     """V[X_i | X_S] via the covariance route; 0 when i is observed."""
-    s = _effective_observed(model, subset)
+    s = _queried(model, i, subset) | model.pinned
     if i in s:
         return 0.0
     sigma = model.covariance()
@@ -334,7 +341,7 @@ def conditional_variance(model, i: int, subset) -> float:
     try:
         sol = np.linalg.solve(ss, si)
     except np.linalg.LinAlgError as exc:
-        raise SingularObservationBlock(f"Sigma[S,S] singular for S={sorted(s)}") from exc
+        raise SingularMatrix(f"Sigma[S,S] singular for S={sorted(s)}") from exc
     return float(sigma[i - 1, i - 1] - si @ sol)
 
 
@@ -343,7 +350,7 @@ def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarra
     X_S: the row for i of -Lambda[Sbar,Sbar]^-1 Lambda[Sbar,S], the harmonic
     weights on a GFF (pin auto-inserted). Returns (sorted observed indices,
     weights in that order)."""
-    s = _effective_observed(model, subset)
+    s = _queried(model, i, subset) | model.pinned
     if i in s:
         raise InvariantViolation(f"target {i} is observed")
     order = tuple(sorted(s))
@@ -353,7 +360,7 @@ def predictor_weights(model, i: int, subset) -> tuple[tuple[int, ...], np.ndarra
     try:
         w_all = -np.linalg.solve(lam[np.ix_(bi, bi)], lam[np.ix_(bi, si)])
     except np.linalg.LinAlgError as exc:
-        raise SingularObservationBlock(f"unobserved block singular for S={order}") from exc
+        raise SingularMatrix(f"unobserved block singular for S={order}") from exc
     return order, w_all[sbar.index(i)]
 
 
@@ -383,14 +390,12 @@ def _contracted_potentials(gff: GffModel, i: int, s: frozenset):
 def effective_resistance(gff: GffModel, i: int, subset) -> float:
     """R_eff(i, S): contract S to one node, inject unit current at i, and read
     off the potential. Assembled from the edge list, independently of the
-    precision-matrix machinery."""
-    s = frozenset(subset)
+    precision-matrix machinery. A GFF is connected, so every i reaches S."""
+    s = _queried(gff, i, subset)
     if not s:
         raise InvariantViolation("S must be nonempty")
     if i in s:
         raise InvariantViolation(f"vertex {i} is in S")
-    if i not in search(adjacency(gff.vertices, gff.edges), s):
-        raise DisconnectedFromS(f"vertex {i} not connected to S={sorted(s)}")
     phi, pos = _contracted_potentials(gff, i, s)
     return float(phi[pos[i]])
 

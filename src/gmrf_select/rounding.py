@@ -15,12 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EigenvalueOutOfRange,
-    InvariantViolation,
-    OutOfGridRange,
-    RankDeficient,
-)
+from .errors import InvariantViolation, OutOfGridRange, RankDeficient
 from .linalg import RANK_TOL, SupportedMatrix
 
 GFF_CLASS_TOL = 1e-9   # relative slack for the dd / non-positive-off-diagonal class
@@ -183,7 +178,7 @@ class SvdRounder:
     def snap_eig(self, value: float) -> float:
         lo, hi = self.limits
         if not lo <= value <= hi:
-            raise EigenvalueOutOfRange(
+            raise OutOfGridRange(
                 f"eigenvalue {float(value)!r} outside [{self.lam_lo:.6e}, {self.lam_hi:.6e}]")
         return log_grid_snap(max(value, self.lam_lo), self.lam_lo, self.eps / 2.0,
                              self.top_index)

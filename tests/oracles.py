@@ -23,8 +23,7 @@ from gmrf_select.errors import (
     InvalidDecomposition,
     InvariantViolation,
     ParseError,
-    SingularComplement,
-    SingularSubmatrix,
+    SingularMatrix,
 )
 from gmrf_select.linalg import SupportedMatrix
 from gmrf_select.models import (
@@ -110,7 +109,7 @@ def regular_tightness(gff: GffModel, subset) -> tuple[float, bool]:
     if not sbar:
         return (0.0, True)
     if not s:
-        raise SingularSubmatrix("S empty: err is undefined on the full Laplacian")
+        raise SingularMatrix("S empty: err is undefined on the full Laplacian")
     err_s = linalg.trace_of_inverse(linalg.obs(supported(gff), s)) / gff.n
     sbar_set = set(sbar)
     independent = not any(u in sbar_set and v in sbar_set for u, v, _ in gff.edges)
@@ -210,7 +209,7 @@ def obs_reference(m: SupportedMatrix, observed) -> SupportedMatrix:
 
 def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
     """Schur complement onto ``delta`` with ``np.ix_`` blocks; raises
-    SingularComplement where ``linalg.marginal`` must."""
+    SingularMatrix where ``linalg.marginal`` must."""
     keep = tuple(v for v in m.support if v in delta)
     elim = tuple(v for v in m.support if v not in delta)
     if not elim:
@@ -219,7 +218,7 @@ def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
     e_block = m.block[np.ix_(ei, ei)]
     w = np.linalg.eigvalsh(e_block)
     if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise SingularComplement(f"eliminated block on {elim} is rank-deficient")
+        raise SingularMatrix(f"eliminated block on {elim} is rank-deficient")
     if not keep:
         return SupportedMatrix.zeros()
     cross = m.block[np.ix_(ei, ki)]

@@ -84,3 +84,28 @@ def test_precision_is_a_read_only_array():
     assert not np.shares_memory(gmrf.precision_matrix, given)
     given[0, 0] = 5.0
     assert gmrf.precision_matrix[0, 0] == 2.0
+
+
+def test_error_classes_are_pinned():
+    # one class per failure: a new raise site reuses the class that names it
+    from gmrf_select import errors
+
+    names = sorted(name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, errors.GmrfSelectError))
+    assert names == [
+        "DisconnectedGraph",
+        "GmrfSelectError",
+        "IndependentPairPresent",
+        "IndexOutOfSupport",
+        "InfeasibleParameters",
+        "InstanceTooLarge",
+        "InvalidDecomposition",
+        "InvalidMatrix",
+        "InvariantViolation",
+        "NotATree",
+        "NumericFailure",
+        "OutOfGridRange",
+        "ParseError",
+        "RankDeficient",
+        "SingularMatrix",
+    ]

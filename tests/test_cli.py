@@ -206,18 +206,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["solver"] == "dp" and len(payload["selected"]) <= 1
 
-    def test_dp_state_cap_exit_code(self, tmp_path):
+    def test_dp_state_cap_exit_code(self, tmp_path, capsys):
         gff_text = "gff 6 5 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n"
         path = write(tmp_path, "p6.gff", gff_text)
         code = main(["select", "dp", "--input", path, "--budget", "2",
                      "--state-cap", "10"])
         assert code == 3
+        assert capsys.readouterr().err == ("infeasible: mode=gff eps=1.000e-12 budget=2 "
+                                           "edges=1 contexts=4 states=7\n")
 
-    def test_exact_cap_exit_code(self, tmp_path):
+    def test_exact_cap_exit_code(self, tmp_path, capsys):
         n = 25
         edges = "\n".join(f"{i} {i+1} 1.0" for i in range(1, n))
         path = write(tmp_path, "big.gff", f"gff {n} {n-1} 1\n{edges}\n")
         assert main(["select", "exact", "--input", path, "--budget", "2"]) == 3
+        assert capsys.readouterr().err == ("infeasible: n = 25 exceeds the exhaustive-search "
+                                           "cap 20; raise max_n explicitly to override\n")
 
     def test_gen_round_trips(self, tmp_path, capsys):
         assert main(["gen", "gff", "--n", "6", "--seed", "3"]) == 0

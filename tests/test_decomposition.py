@@ -15,12 +15,7 @@ from gmrf_select.decomposition import (
     validate_axioms,
     write_td_text,
 )
-from gmrf_select.errors import (
-    InvalidDecomposition,
-    NotATree,
-    ParseError,
-    WidthMismatch,
-)
+from gmrf_select.errors import InvalidDecomposition, NotATree, ParseError
 from gmrf_select.models import random_gff
 
 from conftest import unit_path
@@ -207,7 +202,7 @@ class TestPaceFormat:
 
     def test_width_mismatch(self):
         text = "s td 2 2 3\nb 1 1 2 3\nb 2 2 3\n1 2\n"
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(ParseError, match=r"^declared width\+1 = 2 but a bag has 3 vertices$"):
             read_td_text(text)
 
     def test_model_size_mismatch(self):

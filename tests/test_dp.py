@@ -19,13 +19,11 @@ from gmrf_select.dp import (
     run_dp,
 )
 from gmrf_select.errors import (
-    EliminationOrderBroken,
-    EmptyTable,
+    InstanceTooLarge,
+    InvalidDecomposition,
     InvariantViolation,
     NumericFailure,
-    SingularComplement,
     SingularMatrix,
-    StateSpaceExceeded,
 )
 from gmrf_select.exact import exact_budget
 from gmrf_select.linalg import SupportedMatrix
@@ -88,7 +86,7 @@ class TestFactorize:
         # forge a decomposition object with a bad order to hit the error path
         bad = td.__class__(td.n, td.clusters, td.tree_edges,
                            tuple(reversed(td.elimination_order)))
-        with pytest.raises(EliminationOrderBroken):
+        with pytest.raises(InvalidDecomposition):
             factorize(m, bad)
 
 
@@ -120,7 +118,7 @@ class TestRunDp:
     def test_state_cap(self):
         g = random_gff(9, density=0.0, seed=4)
         td = balance_for_tree(9, g.graph_edges())
-        with pytest.raises(StateSpaceExceeded) as info:
+        with pytest.raises(InstanceTooLarge) as info:
             run_dp(g, td, 3, 1e-12, state_cap=25)
         assert "states" in str(info.value)
 
@@ -136,14 +134,15 @@ class TestRunDp:
     def test_extract_before_run_raises(self):
         g = unit_path(4)
         mt = MessageTable(g, balance_for_tree(4, g.graph_edges()), 1, 0.02, DEFAULT_STATE_CAP)
-        with pytest.raises(EmptyTable, match="^run_dp has not populated a finite root message$"):
+        with pytest.raises(NumericFailure,
+                           match="^run_dp has not populated a finite root message$"):
             extract_solution(mt)
 
     def test_every_prior_singular_empties_the_root(self, monkeypatch, tmp_path, capsys):
         # cluster 0 holds only the pin, so every root configuration needs a
         # child prior; with none computable no root message is finite
         def singular(*args):
-            raise SingularComplement("forced singular block")
+            raise SingularMatrix("forced singular block")
 
         monkeypatch.setattr(dp_mod, "marginal", singular)
         g = random_gff(12, density=0.0, seed=2)
@@ -488,7 +487,7 @@ class TestForcedDrops:
                                         SingularMatrix, lambda site, keep: True)
         else:
             forced = force_one_singular(monkeypatch, dp_mod, "marginal",
-                                        SingularComplement, child_prior(kernel[-1]))
+                                        SingularMatrix, child_prior(kernel[-1]))
         g, td = on_tree(random_gff(12, density=0.0, seed=2))
         mt = run_dp(g, td, 3, 1e-12)
         assert len(forced) == 1

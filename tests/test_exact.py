@@ -5,7 +5,7 @@ import pytest
 
 import gmrf_select.exact as exact_mod
 from gmrf_select.cli import main
-from gmrf_select.errors import InstanceTooLarge, InvariantViolation, SingularSubmatrix
+from gmrf_select.errors import InstanceTooLarge, InvariantViolation, SingularMatrix
 from gmrf_select.exact import exact_budget, exact_cover
 from gmrf_select.io import parse_model
 from gmrf_select.models import (
@@ -264,9 +264,9 @@ class TestSingularBlocks:
     def test_full_block_singular(self, tmp_path, capsys):
         model = GmrfModel(RANK3_PRECISION)
         message = r"unobserved block on \(1, 2, 3, 4\) is singular"
-        with pytest.raises(SingularSubmatrix, match=message):
+        with pytest.raises(SingularMatrix, match=message):
             exact_budget(model, 2)
-        with pytest.raises(SingularSubmatrix, match=message):
+        with pytest.raises(SingularMatrix, match=message):
             exact_cover(model, 1e300)
         rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in RANK3_PRECISION)
         path = tmp_path / "rank3.gmrf"
@@ -279,7 +279,7 @@ class TestSingularBlocks:
         path.write_text(MID_CHUNK_SINGULAR)
         model = parse_model(str(path))
         message = r"unobserved block on \(1, 3, 4\) is singular"
-        with pytest.raises(SingularSubmatrix, match=message):
+        with pytest.raises(SingularMatrix, match=message):
             exact_budget(model, 1)
         # {1} reaches alpha before enumeration gets to the singular {2}
         alpha = 0.5 * (err(model, ()) + err(model, (1,)))
@@ -405,7 +405,7 @@ class TestErrBatch:
         message = ("unobserved block on (1, 3, 4) is singular: support block not "
                    "positive definite: Matrix is not positive definite")
         for score in (lambda: err(model, (2,)), lambda: err_batch(model, subsets)):
-            with pytest.raises(SingularSubmatrix) as got:
+            with pytest.raises(SingularMatrix) as got:
                 score()
             assert str(got.value) == message
         assert _hex(err_batch(model, [(), (1,), (1, 3)])) == _hex(
@@ -423,7 +423,7 @@ class TestErrBatch:
         for i, (j, s) in enumerate(zip(owner, sets)):
             observed = models[j].pinned | set(s)
             unobserved[i, [v - 1 for v in models[j].vertices if v not in observed]] = True
-        with pytest.raises(SingularSubmatrix) as got:
+        with pytest.raises(SingularMatrix) as got:
             err_stack(*padded(models), owner, unobserved)
         assert str(got.value) == message
 
@@ -440,7 +440,7 @@ class TestErrBatch:
         two[1] = False              # the mid-chunk model with {2} observed
         for owner, rows, support in (([0, 1], [empty, two], "(1, 2, 3, 4)"),
                                      ([1, 0], [two, empty], "(1, 3, 4)")):
-            with pytest.raises(SingularSubmatrix) as got:
+            with pytest.raises(SingularMatrix) as got:
                 err_stack(*padded(models), np.array(owner), np.array(rows))
             assert str(got.value).startswith(f"unobserved block on {support} is singular")
 

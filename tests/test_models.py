@@ -4,7 +4,6 @@ import pytest
 from gmrf_select.decomposition import balance_for_tree
 from gmrf_select.dp import dp_select, extract_solution, run_dp
 from gmrf_select.errors import (
-    DisconnectedFromS,
     DisconnectedGraph,
     IndependentPairPresent,
     InfeasibleParameters,
@@ -225,13 +224,26 @@ class TestEffectiveResistance:
         with pytest.raises(InvariantViolation, match="^vertex 2 is in S$"):
             effective_resistance(unit_path(3), 2, {1, 2})
 
-    def test_disconnected_raises(self):
-        broken = GffModel.__new__(GffModel)
-        broken.n = 4
-        broken.pin = 1
-        broken.edges = ((1, 2, 1.0), (3, 4, 1.0))
-        with pytest.raises(DisconnectedFromS):
-            effective_resistance(broken, 3, {1})
+
+# each per-vertex query refuses a target or an S vertex outside 1..n by name;
+# index 0 would otherwise wrap to vertex n's row
+VERTEX_RANGE_CASES = [
+    (conditional_variance, 0, {1}, 0),
+    (conditional_variance, 9, {1}, 9),
+    (conditional_variance, 2, {9}, 9),
+    (predictor_weights, 0, {1}, 0),
+    (predictor_weights, 9, {1}, 9),
+    (predictor_weights, 2, {0}, 0),
+    (effective_resistance, 2, {9}, 9),
+    (effective_resistance, 9, {1}, 9),
+    (effective_resistance, 0, {1}, 0),
+]
+
+
+@pytest.mark.parametrize("query, i, s, bad", VERTEX_RANGE_CASES)
+def test_vertex_queries_check_their_range(query, i, s, bad):
+    with pytest.raises(InvariantViolation, match=rf"^vertex {bad} outside 1\.\.3$"):
+        query(unit_path(3), i, s)
 
 
 class TestThomson:

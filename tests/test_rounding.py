@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gmrf_select.errors import (EigenvalueOutOfRange, InvariantViolation, OutOfGridRange,
-                                RankDeficient)
+from gmrf_select.errors import InvariantViolation, OutOfGridRange, RankDeficient
 from gmrf_select.linalg import SupportedMatrix, marginal, obs, trace_of_inverse
 from gmrf_select.models import random_gff
 from gmrf_select.rounding import (
@@ -218,7 +217,7 @@ class TestSvdRound:
 
     def test_out_of_range(self):
         r = self.rounder()
-        with pytest.raises(EigenvalueOutOfRange):
+        with pytest.raises(OutOfGridRange):
             r.round(SupportedMatrix((1,), np.array([[r.lam_hi * 5.0]])))
 
     def test_rank_deficient(self):
@@ -282,6 +281,6 @@ def test_range_errors_print_plain_floats():
                                "1.051271e+02] (grid [1.000000e-02, 1.000000e+02], "
                                "eps=1.000e-01)")
     s = SvdRounder(lam_lo=0.05, lam_hi=8.0, eps=0.1)
-    with pytest.raises(EigenvalueOutOfRange) as info:
+    with pytest.raises(OutOfGridRange) as info:
         s.snap_eig(np.float64(12.5))
     assert str(info.value) == "eigenvalue 12.5 outside [5.000000e-02, 8.000000e+00]"

@@ -40,12 +40,16 @@ Against a parent from before the package stopped warning: the stderr of every
 where a two-line RuntimeWarning became one `note:` line.
 
 Apart from these program commands, it runs `eval --set 1` on each of a
-group of malformed model files (MALFORMED), which both sides should refuse
-with exit 2; a change to the messages at the input boundary shows up there as
-a list of differences. Against a parent from before every covariance was
-inverted by `models.inverse`, one is expected: the `singular covariance`
-file's stderr, `error: covariance is singular: Singular matrix` there and
-`error: covariance is singular (its inverse: Singular matrix)` here.
+group of malformed model files (MALFORMED), and `select dp --td` on a unit
+4-path with a decomposition file whose bag exceeds its declared width. Both
+sides should refuse each with exit 2; a change to the messages at the input
+boundary shows up there as a list of differences. Against a parent from
+before every covariance was inverted by `models.inverse`, one is expected:
+the `singular covariance` file's stderr, `error: covariance is singular:
+Singular matrix` there and `error: covariance is singular (its inverse:
+Singular matrix)` here. Last come two commands that a size cap refuses with
+exit 3 and one `infeasible:` line: `select exact --max-n 4` on a unit 5-path
+and `select dp --state-cap 10` on a unit 6-path.
 
 Every command runs in a fresh `python3` process with PYTHONPATH set to the
 side's `src/` and bytecode writing off, so neither checkout changes. A command
@@ -54,8 +58,9 @@ differs when its exit code, stdout, stderr or the file it writes in place of
 `<checkout>` first. The script prints each
 difference and, per group, the number of commands, of those that exit as not
 expected on either side (nonzero for a program command, other than 2 for a
-malformed file), and of differences. It exits 1 if a program command differs
-or a malformed file does not exit 2 on the change side.
+malformed file, other than 3 for a capped command), and of differences. It
+exits 1 if a program command or a capped command differs, or if on the change
+side a malformed file does not exit 2 or a capped command does not exit 3.
 
 Standard library and numpy (which `benchmark/workloads.py` needs) only.
 """
@@ -170,8 +175,9 @@ MALFORMED = [
 
 
 def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
-    """(label, arguments after `python3`) of an eval of each MALFORMED file,
-    written under ``input_root``."""
+    """(label, arguments after `python3`) of an eval of each MALFORMED file
+    and of a dp run with a too-narrow decomposition file, written under
+    ``input_root``."""
     input_root.mkdir(parents=True)
     out = []
     for number, (label, text) in enumerate(MALFORMED):
@@ -179,7 +185,25 @@ def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
         path.write_text(text)
         out.append((f"malformed {label}",
                     ["-m", "gmrf_select.cli", "eval", "--set", "1", "--input", str(path)]))
+    model, td = input_root / "path4.gff", input_root / "narrow.td"
+    model.write_text(SMALL["path4.gff"])
+    td.write_text("s td 2 2 4\nb 1 1 2 3\nb 2 3 4\n1 2\n")   # width+1 = 2, a bag of 3
+    out.append(("malformed td width", ["-m", "gmrf_select.cli", "select", "dp", "--budget",
+                                       "1", "--input", str(model), "--td", str(td)]))
     return out
+
+
+def capped(input_root: Path) -> list[tuple[str, list[str]]]:
+    """(label, arguments after `python3`) of the exact and dp runs that a size
+    cap refuses, their models written under ``input_root``."""
+    input_root.mkdir(parents=True)
+    path5, path6 = input_root / "path5.gff", input_root / "path6.gff"
+    path5.write_text(SMALL["path5.gff"])
+    path6.write_text("gff 6 5 1\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n5 6 1.0\n")
+    return [("exact over max-n", ["-m", "gmrf_select.cli", "select", "exact", "--budget", "2",
+                                  "--max-n", "4", "--input", str(path5)]),
+            ("dp state cap", ["-m", "gmrf_select.cli", "select", "dp", "--budget", "2",
+                              "--state-cap", "10", "--input", str(path6)])]
 
 
 def run(root: Path, args: list[str], cwd: Path) -> tuple[int, str, str, bytes | None]:
@@ -211,7 +235,9 @@ def main(argv=None) -> int:
                                  "program commands")
         _, refused = compare(sides, malformed(Path(tmp) / "malformed"), 2, Path(tmp),
                              "malformed files")
-    return 1 if differences or refused else 0
+        cap_differences, uncapped = compare(sides, capped(Path(tmp) / "capped"), 3, Path(tmp),
+                                            "capped commands")
+    return 1 if differences or refused or cap_differences or uncapped else 0
 
 
 def compare(sides, cmds, expected: int, cwd: Path, group: str) -> tuple[int, int]:
