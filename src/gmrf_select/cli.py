@@ -3,6 +3,8 @@
 Subcommands: eval, select {exact,greedy,dp}, gen {gff,gmrf},
 convert tree-gmrf-to-gff, validate. Exit codes: 0 ok, 2 parse, invariant or
 file error, 3 infeasible (instance or state-space cap), 4 suite violations.
+The DP and the suites are imported inside the commands that run them, so no
+other command loads them.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import sys
 import time
 
 from . import io
-from .decomposition import balance_for_tree, parse_and_normalize
-from .dp import DEFAULT_STATE_CAP, dp_select
 from .errors import (
     GmrfSelectError,
     InstanceTooLarge,
@@ -32,7 +32,6 @@ from .models import (
     random_gmrf,
     tree_gmrf_to_gff,
 )
-from .validate import validate_suite
 
 
 def _load_model(args):
@@ -97,6 +96,9 @@ def cmd_select(args):
         else:
             report = greedy_cover(model, args.alpha)
     else:
+        from .decomposition import balance_for_tree, parse_and_normalize
+        from .dp import DEFAULT_STATE_CAP, dp_select
+
         if args.budget is None:
             raise InvariantViolation("select dp needs --budget")
         if args.td is not None:
@@ -114,7 +116,8 @@ def cmd_select(args):
         if args.rounding == "svd" and isinstance(model, GffModel):
             raise InvariantViolation("svd rounding needs a GMRF; a GFF Laplacian is singular")
         report = dp_select(model, td, args.budget, args.eps_prime,
-                           state_cap=args.state_cap)
+                           state_cap=DEFAULT_STATE_CAP if args.state_cap is None
+                           else args.state_cap)
     _print_report(report, args)
     return 0
 
@@ -144,6 +147,8 @@ def cmd_convert(args):
 
 
 def cmd_validate(args):
+    from .validate import validate_suite
+
     code, payload = validate_suite(seed=args.seed, trials=args.trials,
                                    out_path=args.out)
     _print_note(payload)
@@ -189,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--td", default=None, help="tree-decomposition file (dp)")
     p_sel.add_argument("--rounding", choices=("gff", "svd"), default=None,
                        help="dp rounding (optional; must match the model)")
-    p_sel.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p_sel.add_argument("--state-cap", type=int, default=None)
     p_sel.set_defaults(fn=cmd_select)
 
     p_gen = sub.add_parser("gen", help="generate a random model file")
@@ -234,7 +239,9 @@ def entry() -> int:
     """Process entry: ``python -m gmrf_select.cli`` and the ``gmrf-select``
     script. The objects made by the imports live until exit, so they are frozen
     out of the collector, and no collection walks them again, the one at exit
-    included. main() leaves the collector alone, since tests call it in-process."""
+    included. The modules a command imports when it runs (the DP's, the
+    suites) come after the freeze and are not frozen. main() leaves the
+    collector alone, since tests call it in-process."""
     gc.freeze()
     return main()
 

@@ -24,6 +24,10 @@ class SingularMatrix(GmrfSelectError):
     pass
 
 
+# the wording of a failed Cholesky, in linalg's operations and models.err_stack
+NOT_POSITIVE_DEFINITE = "support block not positive definite: {}"
+
+
 # --- model construction and queries ---
 
 class InvalidMatrix(GmrfSelectError, ValueError):

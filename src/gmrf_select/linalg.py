@@ -15,10 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IndexOutOfSupport, SingularMatrix
+from .errors import NOT_POSITIVE_DEFINITE, IndexOutOfSupport, SingularMatrix
 
 RANK_TOL = 1e-12  # smallest/largest eigenvalue ratio counted as full rank
-NOT_POSITIVE_DEFINITE = "support block not positive definite: {}"  # also models.err_stack's wording
 
 
 @dataclass(frozen=True, eq=False)

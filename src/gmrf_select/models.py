@@ -20,6 +20,7 @@ import numpy as np
 
 from .decomposition import adjacency, search, tree_adjacency
 from .errors import (
+    NOT_POSITIVE_DEFINITE,
     DisconnectedGraph,
     IndependentPairPresent,
     InfeasibleParameters,
@@ -27,7 +28,6 @@ from .errors import (
     InvariantViolation,
     SingularMatrix,
 )
-from .linalg import NOT_POSITIVE_DEFINITE
 
 INDEPENDENCE_TOL = 1e-12  # |Sigma_ij| below this (relative) counts as independent
 

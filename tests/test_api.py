@@ -1,6 +1,11 @@
 import dataclasses
+import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 import gmrf_select
 
@@ -43,8 +48,24 @@ PUBLIC = [
 def test_public_surface_is_pinned():
     # test-only oracles (tests/oracles.py) are not part of the package
     assert sorted(gmrf_select.__all__) == PUBLIC
+    # each name is resolved on first access, as its defining module's object
     for name in gmrf_select.__all__:
-        assert getattr(gmrf_select, name) is not None
+        owner = importlib.import_module(getattr(gmrf_select, name).__module__)
+        assert getattr(gmrf_select, name) is getattr(owner, name)
+    assert gmrf_select.dp_select is gmrf_select.dp.dp_select
+    # dir() and a star import see every name before any has been accessed
+    probe = ("import gmrf_select\n"
+             "print(sorted(set(dir(gmrf_select)) & set(gmrf_select.__all__)))\n"
+             "scope = {}\n"
+             "exec('from gmrf_select import *', scope)\n"
+             "print(sorted(set(scope) - {'__builtins__'}))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [repr(PUBLIC)] * 2
+    assert set(PUBLIC) <= set(dir(gmrf_select))
+    with pytest.raises(AttributeError, match="^module 'gmrf_select' has no attribute 'nope'$"):
+        gmrf_select.nope
 
 
 def test_data_type_attributes_are_pinned():

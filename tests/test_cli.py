@@ -511,6 +511,39 @@ class TestCli:
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "False"
 
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        # the package resolves its public names on demand and the CLI imports
+        # the DP and the suites inside the commands that run them, so one
+        # stray top-level import puts their import time back on every request
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        c4, p4 = write(tmp_path, "c4.gff", C4_TEXT), write(tmp_path, "p4.gff", P4_TEXT)
+        tree = write(tmp_path, "t.gmrf", "gmrf\n2 2\n1 2\n2 1\n1 2\n")
+        probe = ("import sys\n"
+                 "if sys.argv[1:]:\n"
+                 "    from gmrf_select.cli import main\n"
+                 "    assert main(sys.argv[1:]) == 0\n"
+                 "else:\n"
+                 "    import gmrf_select\n"
+                 "print(' '.join(sorted(m for m in sys.modules if m.startswith('gmrf_select.'))))")
+
+        def loaded(*argv):
+            out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            return {m.removeprefix("gmrf_select.") for m in out.splitlines()[-1].split()}
+
+        assert loaded() == set()
+        solver_only = {"dp", "rounding", "linalg", "validate"}
+        for argv in (["select", "greedy", "--input", c4, "--budget", "2"],
+                     ["select", "exact", "--input", c4, "--budget", "2"],
+                     ["eval", "--input", c4, "--set", "1"],
+                     ["gen", "gff", "--n", "6", "--out", str(tmp_path / "g.gff")],
+                     ["convert", "tree-gmrf-to-gff", "--input", tree,
+                      "--out", str(tmp_path / "t.gff")]):
+            assert not loaded(*argv) & solver_only, argv
+        dp = loaded("select", "dp", "--input", p4, "--budget", "1")
+        assert {"dp", "rounding", "linalg", "decomposition"} <= dp
+
     def test_main_leaves_the_collector_unfrozen(self, tmp_path, capsys):
         frozen = gc.get_freeze_count()
         path = write(tmp_path, "c4.gff", C4_TEXT)

@@ -29,11 +29,14 @@ spread beside every run, and each median is printed with its spread:
   payload; the err's hex, the greedy selection and err's hex, a hash of the
   chunk's scores in hex), so both sides are checked to give identical
   results.
-- exit: the first `select greedy`, `select dp`, `select exact` and `validate`
-  request of the seed-1 workloads, each run `--repeats` times per side as
-  `python3 -m gmrf_select.cli` would run it, sides alternating; records the
-  time from the last atexit hook (main has returned) to the moment the
-  process is reaped, and the process's wall time.
+- exit: the first `select greedy`, `select dp`, `select exact`, `eval` and
+  `validate` request of the seed-1 workloads, each run `--repeats` times per
+  side as `python3 -m gmrf_select.cli` would run it, sides alternating;
+  records the time of `import gmrf_select.cli` (numpy's import included),
+  measured before the probe runs the module as `__main__`; the time from the
+  last atexit hook (main has returned) to the moment the process is reaped;
+  the process's wall time; and the sorted `gmrf_select.*` modules loaded
+  when main returned (every repeat must load the same ones).
 - pairs: `benchmark/run.py --trace 0` on every workload, run alternately in
   both checkouts at seeds 31, 32, ..., one seed per pair, in the layout of
   BENCH_8.json, with per-metric medians, quartiles and change wins, and the
@@ -196,20 +199,31 @@ def layer(sides: dict, repeats: int) -> dict:
 
 
 EXIT_PROBE = """
-import atexit, runpy, sys, time
-atexit.register(lambda: sys.stderr.write(f"main returned at {time.perf_counter()!r}\\n"))
+import atexit, json, runpy, sys, time, warnings
+# runpy warns that it runs a module already imported: here that is the point
+warnings.filterwarnings("ignore", category=RuntimeWarning, module="runpy")
+def returned():
+    modules = sorted(m for m in sys.modules if m.startswith("gmrf_select."))
+    sys.stderr.write(json.dumps([imported, modules, time.perf_counter()]) + "\\n")
+atexit.register(returned)
+start = time.perf_counter()
+import gmrf_select.cli
+imported = time.perf_counter() - start
 runpy.run_module("gmrf_select.cli", run_name="__main__", alter_sys=True)
 """
 
 
 def exit_times(sides: dict, repeats: int) -> dict:
-    """Per request kind and side: ms from main returning to the process being
-    reaped, and the process's wall ms. atexit hooks run in reverse order, so
-    the probe's hook, registered before any import, runs last."""
+    """Per request kind and side: ms to import gmrf_select.cli, ms from main
+    returning to the process being reaped, the process's wall ms, and the
+    package modules loaded. atexit hooks run in reverse order, so the probe's
+    hook, registered before any import, runs last. runpy runs the imported
+    module's code again as __main__; that second run finds every module it
+    imports at the top already loaded."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     import workloads
 
-    kinds = ("select greedy", "select dp", "select exact", "validate")
+    kinds = ("select greedy", "select dp", "select exact", "eval", "validate")
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         requests = {}
@@ -221,7 +235,8 @@ def exit_times(sides: dict, repeats: int) -> dict:
                 if req.kind in kinds:
                     requests.setdefault(req.kind, req.argv(tmp))
         for kind in kinds:
-            samples = {side: {"exit_ms": [], "wall_ms": []} for side in sides}
+            samples = {side: {"import_ms": [], "exit_ms": [], "wall_ms": []} for side in sides}
+            modules = {side: [] for side in sides}
             for rep in range(repeats):
                 for side in (list(sides) if rep % 2 == 0 else list(reversed(sides))):
                     env = dict(os.environ, PYTHONPATH=str(sides[side] / "src"))
@@ -229,10 +244,16 @@ def exit_times(sides: dict, repeats: int) -> dict:
                     proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *requests[kind]],
                                           env=env, capture_output=True, text=True, check=True)
                     reaped = time.perf_counter()
-                    returned = float(proc.stderr.rsplit(" ", 1)[-1])
+                    imported, loaded, returned = json.loads(proc.stderr.splitlines()[-1])
+                    samples[side]["import_ms"].append(imported * 1e3)
                     samples[side]["exit_ms"].append((reaped - returned) * 1e3)
                     samples[side]["wall_ms"].append((reaped - start) * 1e3)
-            result[kind] = {side: {key: spread(values) for key, values in mine.items()}
+                    modules[side].append(loaded)
+            for side, seen in modules.items():
+                if any(loaded != seen[0] for loaded in seen):
+                    raise RuntimeError(f"{kind} on {side} loaded different modules: {seen}")
+            result[kind] = {side: {**{key: spread(values) for key, values in mine.items()},
+                                   "modules": modules[side][0]}
                             for side, mine in samples.items()}
     return result
 
@@ -316,8 +337,10 @@ def main(argv=None) -> int:
         print(f"{name}: {show(case['parent']['time_s'])} s -> {show(case['change']['time_s'])} s "
               f"({case['speedup_time_s']:.2f}x, same result: {case['same_result']})")
     for kind, case in result["exit"].items():
-        for key in ("exit_ms", "wall_ms"):
+        for key in ("import_ms", "exit_ms", "wall_ms"):
             print(f"{kind} {key}: {show(case['parent'][key])} -> {show(case['change'][key])}")
+        for side in sides:
+            print(f"{kind} {side} loads: {' '.join(case[side]['modules'])}")
     for workload, rows in summary.items():
         for metric, row in rows.items():
             if isinstance(row, dict) and "change_wins" in row:
