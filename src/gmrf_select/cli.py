@@ -3,8 +3,8 @@
 Subcommands: eval, select {exact,greedy,dp}, gen {gff,gmrf},
 convert tree-gmrf-to-gff, validate. Exit codes: 0 ok, 2 parse, invariant or
 file error, 3 infeasible (instance or state-space cap), 4 suite violations.
-The DP and the suites are imported inside the commands that run them, so no
-other command loads them.
+The solvers and the suites are imported inside the commands that run them, so
+no other command loads them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import (
     NotATree,
     ParseError,
 )
-from .exact import DEFAULT_MAX_N, exact_budget, exact_cover
-from .greedy import greedy_budget, greedy_cover
 from .models import (
     GffModel,
     GmrfModel,
@@ -86,11 +84,16 @@ def cmd_eval(args):
 def cmd_select(args):
     model = _load_model(args)
     if args.mode == "exact":
+        from .exact import DEFAULT_MAX_N, exact_budget, exact_cover
+
+        max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
         if args.budget is not None:
-            report = exact_budget(model, args.budget, max_n=args.max_n)
+            report = exact_budget(model, args.budget, max_n=max_n)
         else:
-            report = exact_cover(model, args.alpha, max_n=args.max_n)
+            report = exact_cover(model, args.alpha, max_n=max_n)
     elif args.mode == "greedy":
+        from .greedy import greedy_budget, greedy_cover
+
         if args.budget is not None:
             report = greedy_budget(model, args.budget)
         else:
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_sel.add_mutually_exclusive_group(required=True)
     group.add_argument("--budget", type=int, default=None)
     group.add_argument("--alpha", type=float, default=None)
-    p_sel.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+    p_sel.add_argument("--max-n", type=int, default=None,
                        help="exhaustive-search size cap (exact only)")
     p_sel.add_argument("--eps-prime", type=float, default=0.1,
                        help="target approximation slack for dp")
@@ -239,7 +242,7 @@ def entry() -> int:
     """Process entry: ``python -m gmrf_select.cli`` and the ``gmrf-select``
     script. The objects made by the imports live until exit, so they are frozen
     out of the collector, and no collection walks them again, the one at exit
-    included. The modules a command imports when it runs (the DP's, the
+    included. The modules a command imports when it runs (the solvers, the
     suites) come after the freeze and are not frozen. main() leaves the
     collector alone, since tests call it in-process."""
     gc.freeze()

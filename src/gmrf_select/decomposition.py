@@ -3,9 +3,7 @@ every non-leaf cluster has degree exactly 3, the last cluster is empty and is a
 leaf, m >= n, and a valid elimination order is stored as a witness.
 
 Also: the PACE-style file format, a balanced decomposition constructor for
-trees (width <= 5, logarithmic height) built from recursive separators, and the
-package's graph helpers (``adjacency``, ``search`` and the tree check
-``tree_adjacency``).
+trees (width <= 5, logarithmic height) built from recursive separators.
 """
 
 from __future__ import annotations
@@ -13,51 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidDecomposition, InvariantViolation, NotATree, ParseError
-
-
-def adjacency(vertices, edges) -> dict:
-    """Fresh neighbour sets of an undirected graph; edges are ``(u, v, ...)``
-    tuples, so weighted edges work as well."""
-    adj = {v: set() for v in vertices}
-    for u, v, *_ in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
-def search(adj, sources, within=None) -> dict:
-    """Every vertex reachable from ``sources`` through ``adj``, staying inside
-    ``within`` when given, mapped to the vertex it was reached from (a source
-    maps to None). The dict is in visit order, so a vertex always comes after
-    the vertex it was reached from."""
-    parent = dict.fromkeys(sources)
-    stack = list(parent)
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in parent and (within is None or w in within):
-                parent[w] = u
-                stack.append(w)
-    return parent
-
-
-def tree_adjacency(n: int, edges) -> dict:
-    """Neighbour sets of the tree with vertices 1..n and the given edges; raise
-    NotATree if the edges do not form one."""
-    if len(edges) != n - 1 or any(u == v for u, v in edges):
-        raise NotATree(f"{len(edges)} edges on {n} vertices is not a tree")
-    adj = {v: set() for v in range(1, n + 1)}
-    for u, v in edges:
-        if u not in adj or v not in adj:
-            raise NotATree(f"edge ({u}, {v}) outside 1..{n}")
-        if v in adj[u]:
-            raise NotATree(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-        adj[u].add(v)
-        adj[v].add(u)
-    if len(search(adj, [1])) != n:
-        raise NotATree("graph is disconnected")
-    return adj
+from .errors import InvalidDecomposition, InvariantViolation, ParseError
+from .models import adjacency, search, tree_adjacency
 
 
 @dataclass(frozen=True)

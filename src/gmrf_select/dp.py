@@ -28,7 +28,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import linalg
-from .decomposition import TreeDecomposition, adjacency, search
+from .decomposition import TreeDecomposition
 from .errors import (
     InstanceTooLarge,
     InvalidDecomposition,
@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import SupportedMatrix, add, marginal, obs
-from .models import GffModel, SelectionReport, make_report
+from .models import GffModel, SelectionReport, adjacency, make_report, search
 from .rounding import GffRounder, SvdRounder
 
 DEFAULT_STATE_CAP = 10_000_000

@@ -10,6 +10,7 @@ all are pure: inputs are never mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,7 +49,7 @@ class SupportedMatrix:
         return cls((), np.zeros((0, 0)))
 
 
-# Position maps for the small supports the DP sums and eliminates on, keyed
+# Position maps for the small supports the DP sums, observes and eliminates on, keyed
 # on support tuples and built once per distinct key. The caches are bounded, so
 # a long-lived process holds at most MAPS_CACHE entries in each, and every
 # cached array is read-only because all callers share it.
@@ -94,6 +95,16 @@ def _split_maps(support: tuple, delta: frozenset) -> tuple:
 
 
 @lru_cache(maxsize=MAPS_CACHE)
+def _obs_maps(support: tuple, observed: frozenset) -> tuple:
+    """(the support left after observing ``observed``, its positions in ``support``)."""
+    if not observed <= set(support):
+        missing = sorted(observed - set(support))
+        raise IndexOutOfSupport(f"observed indices {missing} outside support")
+    keep = [p for p, v in enumerate(support) if v not in observed]
+    return tuple(support[p] for p in keep), _index(keep)
+
+
+@lru_cache(maxsize=MAPS_CACHE)
 def _unit_columns(support: tuple, subset: tuple) -> np.ndarray:
     """The |V| x |subset| right-hand side with a 1 at each subset index's row."""
     pos = {v: p for p, v in enumerate(support)}
@@ -124,15 +135,10 @@ def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
     The result is supported on V \\ observed and agrees with ``m`` there.
     """
     observed = frozenset(observed)
-    if not observed <= set(m.support):
-        missing = sorted(observed - set(m.support))
-        raise IndexOutOfSupport(f"observed indices {missing} outside support")
     if not observed:
         return m
-    keep = [p for p, v in enumerate(m.support) if v not in observed]
-    idx = np.array(keep, dtype=np.intp)
-    return SupportedMatrix(tuple(m.support[p] for p in keep),
-                           m.block.take(idx, 0).take(idx, 1))
+    support, idx = _obs_maps(m.support, observed)
+    return SupportedMatrix(support, m.block.take(idx, 0).take(idx, 1))
 
 
 def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
@@ -144,7 +150,8 @@ def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:
         return m
     flat = m.block.ravel()
     e_block = flat.take(ee).reshape(len(elim), len(elim))
-    w = np.linalg.eigvalsh(e_block)
+    # LAPACK's eigenvalue of a 1 x 1 block is its entry, for every double
+    w = e_block[0] if len(elim) == 1 else np.linalg.eigvalsh(e_block)
     if w[0] <= RANK_TOL * max(w[-1], 0.0):
         raise SingularMatrix(
             f"eliminated block on {elim} is rank-deficient "
@@ -177,6 +184,15 @@ def diag_of_inverse(m: SupportedMatrix, subset) -> float:
     subset = tuple(subset)
     if not subset:
         return 0.0
+    if subset == m.support and len(subset) == 1:
+        # the factor of [[a]] is sqrt(a) and the solve gives 1 / sqrt(a) with
+        # one rounding each, as here; anything else, or a square that overflows,
+        # takes the general path and its refusals
+        a = m.block.item()
+        if 0.0 < a < math.inf:
+            half = 1.0 / math.sqrt(a)
+            if half * half < math.inf:
+                return half * half
     rhs = _unit_columns(m.support, subset)
     try:
         chol = np.linalg.cholesky(m.block)

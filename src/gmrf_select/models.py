@@ -1,6 +1,8 @@
 """Gaussian MRF and Gaussian free field models, the average prediction-error
 objective (one scorer, ``err_stack``, behind ``err`` and ``err_batch``) and its
-cross-checks, effective resistance, and the tree-GMRF to GFF reduction.
+cross-checks, effective resistance, the tree-GMRF to GFF reduction, and the
+package's graph helpers (``adjacency``, ``search`` and the tree check
+``tree_adjacency``).
 
 Vertices are labeled 1..n throughout, matching the file formats, and vertex v
 is row v - 1 of a model's precision and covariance. Models are immutable after
@@ -18,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .decomposition import adjacency, search, tree_adjacency
 from .errors import (
     NOT_POSITIVE_DEFINITE,
     DisconnectedGraph,
@@ -26,10 +27,55 @@ from .errors import (
     InfeasibleParameters,
     InvalidMatrix,
     InvariantViolation,
+    NotATree,
     SingularMatrix,
 )
 
 INDEPENDENCE_TOL = 1e-12  # |Sigma_ij| below this (relative) counts as independent
+
+
+def adjacency(vertices, edges) -> dict:
+    """Fresh neighbour sets of an undirected graph; edges are ``(u, v, ...)``
+    tuples, so weighted edges work as well."""
+    adj = {v: set() for v in vertices}
+    for u, v, *_ in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def search(adj, sources, within=None) -> dict:
+    """Every vertex reachable from ``sources`` through ``adj``, staying inside
+    ``within`` when given, mapped to the vertex it was reached from (a source
+    maps to None). The dict is in visit order, so a vertex always comes after
+    the vertex it was reached from."""
+    parent = dict.fromkeys(sources)
+    stack = list(parent)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in parent and (within is None or w in within):
+                parent[w] = u
+                stack.append(w)
+    return parent
+
+
+def tree_adjacency(n: int, edges) -> dict:
+    """Neighbour sets of the tree with vertices 1..n and the given edges; raise
+    NotATree if the edges do not form one."""
+    if len(edges) != n - 1 or any(u == v for u, v in edges):
+        raise NotATree(f"{len(edges)} edges on {n} vertices is not a tree")
+    adj = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        if u not in adj or v not in adj:
+            raise NotATree(f"edge ({u}, {v}) outside 1..{n}")
+        if v in adj[u]:
+            raise NotATree(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        adj[u].add(v)
+        adj[v].add(u)
+    if len(search(adj, [1])) != n:
+        raise NotATree("graph is disconnected")
+    return adj
 
 
 class _Model:

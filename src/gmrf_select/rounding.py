@@ -103,6 +103,13 @@ class GffRounder:
     def round(self, p: SupportedMatrix) -> SupportedMatrix:
         if not p.support:
             return p
+        if len(p.support) == 1:
+            # a positive finite 1 x 1 block is in the class and is its own row
+            # sum, so the rounded block is the snapped entry; anything else
+            # takes the general path and its refusals
+            a = p.block.item()
+            if 0.0 < a < math.inf:
+                return SupportedMatrix(p.support, np.array([[self.snap(a)]]))
         sums = p.block.sum(axis=1)
         if not _in_gff_class(p.block, sums, self.zero_tol):
             raise InvariantViolation(
@@ -187,6 +194,15 @@ class SvdRounder:
         if not p.support:
             return p
         k = len(p.support)
+        if k == 1:
+            # eigh of [[a]] is the eigenvalue a with the eigenvector [1.0], which
+            # the sphere net and Gram-Schmidt keep, so the rounded block is the
+            # snapped eigenvalue (while 2d, the symmetrization's sum, is finite)
+            a = p.block.item()
+            if 0.0 < a < math.inf:
+                d = self.snap_eig(a)
+                if d + d < math.inf:
+                    return SupportedMatrix(p.support, np.array([[d]]))
         w, u = np.linalg.eigh(p.block)
         w = w.tolist()
         if w[0] <= RANK_TOL * max(w[-1], 0.0):

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,38 @@ def random_pd_supported(rng, support, eig_range=(0.1, 10.0)):
     eigs = np.exp(rng.uniform(np.log(eig_range[0]), np.log(eig_range[1]), size=k))
     block = (q * eigs) @ q.T
     return SupportedMatrix(tuple(support), 0.5 * (block + block.T))
+
+
+# the doubles a kernel's 1 x 1 path must answer or refuse as its general code does
+SPECIAL_ENTRIES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                   sys.float_info.min, sys.float_info.max, -sys.float_info.max, 1.0, -1.0)
+
+
+def one_by_one_entries(seed, count, lo, hi):
+    """``count`` seeded entries for 1 x 1 blocks: the special values, then in
+    turn a log-uniform draw over [1e-300, 1e300], one over [lo / 2, 2 hi]
+    (clipped to the finite doubles), a subnormal, and the negatives of the
+    first two kinds."""
+    rng = np.random.default_rng(seed)
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, count)
+    near = np.exp(rng.uniform(math.log(lo / 2.0), math.log(min(2.0 * hi, sys.float_info.max)),
+                              count))
+    subnormal = rng.uniform(0.0, 1.0, count) * sys.float_info.min
+    kinds = np.stack([wide, near, subnormal, -wide, -near], axis=1).ravel().tolist()
+    return [*SPECIAL_ENTRIES, *kinds][:count]
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` in comparable form: a matrix's support, shape, dtype and
+    block bytes, a number's type and bytes, or the class and message of what it
+    raised (the suite turns warnings into errors, so a warning counts too)."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if hasattr(out, "block"):
+        return out.support, out.block.shape, out.block.dtype.str, out.block.tobytes()
+    return type(out), np.float64(out).tobytes()
 
 
 def padded(models, width=10):

@@ -6,7 +6,9 @@ PSD sandwich, the GFF-class check on whole blocks, the element-wise rounding
 relation, the elimination-order check, report parsing, factor totals, err
 on the support-matrix path) live here, with the straightforward ``np.ix_``
 and element-loop forms of the DP kernels that the package computes on cached
-position maps.
+position maps. These run the kernels' general code at every size, so they are
+also the reference for the 1 x 1 blocks the package answers in scalar
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ import math
 import numpy as np
 
 from gmrf_select import linalg
-from gmrf_select.decomposition import adjacency
 from gmrf_select.errors import (
+    NOT_POSITIVE_DEFINITE,
     GmrfSelectError,
     InvalidDecomposition,
     InvariantViolation,
     ParseError,
+    RankDeficient,
     SingularMatrix,
 )
 from gmrf_select.linalg import SupportedMatrix
@@ -31,9 +34,10 @@ from gmrf_select.models import (
     Guarantee,
     SelectionReport,
     _contracted_potentials,
+    adjacency,
     random_gff,
 )
-from gmrf_select.rounding import _in_gff_class
+from gmrf_select.rounding import _in_gff_class, canonical_rays, ordered_gram_schmidt
 
 ZERO_EIG_CUTOFF = 1e-12  # eigenvalues below lambda_max * this count as zero
 SANDWICH_TOL = 1e-10     # slack in PSD-order comparisons
@@ -208,8 +212,9 @@ def obs_reference(m: SupportedMatrix, observed) -> SupportedMatrix:
 
 
 def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
-    """Schur complement onto ``delta`` with ``np.ix_`` blocks; raises
-    SingularMatrix where ``linalg.marginal`` must."""
+    """Schur complement onto ``delta`` with ``np.ix_`` blocks and ``eigvalsh``
+    at every size; raises SingularMatrix where ``linalg.marginal`` must, with
+    its message."""
     keep = tuple(v for v in m.support if v in delta)
     elim = tuple(v for v in m.support if v not in delta)
     if not elim:
@@ -217,8 +222,10 @@ def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
     ki, ei = [m.support.index(v) for v in keep], [m.support.index(v) for v in elim]
     e_block = m.block[np.ix_(ei, ei)]
     w = np.linalg.eigvalsh(e_block)
-    if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise SingularMatrix(f"eliminated block on {elim} is rank-deficient")
+    if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0):
+        raise SingularMatrix(
+            f"eliminated block on {elim} is rank-deficient "
+            f"(eig range [{w[0]:.3e}, {w[-1]:.3e}])")
     if not keep:
         return SupportedMatrix.zeros()
     cross = m.block[np.ix_(ei, ki)]
@@ -227,11 +234,15 @@ def marginal_reference(m: SupportedMatrix, delta) -> SupportedMatrix:
 
 
 def diag_of_inverse_reference(m: SupportedMatrix, subset) -> float:
+    """The Cholesky solve at every size, refusing as ``linalg.diag_of_inverse``."""
     subset = tuple(subset)
     if not subset:
         return 0.0
     idx = [m.support.index(v) for v in subset]
-    chol = np.linalg.cholesky(m.block)
+    try:
+        chol = np.linalg.cholesky(m.block)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(NOT_POSITIVE_DEFINITE.format(exc)) from exc
     rhs = np.zeros((len(m.support), len(subset)))
     rhs[idx, np.arange(len(subset))] = 1.0
     half = np.linalg.solve(chol, rhs)
@@ -260,11 +271,14 @@ def is_gff_class(block: np.ndarray, abs_tol: float = 0.0) -> bool:
 
 
 def gff_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
-    """``GffRounder.round`` one entry at a time: each off-diagonal magnitude,
-    then each row sum plus the row's rounded off-diagonal magnitudes."""
+    """``GffRounder.round`` one entry at a time at every size: the class check,
+    each off-diagonal magnitude, then each row sum plus the row's rounded
+    off-diagonal magnitudes."""
     k = len(p.support)
     out = np.zeros((k, k))
     row_sums = p.block.sum(axis=1)
+    if k and not _in_gff_class(p.block, row_sums, rounder.zero_tol):
+        raise InvariantViolation("matrix outside the diagonally-dominant M-matrix class")
     for i in range(k):
         for j in range(i + 1, k):
             mag = rounder.snap(abs(p.block[i, j]))
@@ -272,6 +286,23 @@ def gff_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
     for i in range(k):
         out[i, i] = rounder.snap(row_sums[i]) + np.abs(out[i]).sum() - abs(out[i, i])
     return SupportedMatrix(p.support, out)
+
+
+def svd_round_reference(rounder, p: SupportedMatrix) -> SupportedMatrix:
+    """``SvdRounder.round`` through ``eigh``, the sphere net and Gram-Schmidt at
+    every size, 1 x 1 included."""
+    if not p.support:
+        return p
+    k = len(p.support)
+    w, u = np.linalg.eigh(p.block)
+    w = w.tolist()
+    if w[0] <= linalg.RANK_TOL * max(w[-1], 0.0):
+        raise RankDeficient(
+            f"matrix on {p.support} has eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}]")
+    d = [rounder.snap_eig(x) for x in w]
+    u2 = ordered_gram_schmidt(canonical_rays(u, rounder.eps1(k) / math.sqrt(k)))
+    out = (u2 * d) @ u2.T
+    return SupportedMatrix(p.support, 0.5 * (out + out.T))
 
 
 def canonical_ray_reference(z: np.ndarray, pitch: float) -> np.ndarray:

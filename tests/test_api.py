@@ -69,8 +69,8 @@ def test_public_surface_is_pinned():
 
 
 def test_data_type_attributes_are_pinned():
-    # lookups are linalg/decomposition functions, not methods: a precision row
-    # is v - 1, and cluster-tree neighbours come from decomposition.adjacency;
+    # lookups are linalg/models functions, not methods: a precision row
+    # is v - 1, and cluster-tree neighbours come from models.adjacency;
     # a model's precision has one reader, the precision_matrix attribute
     def public(obj):
         return [name for name in dir(obj) if not name.startswith("_")]

@@ -6,17 +6,15 @@ import pytest
 from gmrf_select import decomposition
 from gmrf_select.decomposition import (
     TreeDecomposition,
-    adjacency,
     balance_for_tree,
     normalize,
     parse_and_normalize,
     read_td_text,
-    search,
     validate_axioms,
     write_td_text,
 )
 from gmrf_select.errors import InvalidDecomposition, NotATree, ParseError
-from gmrf_select.models import random_gff
+from gmrf_select.models import adjacency, random_gff, search
 
 from conftest import unit_path
 from oracles import check_elimination_order

@@ -13,7 +13,7 @@ from gmrf_select.linalg import (
     trace_of_inverse,
 )
 
-from conftest import random_pd_supported
+from conftest import one_by_one_entries, outcome, random_pd_supported
 from oracles import (
     add_reference,
     diag_of_inverse_reference,
@@ -335,3 +335,23 @@ class TestKernelBits:
             rng.shuffle(subset)
             assert (diag_of_inverse(m, subset).hex()
                     == diag_of_inverse_reference(m, subset).hex())
+
+    def test_one_by_one_blocks_match_the_general_code(self):
+        # marginal reads a 1 x 1 eliminated block's eigenvalue off its entry and
+        # diag_of_inverse answers a 1 x 1 block in scalar arithmetic: the same
+        # bits as eigvalsh and the Cholesky solve, or the same refusal
+        rng = np.random.default_rng(105)
+        answered = 0
+        for i, a in enumerate(one_by_one_entries(105, 10_000, 1e-3, 1e3)):
+            kept = i % 3   # kept indices beside the eliminated one, 0..2
+            m = random_pd_supported(rng, range(1, kept + 2))
+            block = m.block.copy()
+            block[0, 0] = a
+            m = SupportedMatrix(m.support, block)
+            assert outcome(marginal, m, m.support[1:]) == outcome(marginal_reference, m,
+                                                                  m.support[1:]), a
+            scalar = SupportedMatrix((4,), np.array([[a]]))
+            got = outcome(diag_of_inverse, scalar, (4,))
+            assert got == outcome(diag_of_inverse_reference, scalar, (4,)), a
+            answered += got[0] is float
+        assert answered > 2500

@@ -13,6 +13,7 @@ from gmrf_select.rounding import (
     log_grid_snap,
 )
 
+from conftest import one_by_one_entries, outcome
 from oracles import (
     canonical_ray_reference,
     gff_relation_eps,
@@ -20,6 +21,7 @@ from oracles import (
     is_gff_class,
     psd_sandwich_check,
     supported,
+    svd_round_reference,
 )
 
 
@@ -225,6 +227,23 @@ class TestSvdRound:
         with pytest.raises(RankDeficient):
             r.round(SupportedMatrix((1, 2), np.array([[1.0, 1.0], [1.0, 1.0]])))
 
+    def test_one_by_one_matches_the_general_code(self):
+        # a 1 x 1 block's eigenvalue is snapped in scalar arithmetic: the bits
+        # of eigh, the sphere net and Gram-Schmidt, or the same refusal; the
+        # last grid reaches DBL_MAX, where the general code's 2d overflows
+        answered = 0
+        for seed, r in enumerate((SvdRounder(lam_lo=1e-300, lam_hi=1e-290, eps=0.1),
+                                  self.rounder(),
+                                  SvdRounder(lam_lo=1e290, lam_hi=1e300, eps=0.2,
+                                             range_factor=1.01),
+                                  SvdRounder(lam_lo=1e300, lam_hi=1.7e308, eps=0.1))):
+            for a in one_by_one_entries(10 + seed, 2500, r.lam_lo, r.lam_hi):
+                p = SupportedMatrix((3,), np.array([[a]]))
+                got = outcome(r.round, p)
+                assert got == outcome(svd_round_reference, r, p), a
+                answered += len(got) == 4
+        assert answered > 1500
+
     def test_canonical_ray_idempotent(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -256,6 +275,17 @@ def test_gff_round_matches_element_loop():
         m = random_g_matrix(rng, int(rng.integers(1, 7)), lo=0.002, hi=500.0)
         out, ref = r.round(m), gff_round_reference(r, m)
         assert out.support == ref.support and out.block.tobytes() == ref.block.tobytes()
+    # a 1 x 1 block is snapped in scalar arithmetic: the same bits, or the same
+    # refusal, for any double at three grid scales
+    answered = 0
+    for seed, r in enumerate((GffRounder(c_l=1e-300, c_h=1e-290, eps=0.05), r,
+                              GffRounder(c_l=1e290, c_h=1e300, eps=0.1))):
+        for a in one_by_one_entries(seed, 3400, r.c_l, r.c_h):
+            p = SupportedMatrix((3,), np.array([[a]]))
+            got = outcome(r.round, p)
+            assert got == outcome(gff_round_reference, r, p), a
+            answered += len(got) == 4
+    assert answered > 2000
 
 
 def test_vectorised_rays_match_canonical_ray():
