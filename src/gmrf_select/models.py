@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -282,19 +282,25 @@ def laplacian(gff: GffModel) -> np.ndarray:
     off-diagonal -1/r_ij, diagonal the row's conductance sum. The model
     validated its edges, so it is built as is, exactly symmetric."""
     lam = np.zeros((gff.n, gff.n))
-    total = [0.0] * gff.n   # Python floats: an overflow gives inf, not a numpy warning
-    for u, v, r in gff.edges:
+    fill_laplacian(lam, gff.edges)
+    lam.setflags(write=False)
+    return lam
+
+
+def fill_laplacian(lam: np.ndarray, edges) -> None:
+    """Write the Laplacian of ``edges`` into the zeroed n x n array ``lam``
+    (a view will do): distinct pairs (u, v, r) with valid resistances, each
+    row's total summed in edge order. A total that overflows is refused."""
+    total = [0.0] * len(lam)   # Python floats: an overflow gives inf, not a numpy warning
+    for u, v, r in edges:
         c = 1.0 / r
         total[u - 1] += c
         total[v - 1] += c
-        lam[u - 1, v - 1] -= c
-        lam[v - 1, u - 1] -= c
+        lam[u - 1, v - 1] = lam[v - 1, u - 1] = -c
     for v, t in enumerate(total, 1):
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise InvariantViolation(f"total conductance at vertex {v} overflows")
-    lam[np.diag_indices(gff.n)] = total
-    lam.setflags(write=False)
-    return lam
+    lam[np.diag_indices(len(lam))] = total
 
 
 def _effective_observed(model, subset) -> frozenset:
@@ -522,23 +528,32 @@ def random_gff(n: int, density: float = 0.3,
         raise InfeasibleParameters(f"density must lie in [0, 1], got {density}")
     if seed < 0:
         raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
+    return GffModel(n, random_gff_edges(n, density, resistance_range, seed), pin=1)
+
+
+def random_gff_edges(n: int, density: float, resistance_range, seed: int) -> list:
+    """``random_gff``'s edges (u, v, r), u < v, in draw order: a tree edge
+    from u = ``integers(1, v)`` to each v = 2..n, then each other pair with
+    probability ``density``. A coin or a resistance is one double d of the
+    seed's own stream, r = exp(a + (b - a) d) for the range's logs a and b
+    (``uniform``'s formula), so the pairs read their doubles in blocks."""
     rng = np.random.default_rng(seed)
-    log_lo, log_hi = np.log(lo), np.log(hi)
-
-    def draw_r():
-        return float(np.exp(rng.uniform(log_lo, log_hi)))
-
-    edges = []
-    present = set()
+    pairs, draws = [], []
     for v in range(2, n + 1):
-        u = int(rng.integers(1, v))
-        edges.append((u, v, draw_r()))
-        present.add((u, v))
+        pairs.append((int(rng.integers(1, v)), v))
+        draws.append(rng.random())
+    tree = set(pairs)
+    need = (n - 1) * (n - 2)   # a coin and a resistance for each other pair, at most
+    doubles = chain.from_iterable(rng.random(min(need - i, 1 << 16)).tolist()
+                                  for i in range(0, need, 1 << 16))
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
-            if (u, v) not in present and rng.random() < density:
-                edges.append((u, v, draw_r()))
-    return GffModel(n, edges, pin=1)
+            if (u, v) not in tree and next(doubles) < density:
+                pairs.append((u, v))
+                draws.append(next(doubles))
+    log_lo, log_hi = (np.log(r) for r in resistance_range)
+    resistances = np.exp(log_lo + (log_hi - log_lo) * np.array(draws)).tolist()
+    return [(u, v, r) for (u, v), r in zip(pairs, resistances)]
 
 
 def random_gmrf(n: int, tree_width_hint: int = 2,

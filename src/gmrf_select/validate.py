@@ -26,7 +26,7 @@ from .dp import dp_select
 from .errors import InfeasibleParameters
 from .exact import exact_budget, exact_cover, thread_count
 from .greedy import greedy_budget, greedy_cover
-from .models import err, err_stack, random_gff
+from .models import err, err_stack, fill_laplacian, random_gff, random_gff_edges
 
 
 def _finding(severity, suite, detail, **data):
@@ -57,21 +57,24 @@ def suite_three_path(seed, trials):
 
 def _draw_checks(rng, count):
     """``count`` supermodularity checks (A, x, y), 10 per model (n 3-10, pin
-    1): x and y are two free vertices, and each other free vertex joins A with
-    probability 0.3, drawn in vertex order. Returns the models' precisions
-    zero-padded to 10 x 10 and their n, each check's model, x and y as
-    positions p among the free vertices (vertex p + 2), and the unobserved
-    vertices of A, A+x, A+y and A+x+y as four mask rows per check."""
-    models = -(-count // 10)
-    precisions, ns = np.zeros((models, 10, 10)), np.empty(models, dtype=np.intp)
+    1; ``random_gff``'s draw, its Laplacian written straight into its slot
+    of the stack, with no ``GffModel`` built): x and y are two free
+    vertices, and each other free vertex joins A with probability 0.3, drawn
+    in vertex order. Returns the models' precisions zero-padded to 10 x 10
+    and their n, each check's model, x and y as positions p among the free
+    vertices (vertex p + 2), and the unobserved vertices of A, A+x, A+y and
+    A+x+y as four mask rows per check."""
+    model_count = -(-count // 10)
+    precisions, ns = np.zeros((model_count, 10, 10)), np.empty(model_count, dtype=np.intp)
     owner, pick = np.arange(count) // 10, np.empty((count, 2), dtype=np.intp)
     joins = np.zeros((count, 11), dtype=bool)   # column 2 + r: the r-th other vertex joins
     for c in range(count):
         if c % 10 == 0:
             n = ns[c // 10] = int(rng.integers(3, 11))
-            g = random_gff(n, density=float(rng.uniform(0.1, 0.6)),
-                           seed=int(rng.integers(0, 1 << 30)))
-            precisions[c // 10, :n, :n] = g.precision_matrix
+            edges = random_gff_edges(n, float(rng.uniform(0.1, 0.6)), (0.5, 2.0),
+                                     int(rng.integers(0, 1 << 30)))
+            # in (u, v) order, as a GffModel sums them: the diagonal keeps its bits
+            fill_laplacian(precisions[c // 10, :n, :n], sorted(edges))
         pick[c] = rng.choice(n - 1, size=2, replace=False)
         joins[c, 2:n - 1] = rng.random(n - 3) < 0.3
     pos, x, y = np.arange(9), pick[:, :1], pick[:, 1:]

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from gmrf_select.models import GffModel, GmrfModel
+from gmrf_select.models import GffModel, GmrfModel, random_gff
 
 # covariance of the 4-variable counterexample model (supermodularity fails)
 COUNTEREXAMPLE_SIGMA = np.array([
@@ -113,12 +113,15 @@ def one_by_one_entries(seed, count, lo, hi):
 
 def outcome(fn, *args):
     """``fn(*args)`` in comparable form: a matrix's support, shape, dtype and
-    block bytes, a number's type and bytes, or the class and message of what it
-    raised (the suite turns warnings into errors, so a warning counts too)."""
+    block bytes, a GFF's edges and precision bytes, a number's type and bytes,
+    or the class and message of what it raised (the suite turns warnings into
+    errors, so a warning counts too)."""
     try:
         out = fn(*args)
     except Exception as exc:
         return type(exc), str(exc)
+    if isinstance(out, GffModel):
+        return out.edges, out.precision_matrix.tobytes()
     if hasattr(out, "block"):
         return out.support, out.block.shape, out.block.dtype.str, out.block.tobytes()
     return type(out), np.float64(out).tobytes()
@@ -136,18 +139,20 @@ def padded(models, width=10):
 def recorded_stack_calls(monkeypatch, edit=None):
     """A list that receives each ``err_stack`` call of validate's
     supermodularity suite as (models, owner, unobserved, scores): the GFFs
-    ``random_gff`` drew for the call, in stack order, the call's owners and
-    mask, and the scores the suite saw, which ``edit(models, owner,
-    unobserved, scores)`` may change first. Each call's stack must hold its
-    models' precisions, zero-padded to 10 x 10."""
+    whose edges ``random_gff_edges`` drew for the call, in stack order and
+    each built by the public ``random_gff``, the call's owners and mask, and
+    the scores the suite saw, which ``edit(models, owner, unobserved,
+    scores)`` may change first. Each call's stack must hold its models'
+    precisions, zero-padded to 10 x 10, bit for bit."""
     import gmrf_select.validate as validate_mod
 
-    true_gff, true_stack = validate_mod.random_gff, validate_mod.err_stack
+    true_edges, true_stack = validate_mod.random_gff_edges, validate_mod.err_stack
     drawn, calls = [], []
 
-    def drawing_gff(*args, **kwargs):
-        drawn.append(true_gff(*args, **kwargs))
-        return drawn[-1]
+    def drawing_edges(n, density, resistance_range, seed):
+        assert resistance_range == (0.5, 2.0)   # random_gff's default
+        drawn.append(random_gff(n, density=density, seed=seed))
+        return true_edges(n, density, resistance_range, seed)
 
     def recording_stack(precisions, ns, owner, unobserved):
         models = drawn[:]
@@ -160,6 +165,6 @@ def recorded_stack_calls(monkeypatch, edit=None):
         calls.append((models, owner, unobserved, scores))
         return scores
 
-    monkeypatch.setattr(validate_mod, "random_gff", drawing_gff)
+    monkeypatch.setattr(validate_mod, "random_gff_edges", drawing_edges)
     monkeypatch.setattr(validate_mod, "err_stack", recording_stack)
     return calls

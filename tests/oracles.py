@@ -4,11 +4,11 @@ The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
 PSD sandwich, the GFF-class check on whole blocks, the element-wise rounding
 relation, the elimination-order check, report parsing, factor totals, err
-on the support-matrix path) live here, with the straightforward ``np.ix_``
-and element-loop forms of the DP kernels that the package computes on cached
-position maps. These run the kernels' general code at every size, so they are
-also the reference for the 1 x 1 blocks the package answers in scalar
-arithmetic.
+on the support-matrix path, the random GFF draw as a scalar loop) live here,
+with the straightforward ``np.ix_`` and element-loop forms of the DP kernels
+that the package computes on cached position maps. These run the kernels'
+general code at every size, so they are also the reference for the 1 x 1
+blocks the package answers in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from gmrf_select import linalg
 from gmrf_select.errors import (
     NOT_POSITIVE_DEFINITE,
     GmrfSelectError,
+    InfeasibleParameters,
     InvalidDecomposition,
     InvariantViolation,
     ParseError,
@@ -138,6 +139,39 @@ def stacked_sets(models, owner, unobserved) -> list[tuple]:
     """(model, observed vertices) of each set of an ``err_stack`` call."""
     return [(models[j], tuple(v for v in models[j].vertices if not row[v - 1]))
             for j, row in zip(owner, unobserved)]
+
+
+def random_gff_reference(n: int, density: float = 0.3,
+                         resistance_range=(0.5, 2.0), seed: int = 0) -> GffModel:
+    """``random_gff`` as a scalar loop, one generator call per draw: the tree
+    edge to each v = 2..n, then a coin per other pair and a resistance per
+    edge kept, each resistance exponentiated on its own."""
+    if n < 2:
+        raise InfeasibleParameters(f"n must be >= 2, got {n}")
+    lo, hi = resistance_range
+    if not (0 < lo <= hi and np.isfinite(hi)):
+        raise InfeasibleParameters(f"bad resistance range {resistance_range}")
+    if not 0.0 <= density <= 1.0:
+        raise InfeasibleParameters(f"density must lie in [0, 1], got {density}")
+    if seed < 0:
+        raise InfeasibleParameters(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    log_lo, log_hi = np.log(lo), np.log(hi)
+
+    def draw_r():
+        return float(np.exp(rng.uniform(log_lo, log_hi)))
+
+    edges = []
+    present = set()
+    for v in range(2, n + 1):
+        u = int(rng.integers(1, v))
+        edges.append((u, v, draw_r()))
+        present.add((u, v))
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if (u, v) not in present and rng.random() < density:
+                edges.append((u, v, draw_r()))
+    return GffModel(n, edges, pin=1)
 
 
 def supermodularity_checks_reference(seed: int, trials: int) -> list[tuple]:

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -974,23 +973,23 @@ class TestValidateSuite:
 
     def test_supermodularity_memory_is_bounded_by_blocks(self, monkeypatch):
         # 5,000 checks: five stacked calls of 100 models and 4,000 sets, and no
-        # more than 100 models alive at any call
+        # more than 100 models drawn for any call
         import gmrf_select.validate as validate_mod
 
-        true_gff, true_stack = validate_mod.random_gff, validate_mod.err_stack
-        drawn, sizes = [], []
+        true_edges, true_stack = validate_mod.random_gff_edges, validate_mod.err_stack
+        drawn, sizes, marks = [], [], [0]   # marks: len(drawn) at each stacked call
 
-        def drawing_gff(*args, **kwargs):
-            g = true_gff(*args, **kwargs)
-            drawn.append(weakref.ref(g))
-            return g
+        def drawing_edges(*args):
+            drawn.append(args)
+            return true_edges(*args)
 
         def recording_stack(precisions, ns, owner, unobserved):
-            alive = sum(ref() is not None for ref in drawn)
-            sizes.append((len(precisions), len(ns), len(owner), len(unobserved), alive <= 100))
+            marks.append(len(drawn))
+            sizes.append((len(precisions), len(ns), len(owner), len(unobserved),
+                          marks[-1] - marks[-2] <= 100))
             return true_stack(precisions, ns, owner, unobserved)
 
-        monkeypatch.setattr(validate_mod, "random_gff", drawing_gff)
+        monkeypatch.setattr(validate_mod, "random_gff_edges", drawing_edges)
         monkeypatch.setattr(validate_mod, "err_stack", recording_stack)
         validate_mod.suite_supermodularity(0, 5000)
         assert len(drawn) == 500

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from gmrf_select.models import (
 from conftest import (
     COUNTEREXAMPLE_SIGMA,
     k5_gff,
+    outcome,
     random_tree_gmrf,
     unit_cycle,
     unit_path,
@@ -43,6 +46,7 @@ from oracles import (
     NotUnitRegular,
     electrical_flow,
     flow_energy,
+    random_gff_reference,
     regular_tightness,
     supported,
 )
@@ -475,7 +479,33 @@ class TestTreeGmrfToGff:
             tree_gmrf_to_gff(GmrfModel(lam))
 
 
+DBL_MAX = sys.float_info.max
+
+
+def gff_argument_sets(count=3000):
+    """Seeded ``random_gff`` arguments (n, density, resistance_range, seed):
+    n 2-40, density 0, 1 or uniform, and ranges from (5e-324, 1e-300) to
+    (1e300, DBL_MAX), fixed or log-uniform between those ends."""
+    rng = np.random.default_rng(36)
+    ranges = [(5e-324, 1e-300), (1e300, DBL_MAX), (5e-324, DBL_MAX), (1e-13, 1.0), (0.5, 2.0),
+              (1.0, 1.0)]
+    for i in range(count):
+        n = int(rng.integers(2, 41))
+        density = (0.0, 1.0, float(rng.random()))[i % 3]
+        if i % 2:
+            resistance_range = ranges[i // 2 % len(ranges)]
+        else:   # 10^-323.3 is 5e-324, 10^308.25 just below DBL_MAX
+            resistance_range = tuple(10.0 ** np.sort(rng.uniform(-323.3, 308.25, 2)))
+        yield n, density, tuple(map(float, resistance_range)), int(rng.integers(0, 1 << 31))
+
+
 class TestGenerators:
+    def test_draw_is_the_scalar_loop(self):
+        # every coin and resistance read from blocks of the stream: the same
+        # edges in the same order, the same precision bytes, or the same refusal
+        for args in gff_argument_sets():
+            assert outcome(random_gff, *args) == outcome(random_gff_reference, *args), args
+
     def test_determinism(self):
         a = random_gff(10, density=0.3, seed=7)
         b = random_gff(10, density=0.3, seed=7)

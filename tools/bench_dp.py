@@ -35,8 +35,11 @@ spread beside every run, and each median is printed with its spread:
   records the time of `import gmrf_select.cli` (numpy's import included),
   measured before the probe runs the module as `__main__`; the time from the
   last atexit hook (main has returned) to the moment the process is reaped;
-  the process's wall time; and the sorted `gmrf_select.*` modules loaded
-  when main returned (every repeat must load the same ones).
+  the process's wall time; its `VmHWM` from `/proc/self/status` in that hook
+  (the request's own peak RSS, which the benchmark's `peak_rss_mb`, a
+  high-water that also holds the harness's, cannot show); and the sorted
+  `gmrf_select.*` modules loaded when main returned (every repeat must load
+  the same ones).
 - pairs: `benchmark/run.py --trace 0` on every workload, run alternately in
   both checkouts at seeds 31, 32, ..., one seed per pair, in the layout of
   BENCH_8.json, with per-metric medians, quartiles and change wins, and the
@@ -204,7 +207,9 @@ import atexit, json, runpy, sys, time, warnings
 warnings.filterwarnings("ignore", category=RuntimeWarning, module="runpy")
 def returned():
     modules = sorted(m for m in sys.modules if m.startswith("gmrf_select."))
-    sys.stderr.write(json.dumps([imported, modules, time.perf_counter()]) + "\\n")
+    with open("/proc/self/status") as status:   # the process's own RSS high-water, in kB
+        hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    sys.stderr.write(json.dumps([imported, modules, hwm, time.perf_counter()]) + "\\n")
 atexit.register(returned)
 start = time.perf_counter()
 import gmrf_select.cli
@@ -215,8 +220,10 @@ runpy.run_module("gmrf_select.cli", run_name="__main__", alter_sys=True)
 
 def exit_times(sides: dict, repeats: int) -> dict:
     """Per request kind and side: ms to import gmrf_select.cli, ms from main
-    returning to the process being reaped, the process's wall ms, and the
-    package modules loaded. atexit hooks run in reverse order, so the probe's
+    returning to the process being reaped, the process's wall ms, its own
+    RSS high-water (``VmHWM`` when main has returned, in MB; unlike the
+    benchmark's ``peak_rss_mb``, it never holds the parent's high-water), and
+    the package modules loaded. atexit hooks run in reverse order, so the probe's
     hook, registered before any import, runs last. runpy runs the imported
     module's code again as __main__; that second run finds every module it
     imports at the top already loaded."""
@@ -235,7 +242,8 @@ def exit_times(sides: dict, repeats: int) -> dict:
                 if req.kind in kinds:
                     requests.setdefault(req.kind, req.argv(tmp))
         for kind in kinds:
-            samples = {side: {"import_ms": [], "exit_ms": [], "wall_ms": []} for side in sides}
+            samples = {side: {"import_ms": [], "exit_ms": [], "wall_ms": [], "vmhwm_mb": []}
+                       for side in sides}
             modules = {side: [] for side in sides}
             for rep in range(repeats):
                 for side in (list(sides) if rep % 2 == 0 else list(reversed(sides))):
@@ -244,8 +252,9 @@ def exit_times(sides: dict, repeats: int) -> dict:
                     proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, *requests[kind]],
                                           env=env, capture_output=True, text=True, check=True)
                     reaped = time.perf_counter()
-                    imported, loaded, returned = json.loads(proc.stderr.splitlines()[-1])
+                    imported, loaded, hwm, returned = json.loads(proc.stderr.splitlines()[-1])
                     samples[side]["import_ms"].append(imported * 1e3)
+                    samples[side]["vmhwm_mb"].append(hwm / 1024)
                     samples[side]["exit_ms"].append((reaped - returned) * 1e3)
                     samples[side]["wall_ms"].append((reaped - start) * 1e3)
                     modules[side].append(loaded)
@@ -337,7 +346,7 @@ def main(argv=None) -> int:
         print(f"{name}: {show(case['parent']['time_s'])} s -> {show(case['change']['time_s'])} s "
               f"({case['speedup_time_s']:.2f}x, same result: {case['same_result']})")
     for kind, case in result["exit"].items():
-        for key in ("import_ms", "exit_ms", "wall_ms"):
+        for key in ("import_ms", "exit_ms", "wall_ms", "vmhwm_mb"):
             print(f"{kind} {key}: {show(case['parent'][key])} -> {show(case['change'][key])}")
         for side in sides:
             print(f"{kind} {side} loads: {' '.join(case[side]['modules'])}")

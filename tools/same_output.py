@@ -10,8 +10,9 @@ and runs each distinct request once per side. It adds `validate --trials 30
 --seed 0`, `validate --trials 0` and `validate --trials 100 --seed 0 --out
 FILE` (at seed 0 its findings file holds two greedy-budget discrepancies with
 their numbers, and each side's file is compared byte for byte), a `convert
-tree-gmrf-to-gff` and a `--format text` eval of a seed-1 tree GMRF, a `gen
-gmrf`, a `select greedy
+tree-gmrf-to-gff` and a `--format text` eval of a seed-1 tree GMRF, three
+`gen gff` runs (the default density, 0 and 1), a `gen gmrf`, the `--help` of
+the program and of each of its five subcommands, a `select greedy
 --alpha` on a GMRF (whose report promises nothing), `--format text` runs
 (which print the guarantee's factor) of `select greedy` with a budget and with
 an alpha, `select dp` and `select exact` on seed-1 GFFs, and each side's five
@@ -40,9 +41,11 @@ Against a parent from before the package stopped warning: the stderr of every
 where a two-line RuntimeWarning became one `note:` line.
 
 Apart from these program commands, it runs `eval --set 1` on each of a
-group of malformed model files (MALFORMED), and `select dp --td` on a unit
-4-path with a decomposition file whose bag exceeds its declared width. Both
-sides should refuse each with exit 2; a change to the messages at the input
+group of malformed model files (MALFORMED), `select dp --td` on a unit
+4-path with a decomposition file whose bag exceeds its declared width, and
+two `gen gff` runs with resistances from 5e-324 to 1e-300, whose error names
+the first drawn edge with an overflowing conductance. Both sides should
+refuse each of these inputs with exit 2; a change to the messages at the input
 boundary shows up there as a list of differences. Against a parent from
 before every covariance was inverted by `models.inverse`, one is expected:
 the `singular covariance` file's stderr, `error: covariance is singular:
@@ -58,9 +61,9 @@ differs when its exit code, stdout, stderr or the file it writes in place of
 `<checkout>` first. The script prints each
 difference and, per group, the number of commands, of those that exit as not
 expected on either side (nonzero for a program command, other than 2 for a
-malformed file, other than 3 for a capped command), and of differences. It
+refused input, other than 3 for a capped command), and of differences. It
 exits 1 if a program command or a capped command differs, or if on the change
-side a malformed file does not exit 2 or a capped command does not exit 3.
+side a refused input does not exit 2 or a capped command does not exit 3.
 
 Standard library and numpy (which `benchmark/workloads.py` needs) only.
 """
@@ -122,6 +125,9 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
             ("validate 100 findings", ["validate", "--trials", "100", "--seed", "0",
                                        "--out", "{out}"]),
             ("convert", ["convert", "tree-gmrf-to-gff", "--input", tree]),
+            ("gen gff", ["gen", "gff", "--n", "12"]),
+            ("gen gff density 0", ["gen", "gff", "--n", "12", "--density", "0"]),
+            ("gen gff density 1", ["gen", "gff", "--n", "12", "--density", "1"]),
             ("gen gmrf", ["gen", "gmrf", "--n", "8", "--width", "2", "--seed", "5"]),
             ("eval text", ["eval", *text, "--set", "1,4", "--input", tree]),
             ("greedy alpha gmrf", ["select", "greedy", "--alpha", "0.05", "--input", gmrf]),
@@ -149,6 +155,8 @@ def commands(input_root: Path) -> list[tuple[str, list[str]]]:
         for limit in (["--alpha", "0.1"], ["--budget", "1"], ["--budget", "2"]):
             out.append((f"greedy {label} {' '.join(limit)}",
                         ["select", "greedy", *limit, "--input", model]))
+    out += [("help", ["--help"])] + [(f"help {command}", [command, "--help"]) for command in
+                                      ("select", "eval", "gen", "convert", "validate")]
     out = [(label, ["-m", "gmrf_select.cli", *argv]) for label, argv in out]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         out.append((f"demo {demo.stem}", [f"{{root}}/demos/{demo.name}"]))
@@ -175,9 +183,9 @@ MALFORMED = [
 
 
 def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
-    """(label, arguments after `python3`) of an eval of each MALFORMED file
-    and of a dp run with a too-narrow decomposition file, written under
-    ``input_root``."""
+    """(label, arguments after `python3`) of an eval of each MALFORMED file,
+    of a dp run with a too-narrow decomposition file, both written under
+    ``input_root``, and of the refused `gen gff` runs."""
     input_root.mkdir(parents=True)
     out = []
     for number, (label, text) in enumerate(MALFORMED):
@@ -190,6 +198,12 @@ def malformed(input_root: Path) -> list[tuple[str, list[str]]]:
     td.write_text("s td 2 2 4\nb 1 1 2 3\nb 2 3 4\n1 2\n")   # width+1 = 2, a bag of 3
     out.append(("malformed td width", ["-m", "gmrf_select.cli", "select", "dp", "--budget",
                                        "1", "--input", str(model), "--td", str(td)]))
+    # conductances past the largest float: refused at the first such edge in draw order,
+    # (1,2) at seed 0 and (2,4) at seed 4, where (1,5) is the first in sorted order
+    for seed in ("0", "4"):
+        out.append((f"gen gff tiny resistances seed {seed}",
+                    ["-m", "gmrf_select.cli", "gen", "gff", "--n", "12", "--seed", seed,
+                     "--r-min", "5e-324", "--r-max", "1e-300"]))
     return out
 
 
@@ -234,7 +248,7 @@ def main(argv=None) -> int:
         differences, _ = compare(sides, commands(Path(tmp) / "inputs"), 0, Path(tmp),
                                  "program commands")
         _, refused = compare(sides, malformed(Path(tmp) / "malformed"), 2, Path(tmp),
-                             "malformed files")
+                             "refused inputs")
         cap_differences, uncapped = compare(sides, capped(Path(tmp) / "capped"), 3, Path(tmp),
                                             "capped commands")
     return 1 if differences or refused or cap_differences or uncapped else 0
