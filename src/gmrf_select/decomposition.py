@@ -175,7 +175,8 @@ def normalize(clusters, tree_edges, n, graph_edges) -> TreeDecomposition:
 # ---------------------------------------------------------------------------
 
 def read_td_text(text: str):
-    """Parse `s td m width+1 n`, bag lines `b i v1 ...`, and edge lines `i j`.
+    """Parse `s td m width+1 n` (each count >= 1), bag lines `b i v1 ...`, and
+    edge lines `i j`.
     Returns (clusters 0-based list, tree edges 0-based, n)."""
     header = None
     bags = {}
@@ -194,6 +195,9 @@ def read_td_text(text: str):
                 header = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer header field")
+            if min(header) < 1:
+                raise ParseError(f"line {lineno}: invalid dimensions m={header[0]} "
+                                 f"width+1={header[1]} n={header[2]}")
         elif parts[0] == "b":
             if header is None:
                 raise ParseError(f"line {lineno}: bag before 's td' header")

@@ -67,7 +67,7 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
         for u, v, r in model.edges:
             home = next((t for t, c in enumerate(td.clusters) if u in c and v in c), None)
             if home is None:
-                raise InvariantViolation(f"edge ({u},{v}) inside no cluster")
+                raise InvalidDecomposition(f"edge ({u},{v}) inside no cluster")
             c = 1.0 / r
             pu, pv = pos[home][u], pos[home][v]
             blocks[home][pu, pu] += c

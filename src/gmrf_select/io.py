@@ -1,7 +1,7 @@
 """Model file formats and report serialization.
 
 Formats:
-  GFF:   line `gff n m pin`, then m lines `u v r` (1-based, r > 0).
+  GFF:   line `gff n m pin` (m >= 0), then m lines `u v r` (1-based, r > 0).
   GMRF:  line `gmrf` (precision) or `gmrf-cov` (covariance), then the matrix
          and nothing else: a line `n k` (n >= 1), the support line `1 ... n`
          (so k = n) and n rows of n entries.
@@ -89,6 +89,8 @@ def parse_model_text(text: str):
             n, m, pin = int(head[1]), int(head[2]), int(head[3])
         except ValueError:
             raise ParseError(f"line {first + 1}: non-integer header field")
+        if m < 0:
+            raise ParseError(f"line {first + 1}: invalid dimensions n={n} m={m}")
         edges = []
         lineno = first + 1
         for raw in lines[first + 1:]:

@@ -67,7 +67,7 @@ def _draw_checks(rng, count):
     model_count = -(-count // 10)
     precisions, ns = np.zeros((model_count, 10, 10)), np.empty(model_count, dtype=np.intp)
     owner, pick = np.arange(count) // 10, np.empty((count, 2), dtype=np.intp)
-    joins = np.zeros((count, 11), dtype=bool)   # column 2 + r: the r-th other vertex joins
+    joins = np.zeros((count, 9), dtype=bool)   # column r: the r-th other vertex joins
     for c in range(count):
         if c % 10 == 0:
             n = ns[c // 10] = int(rng.integers(3, 11))
@@ -76,11 +76,10 @@ def _draw_checks(rng, count):
             # in (u, v) order, as a GffModel sums them: the diagonal keeps its bits
             fill_laplacian(precisions[c // 10, :n, :n], sorted(edges))
         pick[c] = rng.choice(n - 1, size=2, replace=False)
-        joins[c, 2:n - 1] = rng.random(n - 3) < 0.3
+        joins[c, :n - 3] = rng.random(n - 3) < 0.3
     pos, x, y = np.arange(9), pick[:, :1], pick[:, 1:]
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    # position p is the p-th other vertex below lo, the (p - 1)-th up to hi, else the (p - 2)-th
-    in_a = np.where(pos < lo, joins[:, 2:], np.where(pos < hi, joins[:, 1:10], joins[:, :9]))
+    # position p is the r-th other vertex, r = p less one for each of x and y below p
+    in_a = np.take_along_axis(joins, pos - (pos > x) - (pos > y), axis=1)
     in_a &= (pos != x) & (pos != y)
     unobserved = np.zeros((count, 4, 10), dtype=bool)
     unobserved[:, :, 1:] = ((pos < ns[owner, None] - 1) & ~in_a)[:, None]

@@ -89,6 +89,15 @@ class TestFactorize:
         with pytest.raises(InvalidDecomposition):
             factorize(m, bad)
 
+    def test_gff_edge_in_no_cluster(self):
+        # a decomposition of the path 1-2-3 given a triangle: no cluster holds
+        # edge (1,3), a bad decomposition as on the GMRF branch
+        triangle = GffModel(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
+        td = normalize([{1, 2}, {2, 3}], [(0, 1)], 3, [(1, 2), (2, 3)])
+        for solve in (lambda: factorize(triangle, td), lambda: dp_select(triangle, td, 1, 0.1)):
+            with pytest.raises(InvalidDecomposition, match=r"^edge \(1,3\) inside no cluster$"):
+                solve()
+
 
 class TestRunDp:
     def test_budget_zero_single_state(self):
