@@ -126,7 +126,8 @@ class GffModel(_Model):
                 raise InvariantViolation(f"conflicting resistances on edge {key}")
             seen[key] = float(r)
         if len(seen) < n - 1:   # before any walk over n vertices: n comes from a header
-            raise DisconnectedGraph(f"{n} vertices need {n - 1} edges, got {len(seen)}")
+            need = "1 edge" if n == 2 else f"{n - 1} edges"
+            raise DisconnectedGraph(f"{n} vertices need {need}, got {len(seen)}")
         self.n = n
         self.pin = pin
         self.edges = tuple((u, v, seen[(u, v)]) for (u, v) in sorted(seen))

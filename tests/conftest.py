@@ -52,6 +52,15 @@ def wide_gff_text(name):
     return "\n".join(["gff 8 7 1", *lines, "1 4 1e308"]) + "\n"
 
 
+def adversarial_greedy_gff():
+    """A 7-vertex tree found by hill-climbing greedy's err ratio: at budget 3
+    greedy picks [1,2,6,7] (err 12.7346060782) and exact [1,3,5,7] (err
+    1.98139975332), a ratio of 6.43 against a printed factor of 1.58198."""
+    edges = [(1, 2, 51.1966), (2, 3, 44.4594), (3, 4, 0.1122), (2, 5, 48.178),
+             (5, 6, 0.1115), (2, 7, 95.241)]
+    return GffModel(7, edges, pin=1)
+
+
 def random_tree_gmrf(n, rng, mixed_signs=True):
     """Tree-structured PD precision with random couplings."""
     lam = np.zeros((n, n))

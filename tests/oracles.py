@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -133,6 +134,26 @@ def err_reference(model, subset) -> float:
     if len(s) == model.n:
         return 0.0
     return linalg.trace_of_inverse(linalg.obs(supported(model), s)) / model.n
+
+
+def err_exact(model, subset) -> Fraction:
+    """err in exact rational arithmetic, for n <= 12: each double of the
+    model's precision converts to a Fraction exactly, so this answers for the
+    very model the program saw. Gauss-Jordan elimination takes the unobserved
+    block (positive definite, so no pivot is zero) to the identity and the
+    identity beside it to the inverse, whose trace over n is err."""
+    s = frozenset(subset) | model.pinned
+    free = [v - 1 for v in model.vertices if v not in s]
+    k = len(free)
+    rows = [[Fraction(float(model.precision_matrix[i, j])) for j in free]
+            + [Fraction(int(r == c)) for c in range(k)] for r, i in enumerate(free)]
+    for p in range(k):
+        rows[p] = [x / rows[p][p] for x in rows[p]]
+        for r in range(k):
+            factor = rows[r][p]
+            if r != p and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[p])]
+    return sum(rows[r][k + r] for r in range(k)) / model.n
 
 
 def stacked_sets(models, owner, unobserved) -> list[tuple]:

@@ -600,6 +600,7 @@ BAD_FILES = {
     # with a message whose size does not grow with n
     "gff-huge-n": ("gff 200000 1 1\n1 2 1\n", None,
                    "200000 vertices need 199999 edges, got 1"),
+    "gff-two-vertices-no-edge": ("gff 2 0 1\n", None, "2 vertices need 1 edge, got 0"),
     # any support line but 1..n is reported at that line
     "gmrf-partial-support": ("gmrf\n3 2\n1 2\n1 0\n0 1\n", None,
                              "line 3: support (1, 2) is not 1..3"),
