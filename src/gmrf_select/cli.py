@@ -74,9 +74,7 @@ def _print_report(report, args):
 def cmd_eval(args):
     model = _load_model(args)
     started = time.perf_counter()
-    selected = _parse_set(args.set)
-    report = make_report(model, set(selected) | model.pinned, "eval", None,
-                         started=started)
+    report = make_report(model, _parse_set(args.set), "eval", None, started=started)
     _print_report(report, args)
     return 0
 

@@ -126,16 +126,12 @@ def normalize(clusters, tree_edges, n, graph_edges) -> TreeDecomposition:
         t = pending.pop()
         while len(adj[t]) > 3:
             moved = sorted(adj[t])[2:]
-            dup = len(clusters)
-            clusters.append(clusters[t])
-            adj[dup] = set()
+            dup = new_cluster(clusters[t], t)
             for nb in moved:
                 adj[t].discard(nb)
                 adj[nb].discard(t)
                 adj[nb].add(dup)
                 adj[dup].add(nb)
-            adj[t].add(dup)
-            adj[dup].add(t)
             t = dup
 
     # attach the empty cluster, preferring a degree-2 host

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import SupportedMatrix, add, marginal, obs
-from .models import GffModel, SelectionReport, adjacency, make_report, search
+from .models import GffModel, SelectionReport, adjacency, fill_laplacian, make_report, search
 from .rounding import GffRounder, SvdRounder
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -56,24 +56,23 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
     the cluster's support, the factors summing to the precision entrywise.
 
     A GFF: each edge's Laplacian term goes to the lowest-index cluster
-    containing both endpoints. A GMRF: Cholesky of Lambda - sigma*I in the
-    elimination order, rows assigned to covering clusters, plus the
-    sigma-diagonal split with per-cluster shares of at least sigma/m.
+    containing both endpoints, and ``fill_laplacian`` writes each block. A
+    GMRF: Cholesky of Lambda - sigma*I in the elimination order, rows
+    assigned to covering clusters, plus the sigma-diagonal split with
+    per-cluster shares of at least sigma/m.
     """
     blocks = [np.zeros((len(c), len(c))) for c in td.clusters]
     supports = [tuple(sorted(c)) for c in td.clusters]
     pos = [{v: t for t, v in enumerate(s)} for s in supports]
     if isinstance(model, GffModel):
+        homed = [[] for _ in td.clusters]   # each edge in its home's 1-based positions
         for u, v, r in model.edges:
             home = next((t for t, c in enumerate(td.clusters) if u in c and v in c), None)
             if home is None:
                 raise InvalidDecomposition(f"edge ({u},{v}) inside no cluster")
-            c = 1.0 / r
-            pu, pv = pos[home][u], pos[home][v]
-            blocks[home][pu, pu] += c
-            blocks[home][pv, pv] += c
-            blocks[home][pu, pv] -= c
-            blocks[home][pv, pu] -= c
+            homed[home].append((pos[home][u] + 1, pos[home][v] + 1, r))
+        for block, edges in zip(blocks, homed):
+            fill_laplacian(block, edges)
         return tuple(SupportedMatrix(s, b) for s, b in zip(supports, blocks))
 
     w = np.linalg.eigvalsh(model.precision_matrix)
@@ -121,12 +120,8 @@ def factorize(model, td: TreeDecomposition) -> tuple[SupportedMatrix, ...]:
 # the message table
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Entry:
-    value: float
-    p_mat: SupportedMatrix
-    chosen: frozenset                      # every vertex observed inside the subtree
-    tiebreak: tuple
+# ``chosen`` is every vertex observed inside the subtree
+Entry = namedtuple("Entry", "value p_mat chosen tiebreak")
 
 
 class MessageTable:
@@ -371,7 +366,7 @@ def extract_solution(mt: MessageTable, details=None) -> SelectionReport:
     if len(best.chosen) > b:
         raise InvariantViolation(
             f"extracted {len(best.chosen)} observations with budget {b}")
-    report = make_report(model, best.chosen | model.pinned, "dp", b, started=mt.started,
+    report = make_report(model, best.chosen, "dp", b, started=mt.started,
                          details={"table_value": best.value,
                                   "sizing": mt.sizing_report(), **(details or {})})
     table_err = best.value / model.n

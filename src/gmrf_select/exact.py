@@ -1,10 +1,11 @@
 """Exhaustive-search oracle for the budget and cover problems on small
 instances. This is the ground truth every approximation claim is tested
 against, so it stays deliberately simple: plain subset enumeration, no pruning,
-nothing shared with greedy. Subsets of one size are scored in chunks by
-``models.err_batch`` (one stacked Cholesky and one inverse per chunk, in the
-scorer behind err), and those scores alone decide the answer. Only a chunk
-with a singular block is scored subset by subset with ``err``, which raises.
+nothing shared with greedy. Subsets are scored in chunks by
+``models.err_batch`` (one stacked Cholesky and one inverse per subset size in
+a chunk, in the scorer behind err), and those scores alone decide the
+answer. Only a chunk with a singular block is scored subset by subset with
+``err``, which raises.
 """
 
 from __future__ import annotations
@@ -32,11 +33,15 @@ def thread_count() -> int:
     return int(raw)
 
 
-def _check_size(model, max_n):
+def _candidates(model, max_n) -> list:
+    """The vertices a search may choose from, the unpinned ones, once n is
+    within the cap ``max_n`` and GMRF_SELECT_THREADS is valid."""
     if model.n > max_n:
         raise InstanceTooLarge(
             f"n = {model.n} exceeds the exhaustive-search cap {max_n}; "
             f"raise max_n explicitly to override")
+    thread_count()
+    return [v for v in model.vertices if v not in model.pinned]
 
 
 def _scored(model, combos):
@@ -60,13 +65,11 @@ def exact_budget(model, b: int, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
     smallest sorted selection."""
     if b < 0:
         raise InvariantViolation(f"budget must be >= 0, got {b}")
-    _check_size(model, max_n)
-    thread_count()
+    candidates = _candidates(model, max_n)
     started = time.perf_counter()
-    candidates = [v for v in model.vertices if v not in model.pinned]
-    best = min(scored for k in range(0, min(b, len(candidates)) + 1)
-               for scored in _scored(model, itertools.combinations(candidates, k)))
-    return make_report(model, best[1], "exact", b, started=started)
+    _, best = min(_scored(model, itertools.chain.from_iterable(
+        itertools.combinations(candidates, k) for k in range(min(b, len(candidates)) + 1))))
+    return make_report(model, best, "exact", b, started=started)
 
 
 def exact_cover(model, alpha: float, max_n: int = DEFAULT_MAX_N) -> SelectionReport:
@@ -74,11 +77,9 @@ def exact_cover(model, alpha: float, max_n: int = DEFAULT_MAX_N) -> SelectionRep
     the minimal size, the lexicographically first achiever wins."""
     if not 0 <= alpha < math.inf:
         raise InvariantViolation(f"alpha must be finite and >= 0, got {alpha}")
-    _check_size(model, max_n)
-    thread_count()
+    candidates = _candidates(model, max_n)
     started = time.perf_counter()
-    candidates = [v for v in model.vertices if v not in model.pinned]
-    for k in range(0, len(candidates) + 1):
+    for k in range(len(candidates) + 1):
         for score, sel in _scored(model, itertools.combinations(candidates, k)):
             if score <= alpha:
                 return make_report(model, sel, "exact", alpha, started=started)

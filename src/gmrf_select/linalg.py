@@ -95,16 +95,6 @@ def _split_maps(support: tuple, delta: frozenset) -> tuple:
 
 
 @lru_cache(maxsize=MAPS_CACHE)
-def _obs_maps(support: tuple, observed: frozenset) -> tuple:
-    """(the support left after observing ``observed``, its positions in ``support``)."""
-    if not observed <= set(support):
-        missing = sorted(observed - set(support))
-        raise IndexOutOfSupport(f"observed indices {missing} outside support")
-    keep = [p for p, v in enumerate(support) if v not in observed]
-    return tuple(support[p] for p in keep), _index(keep)
-
-
-@lru_cache(maxsize=MAPS_CACHE)
 def _unit_columns(support: tuple, subset: tuple) -> np.ndarray:
     """The |V| x |subset| right-hand side with a 1 at each subset index's row."""
     pos = {v: p for p, v in enumerate(support)}
@@ -137,8 +127,11 @@ def obs(m: SupportedMatrix, observed) -> SupportedMatrix:
     observed = frozenset(observed)
     if not observed:
         return m
-    support, idx = _obs_maps(m.support, observed)
-    return SupportedMatrix(support, m.block.take(idx, 0).take(idx, 1))
+    support = frozenset(m.support)
+    if not observed <= support:
+        raise IndexOutOfSupport(f"observed indices {sorted(observed - support)} outside support")
+    keep, _, _, _, kk = _split_maps(m.support, support - observed)
+    return SupportedMatrix(keep, m.block.ravel().take(kk).reshape(len(keep), len(keep)))
 
 
 def marginal(m: SupportedMatrix, delta) -> SupportedMatrix:

@@ -130,13 +130,10 @@ class GffModel(_Model):
             raise DisconnectedGraph(f"{n} vertices need {need}, got {len(seen)}")
         self.n = n
         self.pin = pin
+        self.pinned = frozenset({pin})
         self.edges = tuple((u, v, seen[(u, v)]) for (u, v) in sorted(seen))
         self._check_connected()
         self.precision_matrix = laplacian(self)
-
-    @property
-    def pinned(self) -> frozenset:
-        return frozenset({self.pin})
 
     def _check_connected(self):
         seen = search(adjacency(self.vertices, self.edges), [1])
@@ -251,8 +248,9 @@ def cover_factor(gff: GffModel) -> float:
 def make_report(model, selected, solver, budget_or_alpha,
                 started=None, details=None) -> SelectionReport:
     """Every report, and the one place its guarantee is decided: from the solver,
-    the model's class and the DP's target ``eps_prime`` in ``details``."""
-    sel = tuple(sorted(set(selected)))
+    the model's class and the DP's target ``eps_prime`` in ``details``. The
+    model's pinned vertices join the selection here."""
+    sel = tuple(sorted(model.pinned.union(selected)))
     wall = (time.perf_counter() - started) if started is not None else None
     details = dict(details or {})
     guarantee = None

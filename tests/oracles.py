@@ -4,7 +4,8 @@ The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
 PSD sandwich, the GFF-class check on whole blocks, the element-wise rounding
 relation, the elimination-order check, report parsing, factor totals, err
-on the support-matrix path, the random GFF draw as a scalar loop) live here,
+on the support-matrix path, err in exact rational arithmetic, by elimination
+and on trees by path resistances, the random GFF draw as a scalar loop) live here,
 with the straightforward ``np.ix_`` and element-loop forms of the DP kernels
 that the package computes on cached position maps. These run the kernels'
 general code at every size, so they are also the reference for the 1 x 1
@@ -154,6 +155,28 @@ def err_exact(model, subset) -> Fraction:
             if r != p and factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[p])]
     return sum(rows[r][k + r] for r in range(k)) / model.n
+
+
+def tree_err_exact(gff: GffModel) -> Fraction:
+    """err(gff, ()) on a GFF tree in exact rational arithmetic. With only the
+    pin observed, a vertex's conditional variance is its path resistance from
+    the pin, so err is the mean path resistance. Each resistance converts to a
+    Fraction exactly, and one walk from the pin sums the paths, in O(n)."""
+    if len(gff.edges) != gff.n - 1:
+        raise InfeasibleParameters(f"{len(gff.edges)} edges on {gff.n} vertices is not a tree")
+    links = {v: [] for v in gff.vertices}
+    for u, v, r in gff.edges:
+        links[u].append((v, Fraction(r)))
+        links[v].append((u, Fraction(r)))
+    path = {gff.pin: Fraction(0)}
+    stack = [gff.pin]
+    while stack:
+        u = stack.pop()
+        for w, r in links[u]:
+            if w not in path:
+                path[w] = path[u] + r
+                stack.append(w)
+    return sum(path.values()) / gff.n
 
 
 def stacked_sets(models, owner, unobserved) -> list[tuple]:

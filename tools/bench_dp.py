@@ -13,9 +13,11 @@ spread beside every run, and each median is printed with its spread:
 - layer: the five seed-1 dp-tree models of `benchmark/workloads.py`,
   `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1 and
   `random_gmrf(32, tree_width_hint=1, seed=3)` with b=3, eps'=0.5, each run
-  with `dp_select` on `balance_for_tree`, `validate.suite_supermodularity(0,
-  1000)` and `validate.validate_suite(seed=0, trials=10)` (every suite of an
-  oracle-small `validate` request). Then the solvers' other layers: one
+  with `dp_select` on `balance_for_tree`, and `validate.validate_suite(seed=0,
+  trials=10)` (every suite of an oracle-small `validate` request), followed
+  by each of its four suites alone (three-path, supermodularity,
+  greedy-vs-exact, dp-vs-exact) at the count that run gave it, so a change
+  to `validate` shows which suite moved. Then the solvers' other layers: one
   `models.err` on `random_gff(200, density=0.02, seed=3)` observing every
   tenth vertex; one greedy round, `greedy_budget(random_gff(400,
   density=0.01, seed=3), 1)` (the inverse of the unpinned 399 x 399 block,
@@ -25,8 +27,8 @@ spread beside every run, and each median is printed with its spread:
   per side, the sides alternating which goes first; after one untimed call
   of each numpy routine the cases use, each case runs once and records its
   wall and CPU time and its result (a DP's sizing, selection, `err.hex()` and
-  `table_value.hex()`; the suite's findings; validate's exit code and
-  payload; the err's hex, the greedy selection and err's hex, a hash of the
+  `table_value.hex()`; validate's exit code and payload; each suite's
+  findings; the err's hex, the greedy selection and err's hex, a hash of the
   chunk's scores in hex), so both sides are checked to give identical
   results.
 - exit: the first `select greedy`, `select dp`, `select exact`, `eval` and
@@ -125,7 +127,7 @@ def run_layer(root: Path) -> dict:
     sys.path.insert(0, str(root / "src"))
     from gmrf_select.decomposition import balance_for_tree
     from gmrf_select.dp import dp_select
-    from gmrf_select.validate import suite_supermodularity, validate_suite
+    from gmrf_select.validate import SUITES, validate_suite
 
     warm_up()
     out = {}
@@ -135,12 +137,13 @@ def run_layer(root: Path) -> dict:
         out[name] = {"time_s": elapsed, "cpu_s": cpu, "result": {
             "sizing": report.details["sizing"], "selected": list(report.selected),
             "err": report.err_value.hex(), "table_value": report.details["table_value"].hex()}}
-    elapsed, cpu, findings = timed(suite_supermodularity, 0, 1000)
-    out["supermodularity-1000"] = {"time_s": elapsed, "cpu_s": cpu,
-                                   "result": {"findings": findings}}
     elapsed, cpu, (code, payload) = timed(validate_suite, 0, 10)
     out["validate-10"] = {"time_s": elapsed, "cpu_s": cpu,
                           "result": {"code": code, "payload": payload}}
+    for suite, fn in SUITES:
+        elapsed, cpu, findings = timed(fn, 0, payload["counts"][suite])
+        out[f"validate-10-{suite}"] = {"time_s": elapsed, "cpu_s": cpu,
+                                       "result": {"findings": findings}}
     for name, fn, args, result in solver_cases():
         elapsed, cpu, value = timed(fn, *args)
         out[name] = {"time_s": elapsed, "cpu_s": cpu, "result": result(value)}
