@@ -34,7 +34,7 @@ from .models import (
 
 def _load_model(args):
     model = io.parse_model(args.input)
-    if getattr(args, "pin", None) is not None:
+    if args.pin is not None:
         if not isinstance(model, GffModel):
             raise InvariantViolation("--pin applies to GFF models only")
         model = GffModel(model.n, model.edges, pin=args.pin)
@@ -66,8 +66,7 @@ def _print_note(record: dict):
 
 
 def _print_report(report, args):
-    sys.stdout.write(io.emit_report(report, fmt=args.format,
-                                    timing=getattr(args, "timing", False)))
+    sys.stdout.write(io.emit_report(report, fmt=args.format, timing=args.timing))
     _print_note(report.details)
 
 

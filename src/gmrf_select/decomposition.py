@@ -64,7 +64,7 @@ def validate_axioms(clusters, tree_edges, n, graph_edges):
     adj = adjacency(range(m), tree_edges)
     if len(search(adj, [0])) != m:
         raise InvalidDecomposition("cluster tree is disconnected")
-    covered = set().union(*clusters) if clusters else set()
+    covered = set().union(*clusters)
     missing = set(range(1, n + 1)) - covered
     if missing:
         raise InvalidDecomposition(f"vertices {sorted(missing)} in no cluster")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -132,14 +133,11 @@ class GffModel(_Model):
         self.pin = pin
         self.pinned = frozenset({pin})
         self.edges = tuple((u, v, seen[(u, v)]) for (u, v) in sorted(seen))
-        self._check_connected()
-        self.precision_matrix = laplacian(self)
-
-    def _check_connected(self):
-        seen = search(adjacency(self.vertices, self.edges), [1])
-        if len(seen) != self.n:
-            missing = sorted(set(self.vertices) - seen.keys())
+        reached = search(adjacency(self.vertices, self.edges), [1])
+        if len(reached) != n:
+            missing = sorted(set(self.vertices) - reached.keys())
             raise DisconnectedGraph(f"vertices {missing} unreachable from 1")
+        self.precision_matrix = laplacian(self)
 
     def graph_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v, _ in self.edges]
@@ -215,10 +213,7 @@ def _bounded(a: np.ndarray) -> np.ndarray:
     return size
 
 
-@dataclass(frozen=True)
-class Guarantee:
-    factor: float
-    source: str
+Guarantee = namedtuple("Guarantee", "factor source")
 
 
 @dataclass(frozen=True)
@@ -302,13 +297,6 @@ def fill_laplacian(lam: np.ndarray, edges) -> None:
     lam[np.diag_indices(len(lam))] = total
 
 
-def _effective_observed(model, subset) -> frozenset:
-    s = frozenset(subset) | model.pinned
-    if not s <= set(model.vertices):
-        raise InvariantViolation(f"selection {sorted(s)} outside 1..{model.n}")
-    return s
-
-
 def _queried(model, i: int, subset) -> frozenset:
     """frozenset(subset), after checking that vertex i and each vertex of the
     subset lie in 1..n: the range rule of every per-vertex query."""
@@ -333,8 +321,9 @@ def err_batch(model, subsets) -> list[float]:
     subsets = [tuple(s) for s in subsets]
     flat = [v for s in subsets for v in s]
     if not set(flat) <= set(model.vertices):
-        for s in subsets:
-            _effective_observed(model, s)   # raises at the first set that is not a selection
+        bad = next(s for s in subsets if not set(s) <= set(model.vertices))
+        raise InvariantViolation(
+            f"selection {sorted(model.pinned.union(bad))} outside 1..{model.n}")
     free = np.ones((len(subsets), model.n), dtype=bool)
     for v in model.pinned:
         free[:, v - 1] = False

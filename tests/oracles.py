@@ -4,8 +4,9 @@ The package ships what its solvers and CLI run; these cross-checks of its
 results (electrical flows, the regular-graph bound, eigenvalue extremes, the
 PSD sandwich, the GFF-class check on whole blocks, the element-wise rounding
 relation, the elimination-order check, report parsing, factor totals, err
-on the support-matrix path, err in exact rational arithmetic, by elimination
-and on trees by path resistances, the random GFF draw as a scalar loop) live here,
+on the support-matrix path, err and the DP's Schur complement and diagonal
+of an inverse in exact rational arithmetic, by elimination, err on trees by
+path resistances, the random GFF draw as a scalar loop) live here,
 with the straightforward ``np.ix_`` and element-loop forms of the DP kernels
 that the package computes on cached position maps. These run the kernels'
 general code at every size, so they are also the reference for the 1 x 1
@@ -137,24 +138,60 @@ def err_reference(model, subset) -> float:
     return linalg.trace_of_inverse(linalg.obs(supported(model), s)) / model.n
 
 
-def err_exact(model, subset) -> Fraction:
-    """err in exact rational arithmetic, for n <= 12: each double of the
-    model's precision converts to a Fraction exactly, so this answers for the
-    very model the program saw. Gauss-Jordan elimination takes the unobserved
-    block (positive definite, so no pivot is zero) to the identity and the
-    identity beside it to the inverse, whose trace over n is err."""
-    s = frozenset(subset) | model.pinned
-    free = [v - 1 for v in model.vertices if v not in s]
-    k = len(free)
-    rows = [[Fraction(float(model.precision_matrix[i, j])) for j in free]
-            + [Fraction(int(r == c)) for c in range(k)] for r, i in enumerate(free)]
+def _exact_rows(block: np.ndarray, rows, cols) -> list[list[Fraction]]:
+    """``block[np.ix_(rows, cols)]`` as rows of Fractions: each double
+    converts exactly, so a reference built on them answers for the very
+    numbers the program saw."""
+    return [[Fraction(float(block[i, j])) for j in cols] for i in rows]
+
+
+def _solve_exact(a, b) -> list[list[Fraction]]:
+    """A^-1 B in exact rational arithmetic, A and B given as rows of
+    Fractions: Gauss-Jordan elimination takes [A | B] to [I | A^-1 B]. A must
+    be positive definite, so no pivot is zero."""
+    k = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
     for p in range(k):
         rows[p] = [x / rows[p][p] for x in rows[p]]
         for r in range(k):
             factor = rows[r][p]
             if r != p and factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[p])]
-    return sum(rows[r][k + r] for r in range(k)) / model.n
+    return [row[k:] for row in rows]
+
+
+def err_exact(model, subset) -> Fraction:
+    """err in exact rational arithmetic, for n <= 12: the trace of the
+    unobserved block's exact inverse, over n."""
+    s = frozenset(subset) | model.pinned
+    free = [v - 1 for v in model.vertices if v not in s]
+    k = len(free)
+    unit = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+    inv = _solve_exact(_exact_rows(model.precision_matrix, free, free), unit)
+    return sum(inv[r][r] for r in range(k)) / model.n
+
+
+def schur_exact(m: SupportedMatrix, keep) -> list[list[Fraction]]:
+    """M[K,K] - M[K,E] M[E,E]^-1 M[E,K] in exact arithmetic, as rows in
+    support order: the exact value of ``linalg.marginal(m, keep)``'s block,
+    with K the support's indices in ``keep`` and E the rest."""
+    ki = [p for p, v in enumerate(m.support) if v in keep]
+    ei = [p for p, v in enumerate(m.support) if v not in keep]
+    reach = _solve_exact(_exact_rows(m.block, ei, ei), _exact_rows(m.block, ei, ki))
+    cross = _exact_rows(m.block, ki, ei)
+    return [[x - sum(c * reach[e][col] for e, c in enumerate(cross[row]))
+             for col, x in enumerate(kept)]
+            for row, kept in enumerate(_exact_rows(m.block, ki, ki))]
+
+
+def diag_of_inverse_exact(m: SupportedMatrix, subset) -> Fraction:
+    """Sum over t in ``subset`` of (M[V,V]^-1)[t,t] in exact arithmetic:
+    the exact value of ``linalg.diag_of_inverse(m, subset)``."""
+    cols = [m.support.index(v) for v in subset]
+    every = range(len(m.support))
+    unit = [[Fraction(int(r == c)) for c in cols] for r in every]
+    inv = _solve_exact(_exact_rows(m.block, every, every), unit)
+    return sum(inv[c][col] for col, c in enumerate(cols))
 
 
 def tree_err_exact(gff: GffModel) -> Fraction:

@@ -340,6 +340,12 @@ class TestErrBatch:
         with pytest.raises(InvariantViolation, match="outside 1..6"):
             err_batch(g, [(2,), (0, 3)])
 
+    def test_refusal_names_the_first_bad_set_with_the_pin(self):
+        g = random_gff(6, density=0.3, seed=4)
+        with pytest.raises(InvariantViolation) as info:
+            err_batch(g, [(2,), (0, 3), (7,)])
+        assert str(info.value) == "selection [0, 1, 3] outside 1..6"
+
     def test_exacts_chunks(self, monkeypatch):
         # every chunk of every subset size that the search scores, with chunk
         # edges inside the tie classes of cycles and paths

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from gmrf_select.linalg import (
 from conftest import one_by_one_entries, outcome, random_pd_supported
 from oracles import (
     add_reference,
+    diag_of_inverse_exact,
     diag_of_inverse_reference,
     eig_extremes,
     marginal_reference,
     obs_reference,
     psd_sandwich_check,
+    schur_exact,
 )
 
 
@@ -355,3 +358,32 @@ class TestKernelBits:
             assert got == outcome(diag_of_inverse_reference, scalar, (4,)), a
             answered += got[0] is float
         assert answered > 2500
+
+
+def test_kernels_match_exact_arithmetic():
+    """marginal and diag_of_inverse on 300 positive definite blocks (k 1-5,
+    eigenvalues 0.1-10, supports within 1..9) against their exact values in
+    Fraction arithmetic, with random kept sets and shuffled subsets; about a
+    third of the marginals eliminate one index and about one in nine of the
+    diagonals are a whole 1 x 1 block, the kernels' scalar paths. The largest
+    gaps measured were 1.4e-15 (marginal, relative to the exact block's largest
+    entry) and 3.3e-15 (diag_of_inverse, relative) at this seed, and 2.5e-15
+    and 4.2e-15 over seeds 1-6: the 1e-13 bound leaves a margin of about 24."""
+    rng = np.random.default_rng(106)
+    scalar_paths = [0, 0]
+    for _ in range(300):
+        m = random_pd_supported(rng, random_support(rng, 9, int(rng.integers(1, 6))))
+        keep = frozenset(v for v in m.support if rng.random() < 0.5)
+        got, want = marginal(m, keep), schur_exact(m, keep)
+        assert got.support == tuple(v for v in m.support if v in keep)
+        scale = max((abs(x) for row in want for x in row), default=0)
+        assert all(abs(Fraction(g) - w) <= 1e-13 * scale
+                   for row, exact in zip(got.block.tolist(), want)
+                   for g, w in zip(row, exact)), (m.block, keep)
+        subset = [v for v in m.support if rng.random() < 0.6]
+        rng.shuffle(subset)
+        want = diag_of_inverse_exact(m, subset)
+        assert abs(Fraction(diag_of_inverse(m, subset)) - want) <= 1e-13 * want, (m.block, subset)
+        scalar_paths[0] += len(m.support) - len(keep) == 1
+        scalar_paths[1] += subset == list(m.support) and len(subset) == 1
+    assert scalar_paths[0] > 80 and scalar_paths[1] > 25

@@ -11,9 +11,12 @@ accident. Three measurements go into FILE, each with its median and q1-q3
 spread beside every run, and each median is printed with its spread:
 
 - layer: the five seed-1 dp-tree models of `benchmark/workloads.py`,
-  `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1 and
-  `random_gmrf(32, tree_width_hint=1, seed=3)` with b=3, eps'=0.5, each run
-  with `dp_select` on `balance_for_tree`, and `validate.validate_suite(seed=0,
+  `random_gff(64, density=0, seed=3)` with b=3, eps'=0.1,
+  `random_gmrf(32, tree_width_hint=1, seed=3)` with b=3, eps'=0.5, and two
+  expensive GFF trees of one shape, `random_gff(32, density=0, seed=1)` and
+  `seed=4` with b=3, eps'=0.1 (tens of thousands of contexts each, against
+  hundreds for the dp-tree models), each run with `dp_select` on
+  `balance_for_tree`, and `validate.validate_suite(seed=0,
   trials=10)` (every suite of an oracle-small `validate` request), followed
   by each of its four suites alone (three-path, supermodularity,
   greedy-vs-exact, dp-vs-exact) at the count that run gave it, so a change
@@ -51,6 +54,12 @@ Before any timing, both sides' `src/` are compiled with `compileall`, so no
 side's processes pay for compiling its modules (BENCH_20.json and earlier
 files were timed without this step, so their exit and wall times are not
 comparable with later files).
+
+The exit status is 0 when every layer case gave one result, the same on both
+sides and in every repeat. Otherwise the script still writes FILE and prints,
+then names the cases that differ on stderr and exits 1. With `--pairs 0` it is
+a check that a change computes what its parent does, bit for bit, on every
+layer case.
 
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS are set to 1 on this
 process before numpy is imported and recorded; the layer and exit processes
@@ -103,6 +112,8 @@ def dp_cases(root: Path):
         yield req.name, io.parse_model_text(work.files[req.model]), req.budget, eps_prime
     yield "gff64-b3", random_gff(64, density=0.0, seed=3), 3, 0.1
     yield "svd32-b3", random_gmrf(32, tree_width_hint=1, seed=3), 3, 0.5
+    yield "gff32-seed1-b3", random_gff(32, density=0.0, seed=1), 3, 0.1
+    yield "gff32-seed4-b3", random_gff(32, density=0.0, seed=4), 3, 0.1
 
 
 def warm_up() -> None:
@@ -360,6 +371,11 @@ def main(argv=None) -> int:
                       f"change wins {row['change_wins']}/{rows['pairs']}")
         print(f"{workload} passes: parent {rows['passes']['parent']}, "
               f"change {rows['passes']['change']}")
+    differ = [name for name, case in result["layer"].items()
+              if not (case["same_result"] and all(case[side]["repeats_agree"] for side in sides))]
+    if differ:
+        sys.stderr.write(f"layer cases whose results differ: {', '.join(differ)}\n")
+        return 1
     return 0
 
 
