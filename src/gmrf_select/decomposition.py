@@ -221,7 +221,7 @@ def read_td_text(text: str):
     if header is None:
         raise ParseError("missing 's td' header")
     m, width_plus_1, n = header
-    if set(bags) != set(range(1, m + 1)):
+    if len(bags) != m or not all(1 <= i <= m for i in bags):   # nothing m-sized: m is unbounded
         raise ParseError(f"bag indices {sorted(bags)} != 1..{m}")
     actual = max((len(b) for b in bags.values()), default=0)
     if actual > width_plus_1:

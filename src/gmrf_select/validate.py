@@ -58,31 +58,29 @@ def suite_three_path(seed, trials):
 def _draw_checks(rng, count):
     """``count`` supermodularity checks (A, x, y), 10 per model (n 3-10, pin
     1; ``random_gff``'s draw, its Laplacian written straight into its slot
-    of the stack, with no ``GffModel`` built): x and y are two free
-    vertices, and each other free vertex joins A with probability 0.3, drawn
-    in vertex order. Returns the models' precisions zero-padded to 10 x 10
-    and their n, each check's model, x and y as positions p among the free
-    vertices (vertex p + 2), and the unobserved vertices of A, A+x, A+y and
-    A+x+y as four mask rows per check."""
+    of the stack, with no ``GffModel`` built), in five generator calls: the
+    models' n, densities and seeds, and per check a row of keys and a row of
+    coins. x and y are the free vertices with the two smallest keys; each
+    other free vertex joins A when its coin is below 0.3. Returns the models'
+    precisions zero-padded to 10 x 10 and their n, each check's model, x and
+    y as positions p among the free vertices (vertex p + 2), and the
+    unobserved vertices of A, A+x, A+y and A+x+y as four mask rows per check."""
     model_count = -(-count // 10)
-    precisions, ns = np.zeros((model_count, 10, 10)), np.empty(model_count, dtype=np.intp)
-    owner, pick = np.arange(count) // 10, np.empty((count, 2), dtype=np.intp)
-    joins = np.zeros((count, 9), dtype=bool)   # column r: the r-th other vertex joins
-    for c in range(count):
-        if c % 10 == 0:
-            n = ns[c // 10] = int(rng.integers(3, 11))
-            edges = random_gff_edges(n, float(rng.uniform(0.1, 0.6)), (0.5, 2.0),
-                                     int(rng.integers(0, 1 << 30)))
-            # in (u, v) order, as a GffModel sums them: the diagonal keeps its bits
-            fill_laplacian(precisions[c // 10, :n, :n], sorted(edges))
-        pick[c] = rng.choice(n - 1, size=2, replace=False)
-        joins[c, :n - 3] = rng.random(n - 3) < 0.3
-    pos, x, y = np.arange(9), pick[:, :1], pick[:, 1:]
-    # position p is the r-th other vertex, r = p less one for each of x and y below p
-    in_a = np.take_along_axis(joins, pos - (pos > x) - (pos > y), axis=1)
-    in_a &= (pos != x) & (pos != y)
+    ns = rng.integers(3, 11, model_count)
+    densities, seeds = rng.uniform(0.1, 0.6, model_count), rng.integers(0, 1 << 30, model_count)
+    keys, coins = rng.random((count, 9)), rng.random((count, 9))
+    precisions = np.zeros((model_count, 10, 10))
+    for j, n in enumerate(ns.tolist()):
+        edges = random_gff_edges(n, float(densities[j]), (0.5, 2.0), int(seeds[j]))
+        # in (u, v) order, as a GffModel sums them: the diagonal keeps its bits
+        fill_laplacian(precisions[j, :n, :n], sorted(edges))
+    owner, pos = np.arange(count) // 10, np.arange(9)
+    free = pos < ns[owner, None] - 1
+    pick = np.argsort(np.where(free, keys, 1.0), axis=1)[:, :2]   # keys lie in [0, 1)
+    x, y = pick[:, :1], pick[:, 1:]
+    in_a = (coins < 0.3) & (pos != x) & (pos != y)
     unobserved = np.zeros((count, 4, 10), dtype=bool)
-    unobserved[:, :, 1:] = ((pos < ns[owner, None] - 1) & ~in_a)[:, None]
+    unobserved[:, :, 1:] = (free & ~in_a)[:, None]
     unobserved[:, 1::2, 1:] &= (pos != x)[:, None]   # A+x, A+x+y
     unobserved[:, 2:, 1:] &= (pos != y)[:, None]     # A+y, A+x+y
     return precisions, ns, owner, pick, unobserved.reshape(4 * count, 10)

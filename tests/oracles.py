@@ -39,7 +39,6 @@ from gmrf_select.models import (
     SelectionReport,
     _contracted_potentials,
     adjacency,
-    random_gff,
 )
 from gmrf_select.rounding import _in_gff_class, canonical_rays, ordered_gram_schmidt
 
@@ -255,22 +254,27 @@ def random_gff_reference(n: int, density: float = 0.3,
     return GffModel(n, edges, pin=1)
 
 
-def supermodularity_checks_reference(seed: int, trials: int) -> list[tuple]:
-    """The supermodularity suite's checks (n, A, x, y), drawn as the suite drew
-    them one model at a time: x and y by ``rng.choice`` on the free vertices,
-    then one scalar ``rng.random()`` per other free vertex, in order."""
+def supermodularity_checks_reference(seed: int, trials: int) -> tuple[list, list]:
+    """The supermodularity suite's models (n, density, seed) and checks (n,
+    A, x, y), one check at a time from the suite's five draws per block of
+    1,000: x and y are the free vertices with the two smallest keys, and
+    each other free vertex whose coin is below 0.3 joins A."""
     rng = np.random.default_rng(seed)
-    checks = []
-    while len(checks) < trials:
-        n = int(rng.integers(3, 11))
-        g = random_gff(n, density=float(rng.uniform(0.1, 0.6)),
-                       seed=int(rng.integers(0, 1 << 30)))
-        free = [v for v in g.vertices if v != g.pin]
-        for _ in range(min(trials - len(checks), 10)):
-            x, y = (int(v) for v in rng.choice(free, size=2, replace=False))
-            a = {g.pin} | {v for v in free if v not in (x, y) and rng.random() < 0.3}
+    models, checks = [], []
+    for start in range(0, trials, 1000):
+        count = min(trials - start, 1000)
+        k = -(-count // 10)
+        ns, densities, seeds = (rng.integers(3, 11, k), rng.uniform(0.1, 0.6, k),
+                                rng.integers(0, 1 << 30, k))
+        keys, coins = rng.random((count, 9)), rng.random((count, 9))
+        models += [(int(n), float(d), int(s)) for n, d, s in zip(ns, densities, seeds)]
+        for c in range(count):
+            n = int(ns[c // 10])
+            free = range(2, n + 1)   # vertex v reads column v - 2
+            x, y = sorted(free, key=lambda v: keys[c, v - 2])[:2]
+            a = {1} | {v for v in free if v not in (x, y) and coins[c, v - 2] < 0.3}
             checks.append((n, a, x, y))
-    return checks
+    return models, checks
 
 
 # ---------------------------------------------------------------------------

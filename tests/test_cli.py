@@ -680,6 +680,10 @@ BAD_FILES = {
     "td-bag-malformed": (P4_TEXT, "s td 1 4 4\nb x 1\n", "line 2: malformed bag line 'b x 1'"),
     "td-bag-duplicate": (P4_TEXT, "s td 2 4 4\nb 1 1 2\nb 1 1 2\n",
                          "line 3: duplicate bag 1"),
+    "td-bag-indices": (P4_TEXT, "s td 2 3 4\nb 1 1 2\nb 3 2 3 4\n", "bag indices [1, 3] != 1..2"),
+    # a bag count far above the file's length: refused without building anything m-sized
+    "td-huge-bag-count": (P4_TEXT, "s td 1000000000000 2 4\nb 1 1 2\n",
+                          "bag indices [1] != 1..1000000000000"),
     "td-bag-too-wide": (P4_TEXT, "s td 2 2 4\nb 1 1 2 3\nb 2 3 4\n1 2\n",
                         "declared width+1 = 2 but a bag has 3 vertices"),
     "td-edge-first": (P4_TEXT, "1 2\ns td 1 4 4\n", "line 1: edge before 's td' header"),
@@ -1005,21 +1009,33 @@ class TestValidateSuite:
         assert (e_ax, e_ay, e_axy) == tuple(err(g, s) for s in (ax, ay, axy))
 
     def test_supermodularity_draws_are_the_scalar_loops(self, monkeypatch):
+        # the models (n, density, seed) and the checks (n, A, x, y) of the
+        # suite's five draws per block, at a full block and across two blocks
+        # whose last model has 7 checks
         import gmrf_select.validate as validate_mod
 
         calls = recorded_stack_calls(monkeypatch)
+        drawn, recorded_edges = [], validate_mod.random_gff_edges
+
+        def drawing_edges(n, density, resistance_range, seed):
+            drawn.append((n, density, seed))
+            return recorded_edges(n, density, resistance_range, seed)
+
+        monkeypatch.setattr(validate_mod, "random_gff_edges", drawing_edges)
         for seed in range(8):
-            calls.clear()
-            validate_mod.suite_supermodularity(seed, 1000)
-            checks = []
-            for models, owner, unobserved, _ in calls:
-                sets = stacked_sets(models, owner, unobserved)
-                for c in range(0, len(sets), 4):
-                    a, ax, ay, axy = (set(s) for _, s in sets[c:c + 4])
-                    (x,), (y,) = ax - a, ay - a
-                    assert axy == a | {x, y}
-                    checks.append((sets[c][0].n, a, x, y))
-            assert checks == supermodularity_checks_reference(seed, 1000)
+            for trials in (1000, 1007):
+                calls.clear()
+                drawn.clear()
+                validate_mod.suite_supermodularity(seed, trials)
+                checks = []
+                for models, owner, unobserved, _ in calls:
+                    sets = stacked_sets(models, owner, unobserved)
+                    for c in range(0, len(sets), 4):
+                        a, ax, ay, axy = (set(s) for _, s in sets[c:c + 4])
+                        (x,), (y,) = ax - a, ay - a
+                        assert axy == a | {x, y}
+                        checks.append((sets[c][0].n, a, x, y))
+                assert (drawn, checks) == supermodularity_checks_reference(seed, trials)
 
     def test_supermodularity_memory_is_bounded_by_blocks(self, monkeypatch):
         # 5,000 checks: five stacked calls of 100 models and 4,000 sets, and no

@@ -92,6 +92,10 @@ class TestNormalize:
         with pytest.raises(InvalidDecomposition):
             normalize([{1, 2}, {3}, {2, 3}],
                       [(0, 1), (1, 2)], 3, [(1, 2), (2, 3)])
+        # only vertex 1's clusters are split; every other vertex's are adjacent
+        with pytest.raises(InvalidDecomposition) as info:
+            normalize([{1, 2}, {2, 3}, {1, 3}], [(0, 1), (1, 2)], 3, [(1, 2), (2, 3), (1, 3)])
+        assert str(info.value) == "clusters containing vertex 1 do not form a subtree"
 
     def test_high_degree_cluster_binarized(self):
         # star decomposition: center bag adjacent to 5 leaf bags

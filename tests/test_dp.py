@@ -172,6 +172,25 @@ class TestRunDp:
         with pytest.raises(InvariantViolation, match="exceeds table value"):
             extract_solution(mt)
 
+    def test_post_hoc_check_fires_at_the_svd_factor(self):
+        # svd mode, h = 3, eps = 0.01: the factor is e^(2 h eps) = e^0.06. A
+        # best root value just under n err / factor is refused, one just over
+        # it passes
+        m = random_tree_gmrf(8, np.random.default_rng(3))
+        td = balance_for_tree(8, m.graph_edges())
+        assert td.height == 3
+        for slack, refused in ((1 + 1e-6, True), (1 - 1e-6, False)):
+            mt = run_dp(m, td, 2, 0.01)
+            table = mt.root_table
+            key = min(table, key=lambda k: (table[k].value, table[k].tiebreak, k))
+            value = m.n * err(m, table[key].chosen) / (math.exp(0.06) * slack)
+            table[key] = table[key]._replace(value=value)
+            if refused:
+                with pytest.raises(InvariantViolation, match="exceeds table value"):
+                    extract_solution(mt)
+            else:
+                extract_solution(mt)
+
     def test_budget_soundness(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

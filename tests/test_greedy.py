@@ -76,6 +76,21 @@ class TestGreedyBudget:
         assert [greedy_budget(g, 8).selected for g in models] == expected
         assert len(calls) == 2 * 8 * len(models)
 
+    def test_sigma_built_once_per_solve(self, monkeypatch):
+        # the downdates track Sigma, so no round rebuilds it
+        import gmrf_select.greedy as greedy_mod
+        calls = []
+        real_inverse = greedy_mod.inverse
+        monkeypatch.setattr(greedy_mod, "inverse",
+                            lambda *args: calls.append(args) or real_inverse(*args))
+        for seed in range(3):
+            for m in (random_gff(40, density=0.1, seed=seed),
+                      random_gff(12, density=0, seed=seed), random_gmrf(30, 2, seed=seed)):
+                calls.clear()
+                greedy_budget(m, m.n // 3)
+                greedy_cover(m, 0.3 * err(m, m.pinned))
+                assert len(calls) == 2   # one inverse per solve, at its start
+
     def test_non_finite_gain_is_refused(self, monkeypatch):
         # the scaling keeps the gains of a finite covariance finite; a NaN one
         # is still refused, not left without a winner
