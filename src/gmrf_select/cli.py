@@ -20,7 +20,6 @@ from .errors import (
     InstanceTooLarge,
     InvariantViolation,
     NotATree,
-    ParseError,
 )
 from .models import (
     GffModel,
@@ -42,13 +41,7 @@ def _load_model(args):
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ParseError(f"bad vertex set {text!r}")
+    return io.fields(text.replace(",", " ").split(), int, f"bad vertex set {text.strip()!r}")
 
 
 def _write_output(text: str, path: str | None):

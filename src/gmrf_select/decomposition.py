@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidDecomposition, InvariantViolation, ParseError
+from .io import data_lines, fields
 from .models import adjacency, search, tree_adjacency
 
 
@@ -177,31 +178,23 @@ def read_td_text(text: str):
     header = None
     bags = {}
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, raw, parts in data_lines(text.splitlines(), comment="c"):
         if parts[0] == "s":
             if header is not None:
                 raise ParseError(f"line {lineno}: duplicate 's td' header")
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError(f"line {lineno}: malformed header {raw!r}")
-            try:
-                header = tuple(int(x) for x in parts[2:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer header field")
+            header = fields(parts[2:], int, f"line {lineno}: non-integer header field")
             if min(header) < 1:
                 raise ParseError(f"line {lineno}: invalid dimensions m={header[0]} "
                                  f"width+1={header[1]} n={header[2]}")
         elif parts[0] == "b":
             if header is None:
                 raise ParseError(f"line {lineno}: bag before 's td' header")
-            try:
-                idx = int(parts[1])
-                verts = [int(x) for x in parts[2:]]
-            except (ValueError, IndexError):
-                raise ParseError(f"line {lineno}: malformed bag line {raw!r}")
+            message = f"line {lineno}: malformed bag line {raw!r}"
+            if len(parts) < 2:
+                raise ParseError(message)
+            idx, *verts = fields(parts[1:], int, message)
             if idx in bags:
                 raise ParseError(f"line {lineno}: duplicate bag {idx}")
             bags[idx] = frozenset(verts)
@@ -210,10 +203,7 @@ def read_td_text(text: str):
                 raise ParseError(f"line {lineno}: edge before 's td' header")
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: malformed edge line {raw!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer edge {raw!r}")
+            a, b = fields(parts, int, f"line {lineno}: non-integer edge {raw!r}")
             if a == b or not (1 <= a <= header[0] and 1 <= b <= header[0]):
                 raise ParseError(f"line {lineno}: tree edge {raw!r} does not join "
                                  f"two different bags of 1..{header[0]}")

@@ -36,6 +36,8 @@ def thread_count() -> int:
 def _candidates(model, max_n) -> list:
     """The vertices a search may choose from, the unpinned ones, once n is
     within the cap ``max_n`` and GMRF_SELECT_THREADS is valid."""
+    if max_n < 0:
+        raise InvariantViolation(f"max_n must be >= 0, got {max_n}")
     if model.n > max_n:
         raise InstanceTooLarge(
             f"n = {model.n} exceeds the exhaustive-search cap {max_n}; "

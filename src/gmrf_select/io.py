@@ -1,12 +1,14 @@
 """Model file formats and report serialization.
 
 Formats:
-  GFF:   line `gff n m pin` (m >= 0), then m lines `u v r` (1-based, r > 0).
+  GFF:   line `gff n m pin` (m >= 0), then m lines `u v r` (1-based, 0 < r < inf).
   GMRF:  line `gmrf` (precision) or `gmrf-cov` (covariance), then the matrix
          and nothing else: a line `n k` (n >= 1), the support line `1 ... n`
          (so k = n) and n rows of n entries.
 Blank and `#` lines may stand before the header, between GFF edges and after
 a GMRF's matrix. Parse errors name the 1-based line of the file at fault.
+`data_lines` (skip blank and comment lines) and `fields` (convert or refuse)
+read every input text: these files, PACE decompositions and `eval`'s vertex set.
 Reports serialize to JSON with a stable key order; numbers use 12 significant
 digits. Timing is omitted (null) by default so repeated runs are
 byte-identical.
@@ -22,106 +24,98 @@ from .errors import InvalidMatrix, ParseError
 from .models import GffModel, GmrfModel, SelectionReport
 
 
-def _no_data(raw: str) -> bool:
-    """Blank lines and ``#`` comment lines around a model carry no data."""
-    line = raw.strip()
-    return not line or line.startswith("#")
+def data_lines(lines, comment="#"):
+    """(1-based line number, line, its fields) for each of ``lines`` that is
+    neither blank nor a ``comment`` line."""
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith(comment):
+            yield lineno, raw, parts
 
 
-def _parse_matrix(text: str, first_line: int):
-    """(block, number of lines used) of the matrix at the start of ``text``,
-    whose first line is line ``first_line`` of the file. Only the text is
-    checked here: the model checks the matrix."""
-    lines = text.splitlines()
+def fields(parts, kind, message):
+    """``parts`` converted by ``kind``, as a tuple; ParseError(message) when one
+    does not convert."""
+    try:
+        return tuple(map(kind, parts))
+    except ValueError:
+        raise ParseError(message) from None
 
-    def fail(offset, msg):
-        raise ParseError(f"line {first_line + offset}: {msg}")
 
-    if not lines:
-        fail(0, "missing matrix header")
-    head = lines[0].split()
+def _parse_matrix(lines, start):
+    """(block, index past its last line) of the matrix whose header is
+    ``lines[start]``, line ``start + 1`` of the file. Only the text is checked
+    here: the model checks the matrix."""
+
+    def fail(index, msg):
+        raise ParseError(f"line {index + 1}: {msg}")
+
+    if start >= len(lines):
+        fail(start, "missing matrix header")
+    head = lines[start].split()
     if len(head) != 2:
-        fail(0, f"expected 'n k', got {lines[0]!r}")
-    try:
-        n, k = int(head[0]), int(head[1])
-    except ValueError:
-        fail(0, f"non-integer matrix header {lines[0]!r}")
+        fail(start, f"expected 'n k', got {lines[start]!r}")
+    n, k = fields(head, int, f"line {start + 1}: non-integer matrix header {lines[start]!r}")
     if n < 1 or k < 0 or k > n:
-        fail(0, f"invalid dimensions n={n} k={k}")
-    if len(lines) < 2 + k:
+        fail(start, f"invalid dimensions n={n} k={k}")
+    end = start + 2 + k
+    if len(lines) < end:
         fail(len(lines) - 1, f"expected support line and {k} rows")
-    support_tokens = lines[1].split()
+    support_tokens = lines[start + 1].split()
     if len(support_tokens) != k:
-        fail(1, f"expected {k} support indices, got {len(support_tokens)}")
-    try:
-        support = tuple(int(t) for t in support_tokens)
-    except ValueError:
-        fail(1, f"non-integer support index in {lines[1]!r}")
+        fail(start + 1, f"expected {k} support indices, got {len(support_tokens)}")
+    support = fields(support_tokens, int,
+                     f"line {start + 2}: non-integer support index in {lines[start + 1]!r}")
     rows = []
-    for r in range(k):
-        tokens = lines[2 + r].split()
+    for index, line in enumerate(lines[start + 2:end], start + 2):
+        tokens = line.split()
         if len(tokens) != k:
-            fail(2 + r, f"expected {k} entries, got {len(tokens)}")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            fail(2 + r, f"non-numeric entry in {lines[2 + r]!r}")
+            fail(index, f"expected {k} entries, got {len(tokens)}")
+        rows.append(fields(tokens, float, f"line {index + 1}: non-numeric entry in {line!r}"))
     if k != n or support != tuple(range(1, k + 1)):
-        fail(1, f"support {support} is not 1..{n}")
-    return np.array(rows), 2 + k
+        fail(start + 1, f"support {support} is not 1..{n}")
+    return np.array(rows), end
 
 
 def parse_model_text(text: str):
     lines = text.splitlines()
-    first = None
-    for idx, raw in enumerate(lines):
-        if not _no_data(raw):
-            first = idx
-            break
+    if lines and not lines[-1]:   # one blank last line is not a line of the matrix
+        lines.pop()
+    rows = data_lines(lines)
+    first = next(rows, None)
     if first is None:
         raise ParseError("line 1: empty model file")
-    head = lines[first].split()
+    lineno, raw, head = first
     kind = head[0]
     if kind == "gff":
         if len(head) != 4:
-            raise ParseError(f"line {first + 1}: expected 'gff n m pin', got {lines[first]!r}")
-        try:
-            n, m, pin = int(head[1]), int(head[2]), int(head[3])
-        except ValueError:
-            raise ParseError(f"line {first + 1}: non-integer header field")
+            raise ParseError(f"line {lineno}: expected 'gff n m pin', got {raw!r}")
+        n, m, pin = fields(head[1:], int, f"line {lineno}: non-integer header field")
         if m < 0:
-            raise ParseError(f"line {first + 1}: invalid dimensions n={n} m={m}")
+            raise ParseError(f"line {lineno}: invalid dimensions n={n} m={m}")
         edges = []
-        lineno = first + 1
-        for raw in lines[first + 1:]:
-            lineno += 1
-            if _no_data(raw):
-                continue
-            parts = raw.split()
+        for lineno, raw, parts in rows:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'u v r', got {raw!r}")
-            try:
-                u, v, r = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: malformed edge {raw!r}")
-            if r <= 0:
-                raise ParseError(f"line {lineno}: resistance must be positive, got {r}")
+            message = f"line {lineno}: malformed edge {raw!r}"
+            (u, v), (r,) = fields(parts[:2], int, message), fields(parts[2:], float, message)
+            if not 0 < r < np.inf:
+                raise ParseError(
+                    f"line {lineno}: resistance must be positive and finite, got {r}")
             edges.append((u, v, r))
         if len(edges) != m:
             raise ParseError(f"expected {m} edges, found {len(edges)}")
         return GffModel(n, edges, pin=pin)
     if kind in ("gmrf", "gmrf-cov"):
-        body = "\n".join(lines[first + 1:])
-        block, used = _parse_matrix(body, first + 2)
-        for lineno, raw in enumerate(lines[first + 1 + used:], start=first + 2 + used):
-            if not _no_data(raw):
-                raise ParseError(f"line {lineno}: unexpected text after the matrix {raw!r}")
+        block, end = _parse_matrix(lines, lineno)
+        for offset, raw, _ in data_lines(lines[end:]):
+            raise ParseError(f"line {end + offset}: unexpected text after the matrix {raw!r}")
         build = GmrfModel if kind == "gmrf" else GmrfModel.from_covariance
         try:
             return build(block)
-        except InvalidMatrix as exc:   # row r of the matrix is line first + 4 + r
-            raise ParseError(f"line {first + 4 + exc.row}: {exc}") from exc
-    raise ParseError(f"line {first + 1}: unknown model kind {kind!r}")
+        except InvalidMatrix as exc:   # row r of the matrix is line lineno + 3 + r
+            raise ParseError(f"line {lineno + 3 + exc.row}: {exc}") from exc
+    raise ParseError(f"line {lineno}: unknown model kind {kind!r}")
 
 
 def read_text(path: str) -> str:

@@ -583,7 +583,12 @@ BAD_FILES = {
     "gff-edge-fields": ("gff 2 1 1\n1 2\n", None, "line 2: expected 'u v r', got '1 2'"),
     "gff-edge-malformed": ("gff 2 1 1\n1 2 x\n", None, "line 2: malformed edge '1 2 x'"),
     "gff-negative-resistance": ("gff 2 1 1\n1 2 -1.0\n", None,
-                                "line 2: resistance must be positive, got -1.0"),
+                                "line 2: resistance must be positive and finite, got -1.0"),
+    # refused at the parser, which names the line, not by the model
+    "gff-nan-resistance": ("gff 2 1 1\n1 2 nan\n", None,
+                           "line 2: resistance must be positive and finite, got nan"),
+    "gff-inf-resistance": ("gff 2 1 1\n# a comment\n1 2 inf\n", None,
+                           "line 3: resistance must be positive and finite, got inf"),
     "gff-edge-count": ("gff 3 2 1\n1 2 1.0\n", None, "expected 2 edges, found 1"),
     "gff-one-vertex": ("gff 1 0 1\n", None, "a GFF needs at least 2 vertices, got 1"),
     "gff-pin-range": ("gff 2 1 3\n1 2 1.0\n", None, "pin 3 outside 1..2"),
@@ -673,6 +678,10 @@ BAD_FILES = {
     "td-duplicate-header": (P4_TEXT, "s td 1 4 4\ns td 1 4 4\n",
                             "line 2: duplicate 's td' header"),
     "td-header-integer": (P4_TEXT, "s td 1 x 4\n", "line 1: non-integer header field"),
+    "td-malformed-header": (P4_TEXT, "s td 1 2\n", "line 1: malformed header 's td 1 2'"),
+    "td-bag-first": (P4_TEXT, "b 1 1 2\n", "line 1: bag before 's td' header"),
+    # a bag line without its index
+    "td-bag-no-index": (P4_TEXT, "s td 1 2 4\nb\n", "line 2: malformed bag line 'b'"),
     # a count below 1 is refused at the header, not as a tree of -1 edges
     "td-zero-bags": (P4_TEXT, "s td 0 1 4\n", "line 1: invalid dimensions m=0 width+1=1 n=4"),
     "td-negative-bags": (P4_TEXT, "s td -1 1 4\n",
@@ -741,6 +750,9 @@ REFUSED_COMMANDS = {
                     "select exact --budget 2 --max-n 4 --input {input}", 3,
                     "infeasible: n = 5 exceeds the exhaustive-search cap 4; raise max_n "
                     "explicitly to override"),
+    # a negative cap is refused as an argument, not reported as an instance too large
+    "exact-max-n-negative": (C4_TEXT, "select exact --budget 1 --max-n -1 --input {input}", 2,
+                             "error: max_n must be >= 0, got -1"),
     "dp-alpha": (C4_TEXT, "select dp --input {input} --alpha 0.3", 2,
                  "error: select dp needs --budget"),
     "dp-negative-budget": (P4_TEXT, "select dp --input {input} --budget -1", 2,
@@ -1036,6 +1048,27 @@ class TestValidateSuite:
                         assert axy == a | {x, y}
                         checks.append((sets[c][0].n, a, x, y))
                 assert (drawn, checks) == supermodularity_checks_reference(seed, trials)
+
+    def test_dp_vs_exact_draws(self, monkeypatch):
+        # per trial: n from 4..9, the tree's seed, and a budget from 0..2
+        import gmrf_select.validate as validate_mod
+
+        calls, true_dp = [], validate_mod.dp_select
+
+        def recording_dp(g, td, b, eps_prime):
+            calls.append((g.n, b))
+            return true_dp(g, td, b, eps_prime)
+
+        monkeypatch.setattr(validate_mod, "dp_select", recording_dp)
+        for seed in range(4):
+            calls.clear()
+            validate_mod.suite_dp_vs_exact(seed, 10)
+            rng, expected = np.random.default_rng(seed), []
+            for _ in range(10):
+                n, _seed, b = rng.integers(4, 10), rng.integers(0, 1 << 30), rng.integers(0, 3)
+                expected.append((int(n), int(b)))
+            assert calls == expected
+            assert any(b == 0 for _, b in calls), seed
 
     def test_supermodularity_memory_is_bounded_by_blocks(self, monkeypatch):
         # 5,000 checks: five stacked calls of 100 models and 4,000 sets, and no

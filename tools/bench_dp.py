@@ -26,14 +26,16 @@ spread beside every run, and each median is printed with its spread:
   density=0.01, seed=3), 1)` (the inverse of the unpinned 399 x 399 block,
   the round's err calls and the report's err included); and one exact chunk,
   `models.err_batch` on the first 4,096 six-vertex subsets of
-  `random_gff(16, density=0.3, seed=3)`. Every repeat is one fresh process
-  per side, the sides alternating which goes first; after one untimed call
-  of each numpy routine the cases use, each case runs once and records its
-  wall and CPU time and its result (a DP's sizing, selection, `err.hex()` and
-  `table_value.hex()`; validate's exit code and payload; each suite's
-  findings; the err's hex, the greedy selection and err's hex, a hash of the
-  chunk's scores in hex), so both sides are checked to give identical
-  results.
+  `random_gff(16, density=0.3, seed=3)`. Last, the parser:
+  `io.parse_model_text` on the seed-1 greedy-large files `gff150-a.gff` and
+  `gmrf120-a.gmrf`. Every repeat is one fresh process per side, the sides
+  alternating which goes first; after one untimed call of each numpy routine
+  the cases use, each case runs once and records its wall and CPU time and
+  its result (a DP's sizing, selection, `err.hex()` and `table_value.hex()`;
+  validate's exit code and payload; each suite's findings; the err's hex, the
+  greedy selection and err's hex, a hash of the chunk's scores in hex; a hash
+  of each parsed model's `precision_matrix` bytes), so both sides are checked
+  to give identical results.
 - exit: the first `select greedy`, `select dp`, `select exact`, `eval` and
   `validate` request of the seed-1 workloads, each run `--repeats` times per
   side as `python3 -m gmrf_select.cli` would run it, sides alternating;
@@ -163,9 +165,12 @@ def run_layer(root: Path) -> dict:
 
 def solver_cases():
     """(name, function, arguments, result of its value) for one err, one
-    greedy round and one exact chunk."""
+    greedy round, one exact chunk and two parsed model files."""
     from itertools import combinations, islice
 
+    from workloads import greedy_large   # benchmark/ is on the path since dp_cases
+
+    from gmrf_select import io
     from gmrf_select.greedy import greedy_budget
     from gmrf_select.models import err, err_batch, random_gff
 
@@ -177,6 +182,10 @@ def solver_cases():
     chunk = list(islice(combinations(range(2, 17), 6), 4096))
     yield "exact-chunk-n16", err_batch, (random_gff(16, density=0.3, seed=3), chunk), \
         lambda scores: hashlib.sha256(" ".join(map(float.hex, scores)).encode()).hexdigest()
+    files = greedy_large(1).files
+    for file in ("gff150-a.gff", "gmrf120-a.gmrf"):
+        yield f"parse-{file}", io.parse_model_text, (files[file],), \
+            lambda model: hashlib.sha256(model.precision_matrix.tobytes()).hexdigest()
 
 
 def spread(values: list[float]) -> dict:
